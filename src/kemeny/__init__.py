@@ -13,10 +13,9 @@ from .orders import (
     kemeny_score,
     kt_distance,
     reduce_to_co,
-    transitive_closure,
     unanimity_order,
 )
-from .pco import PcoInstance, PcoResult, pco_preprocess, solve_pco
+from .pco import PcoInstance, PcoResult, solve_pco
 from .solver_diverse import (
     DiverseOutcome,
     DiverseQuery,
@@ -28,7 +27,7 @@ from .solver_diverse import (
     solve_diverse_kra,
     solve_max_diversity,
 )
-from .solver_single import SingleSolution, Triple, solve_single
+from .solver_single import SingleSolution, solve_single
 from .width import (
     ConsistentPathDecomposition,
     Graph,
@@ -63,7 +62,6 @@ __all__ = [
     "PcoResult",
     "Profile",
     "SingleSolution",
-    "Triple",
     "cocomparability_graph",
     "consistent_path_decomposition",
     "diversity",
@@ -75,14 +73,12 @@ __all__ = [
     "kt_distance",
     "make_nice",
     "minimal_triangulation",
-    "pco_preprocess",
     "reduce_to_co",
     "solve_diverse",
     "solve_diverse_kra",
     "solve_max_diversity",
     "solve_pco",
     "solve_single",
-    "transitive_closure",
     "unanimity_order",
 ]
 

@@ -71,7 +71,7 @@ def count_extensions(order: PartialOrder) -> int:
 def oracle_optimum(instance: CostInstance) -> tuple[int, tuple[LinearOrder, ...]]:
     """Exact minimum charged cost and the complete set of minimizers."""
     _require(instance.n, _cap("KEMENY_ORACLE_CAP", ORACLE_CAP), "oracle universe size")
-    charge = instance.charge  # type: ignore[attr-defined]
+    charge = instance.charge
     base = instance.base
     best = None
     winners: list[tuple[int, ...]] = []

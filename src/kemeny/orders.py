@@ -10,7 +10,7 @@ side-effect free, so values can be shared freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError
@@ -45,28 +45,6 @@ def close_rows(rows: list[int]) -> list[int]:
             if rows[x] & kbit:
                 rows[x] |= rk
     return rows
-
-
-def transitive_closure(
-    pairs: Iterable[tuple[int, int]], n: int | None = None
-) -> frozenset[tuple[int, int]]:
-    """Smallest transitive superset of a pair relation. Idempotent.
-
-    Callers that need a partial order must still validate antisymmetry of
-    the result; a cycle in ``pairs`` closes to mutual pairs, not an error.
-    """
-    pairs = list(pairs)
-    if n is None:
-        n = 1 + max((max(x, y) for x, y in pairs), default=-1)
-    rows = [0] * n
-    for x, y in pairs:
-        if not (0 <= x < n and 0 <= y < n):
-            raise InputError(f"pair ({x},{y}) outside universe of size {n}")
-        rows[x] |= 1 << y
-    close_rows(rows)
-    return frozenset(
-        (x, y) for x in range(n) for y in _bits(rows[x])
-    )
 
 
 @dataclass(frozen=True)
@@ -294,7 +272,8 @@ class CostInstance:
     n: int
     cost: tuple[tuple[int, ...], ...]
     base: PartialOrder
-    budget: int | None = None
+    # cost with the base order's pairs zeroed: what the solvers sum over
+    charge: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.n
@@ -309,8 +288,6 @@ class CostInstance:
                 raise InputError("cost on the diagonal must be 0")
             if any(c < 0 for c in row):
                 raise InputError("costs must be non-negative")
-        if self.budget is not None and self.budget < 0:
-            raise InputError("budget must be non-negative")
         charge = [
             [0 if self.base.leq(x, y) else self.cost[x][y] for y in range(n)]
             for x in range(n)
@@ -333,7 +310,7 @@ class CostInstance:
             raise InputError("extension over a different universe")
         if not extension.extends(self.base):
             raise InputError("not a linear extension of the base order")
-        charge = self.charge  # type: ignore[attr-defined]
+        charge = self.charge
         total = 0
         perm = extension.perm
         for i, x in enumerate(perm):
@@ -404,7 +381,7 @@ def unanimity_order(profile: Profile) -> PartialOrder:
     return PartialOrder(n, tuple(rows))
 
 
-def reduce_to_co(profile: Profile, budget: int | None = None) -> CostInstance:
+def reduce_to_co(profile: Profile) -> CostInstance:
     """Rank aggregation as ordering completion over the unanimity order.
 
     cost(x, y) counts the voters who place y before x, so the charged cost
@@ -416,4 +393,4 @@ def reduce_to_co(profile: Profile, budget: int | None = None) -> CostInstance:
     for vote, mult in profile.votes:
         for x, y in vote.strict_pairs():
             cost[y][x] += mult
-    return CostInstance(n, tuple(tuple(row) for row in cost), base, budget)
+    return CostInstance(n, tuple(tuple(row) for row in cost), base)

@@ -4,9 +4,9 @@ Positivity buys a structural early exit: every edge of the cocomparability
 graph joins a pair that any completion must charge at least 1 for, so an
 instance whose graph has more than k edges cannot be completed within
 budget k, and on YES-instances the graph stays sparse enough that its
-pathwidth grows only like the square root of the budget. The solve itself
-reuses the single-solution program and compares its optimum against the
-budget.
+pathwidth grows only like the square root of the budget. ``solve_pco``
+applies that bound, then runs the single-solution program and compares its
+optimum against the budget.
 """
 
 from __future__ import annotations
@@ -15,12 +15,8 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .orders import CostInstance, LinearOrder
-from .solver_single import SingleSolution, solve_single
-from .width import (
-    ConsistentPathDecomposition,
-    cocomparability_graph,
-    consistent_path_decomposition,
-)
+from .solver_single import solve_single
+from .width import cocomparability_graph
 
 
 @dataclass(frozen=True)
@@ -41,57 +37,33 @@ class PcoInstance:
 
 
 @dataclass(frozen=True)
-class PcoPreprocess:
-    rejected: bool
-    edges: int
-    decomposition: ConsistentPathDecomposition | None
-    reason: str | None = None
-
-    @property
-    def width(self) -> int | None:
-        return None if self.decomposition is None else self.decomposition.width
-
-
-@dataclass(frozen=True)
 class PcoResult:
     feasible: bool
-    budget: int
     edges: int
     optimum: int | None  # None when the edge bound rejected before solving
     witness: LinearOrder | None
     width: int | None
 
 
-def pco_preprocess(inst: PcoInstance, k: int) -> PcoPreprocess:
-    """Reject outright when the incomparability graph has more than k edges
-    (each edge costs at least 1 in any completion); otherwise build the
-    consistent path decomposition for the solve."""
-    if k < 0:
-        raise InputError("budget must be non-negative")
-    g = cocomparability_graph(inst.instance.base)
-    edges = g.edge_count
-    if edges > k:
-        return PcoPreprocess(
-            True, edges, None,
-            reason=f"{edges} incomparable pairs each cost at least 1, budget is {k}",
-        )
-    return PcoPreprocess(
-        False, edges, consistent_path_decomposition(inst.instance.base)
-    )
-
-
 def solve_pco(
     inst: PcoInstance, k: int, deadline: float | None = None
 ) -> PcoResult:
-    """YES with a witness extension of cost at most k, or NO."""
-    pre = pco_preprocess(inst, k)
-    if pre.rejected:
-        return PcoResult(False, k, pre.edges, None, None, None)
-    solution: SingleSolution = solve_single(
-        inst.instance, pre.decomposition, deadline
+    """YES with a witness extension of cost at most k, or NO.
+
+    Rejects without solving when the incomparability graph has more than k
+    edges, since each edge costs at least 1 in any completion.
+    """
+    if k < 0:
+        raise InputError("budget must be non-negative")
+    edges = cocomparability_graph(inst.instance.base).edge_count
+    if edges > k:
+        return PcoResult(False, edges, None, None, None)
+    solution = solve_single(inst.instance, deadline=deadline)
+    feasible = solution.cost <= k
+    return PcoResult(
+        feasible,
+        edges,
+        solution.cost,
+        solution.extension if feasible else None,
+        solution.decomposition.width,
     )
-    if solution.cost <= k:
-        return PcoResult(
-            True, k, pre.edges, solution.cost, solution.extension, pre.width
-        )
-    return PcoResult(False, k, pre.edges, solution.cost, None, pre.width)

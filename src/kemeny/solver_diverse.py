@@ -33,7 +33,7 @@ from .orders import (
 )
 from .solver_single import (
     BOUNDS,
-    Triple,
+    TailState,
     _check_deadline,
     _forget_successor,
     _introduce_successors,
@@ -42,7 +42,7 @@ from .solver_single import (
     prepare_decomposition,
     reconstruct_extension,
 )
-from .width import ConsistentPathDecomposition, consistent_path_decomposition
+from .width import ConsistentPathDecomposition, PathDecomposition
 
 MODES = ("decide", "max-diversity", "distinct-optima")
 
@@ -69,7 +69,7 @@ class DiverseQuery:
 
 
 class DiverseState(NamedTuple):
-    triples: tuple[Triple, ...]
+    triples: tuple[TailState, ...]
     div: int
     dist: tuple[int, ...]  # one entry per pair (i, j), i < j, lexicographic
 
@@ -139,97 +139,75 @@ def scatteredness_increase(
     return total
 
 
-def diversity_increase(
-    bag: int, tails: Sequence[tuple[int, ...]], introduced: Sequence[int]
-) -> int:
-    """Sum of the pairwise distance increases over all solution pairs."""
-    return sum(
-        scatteredness_increase(bag, tails[i], tails[j], introduced)
-        for i, j in _pairs(len(tails))
-    )
-
-
 def _triple_allowed(
-    triple: tuple[int, tuple[int, ...], int],
-    f_next: dict | None,
-    delta: int,
-    cost_bound: int | None,
+    triple: TailState, f_next: dict, delta: int, cost_bound: int
 ) -> bool:
     tail, order, cost = triple
-    if cost_bound is not None and cost > cost_bound:
+    if cost > cost_bound:
         return False
-    if f_next is not None:
-        entry = f_next.get((tail, order))
-        if entry is None:
-            raise InternalError("successor tail missing from the optimum register")
-        if cost > entry[0] + delta:
-            return False
-    return True
+    entry = f_next.get((tail, order))
+    if entry is None:
+        raise InternalError("successor tail missing from the optimum register")
+    return cost <= entry[0] + delta
 
 
 def tuple_successors(
     state: DiverseState,
     instance: CostInstance,
-    dec,
+    dec: PathDecomposition,
     p: int,
     *,
-    delta: int = 0,
-    d_cap: int = 0,
-    s_cap: int = 0,
-    f_next: dict | None = None,
-    cost_bound: int | None = None,
-    succ_cache: dict | None = None,
-    pair_cache: dict | None = None,
+    delta: int,
+    d_cap: int,
+    s_cap: int,
+    f_next: dict,
+    cost_bound: int,
+    succ_cache: dict,
+    pair_cache: dict,
 ) -> list[DiverseState]:
-    """All register-updated successor states across the transition p -> p+1.
+    """All register-updated successor states across the transition p -> p+1
+    of a nice decomposition.
 
     Each solution advances by its own tail transition; on an introduce step
     the registers grow by the pairwise increases and saturate at their caps.
     Solutions whose tail falls outside the allowed cost window kill the
-    whole state.
+    whole state. ``succ_cache`` and ``pair_cache`` memoise per-solution
+    successors and pairwise increases within one transition.
     """
-    intro = dec.introduced(p + 1)
     gone = dec.forgotten(p + 1)
-    if (intro | gone).bit_count() != 1:
-        raise InputError("transition is not nice: expected exactly one change")
-    r = len(state.triples)
     if gone:
         new_triples = []
         for t in state.triples:
             succ = _forget_successor(t, gone)
             if not _triple_allowed(succ, f_next, delta, cost_bound):
                 return []
-            new_triples.append(Triple(*succ))
+            new_triples.append(succ)
         return [DiverseState(tuple(new_triples), state.div, state.dist)]
 
-    v = intro.bit_length() - 1
-    options: list[list[Triple]] = []
+    v = dec.introduced(p + 1).bit_length() - 1
+    options: list[list[TailState]] = []
     for t in state.triples:
-        opts = None if succ_cache is None else succ_cache.get(t)
+        opts = succ_cache.get(t)
         if opts is None:
-            opts = [
-                Triple(*s)
+            opts = succ_cache[t] = [
+                s
                 for s in _introduce_successors(t, v, dec.bags[p + 1], instance)
                 if _triple_allowed(s, f_next, delta, cost_bound)
             ]
-            if succ_cache is not None:
-                succ_cache[t] = opts
         if not opts:
             return []
         options.append(opts)
 
     bag = dec.bags[p]
-    pairs = _pairs(r)
+    pairs = _pairs(len(state.triples))
     out = []
     for combo in itertools.product(*options):
         incs = []
         for i, j in pairs:
-            key = (combo[i].order, combo[j].order)
-            inc = None if pair_cache is None else pair_cache.get(key)
+            key = (combo[i][1], combo[j][1])
+            inc = pair_cache.get(key)
             if inc is None:
-                inc = scatteredness_increase(bag, key[0], key[1], (v,))
-                if pair_cache is not None:
-                    pair_cache[key] = inc
+                inc = pair_cache[key] = scatteredness_increase(bag, *key, (v,))
             incs.append(inc)
         new_dist = tuple(
             min(state.dist[k] + incs[k], s_cap) for k in range(len(pairs))
@@ -263,12 +241,14 @@ def _initial_states(
     d_cap: int,
     s_cap: int,
     cost_bound: int,
+    deadline: float | None,
 ) -> dict[DiverseState, tuple[None, None]]:
-    base = sorted(t for t in initial_triples(instance, bag) if t.cost <= cost_bound)
+    base = sorted(t for t in initial_triples(instance, bag) if t[2] <= cost_bound)
     pairs = _pairs(r)
     states: dict[DiverseState, tuple[None, None]] = {}
     for combo in itertools.combinations_with_replacement(base, r):
-        kts = [_tail_kt(combo[i].order, combo[j].order) for i, j in pairs]
+        _check_deadline(deadline)
+        kts = [_tail_kt(combo[i][1], combo[j][1]) for i, j in pairs]
         state = DiverseState(
             tuple(combo),
             min(sum(kts), d_cap),
@@ -280,8 +260,8 @@ def _initial_states(
 
 def _backtrack(
     tables: list[dict], final: DiverseState, r: int
-) -> list[list[Triple]]:
-    chains: list[list[Triple]] = [[] for _ in range(r)]
+) -> list[list[TailState]]:
+    chains: list[list[TailState]] = [[] for _ in range(r)]
     slots = list(range(r))
     key = final
     for p in range(len(tables) - 1, -1, -1):
@@ -311,9 +291,8 @@ def solve_diverse(
     (an upper bound on any achievable diversity at this scale), so final
     registers carry exact diversities and the best one is returned.
     """
-    if decomposition is None:
-        decomposition = consistent_path_decomposition(instance.base)
-    dec, width = prepare_decomposition(instance, decomposition)
+    decomposition, dec = prepare_decomposition(instance, decomposition)
+    width = decomposition.width
     singles = forward_tables(instance, dec, width, deadline)
     opt = singles[-1][(0, ())][0]
 
@@ -332,14 +311,16 @@ def solve_diverse(
     cost_bound = opt + delta
     pair_index = {pair: k for k, pair in enumerate(_pairs(r))}
 
-    frontier = _initial_states(instance, dec.bags[0], r, d_cap, s_cap, cost_bound)
+    frontier = _initial_states(
+        instance, dec.bags[0], r, d_cap, s_cap, cost_bound, deadline
+    )
     tables = [frontier]
     for p in range(len(dec.bags) - 1):
-        _check_deadline(deadline)
         succ_cache: dict = {}
         pair_cache: dict = {}
         nxt: dict = {}
         for key in sorted(frontier):
+            _check_deadline(deadline)
             for raw in tuple_successors(
                 key,
                 instance,
@@ -364,9 +345,9 @@ def solve_diverse(
 
     final_keys = sorted(frontier)
     for key in final_keys:
-        if any(t.tail or t.order for t in key.triples):
+        if any(tail or order for tail, order, _ in key.triples):
             raise InternalError("final state still carries a non-empty tail")
-        if any(t.cost > cost_bound for t in key.triples):
+        if any(cost > cost_bound for _, _, cost in key.triples):
             raise InternalError("final state escaped the cost window")
 
     def meets_scatter(key: DiverseState) -> bool:
@@ -414,7 +395,7 @@ def solve_diverse(
     witnesses = tuple(
         reconstruct_extension(chain, instance.base) for chain in chains
     )
-    costs = tuple(chain[-1].cost for chain in chains)
+    costs = tuple(chain[-1][2] for chain in chains)
     for w, c in zip(witnesses, costs):
         if instance.extension_cost(w) != c:
             raise InternalError("witness cost does not match its register")

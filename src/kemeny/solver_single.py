@@ -1,14 +1,15 @@
 """Single-solution completion solver: a left-to-right dynamic program over a
 nice order-consistent path decomposition.
 
-A state ("triple") is the tail of a partial solution: the subset S of the
-current bag that sits after every forgotten vertex, the tail's linear order,
-and the charged cost accumulated so far. On a forget step the dropped vertex
-and everything tail-smaller than it become committed; on an introduce step
-the new vertex is inserted at every tail position the base order allows,
-paying for the pairs it forms with vertices already placed. Keeping only the
-cheapest triple per (subset, tail order) is lossless for the optimum, and the
-final empty tail's cost is the optimal completion cost.
+A state ("triple") is the tail of a partial solution, held as the plain
+tuple ``(tail mask, tail order, cost)``: the subset S of the current bag
+that sits after every forgotten vertex, the tail's linear order, and the
+charged cost accumulated so far. On a forget step the dropped vertex and
+everything tail-smaller than it become committed; on an introduce step the
+new vertex is inserted at every tail position the base order allows, paying
+for the pairs it forms with vertices already placed. Keeping only the
+cheapest triple per (subset, tail order) is lossless for the optimum, and
+the final empty tail's cost is the optimal completion cost.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 from .errors import CapabilityError, InputError, InternalError
 from .orders import CostInstance, LinearOrder, PartialOrder, _bits, close_rows
@@ -28,13 +29,9 @@ from .width import (
 )
 
 
-class Triple(NamedTuple):
-    """Tail subset (bitmask), tail order (vertex tuple, first = smallest),
-    accumulated charged cost."""
-
-    tail: int
-    order: tuple[int, ...]
-    cost: int
+# Tail subset (bitmask), tail order (vertex tuple, first = smallest),
+# accumulated charged cost.
+TailState = tuple[int, tuple[int, ...], int]
 
 
 class BoundMonitor:
@@ -99,10 +96,10 @@ def _tail_extensions(order: PartialOrder, mask: int) -> Iterator[tuple[int, ...]
     yield from rec(mask, [])
 
 
-def initial_triples(instance: CostInstance, bag: int) -> list[Triple]:
+def initial_triples(instance: CostInstance, bag: int) -> list[TailState]:
     """One triple per linear extension of the base order restricted to the
     first bag, costed over the pairs inside the bag."""
-    charge = instance.charge  # type: ignore[attr-defined]
+    charge = instance.charge
     out = []
     for perm in _tail_extensions(instance.base, bag):
         cost = 0
@@ -110,13 +107,11 @@ def initial_triples(instance: CostInstance, bag: int) -> list[Triple]:
             row = charge[x]
             for y in perm[i + 1 :]:
                 cost += row[y]
-        out.append(Triple(bag, perm, cost))
+        out.append((bag, perm, cost))
     return out
 
 
-def _forget_successor(
-    triple: tuple[int, tuple[int, ...], int], gone: int
-) -> tuple[int, tuple[int, ...], int]:
+def _forget_successor(triple: TailState, gone: int) -> TailState:
     """Drop the forgotten vertex and everything tail-smaller than it."""
     tail, order, cost = triple
     if not tail & gone:
@@ -130,16 +125,13 @@ def _forget_successor(
 
 
 def _introduce_successors(
-    triple: tuple[int, tuple[int, ...], int],
-    v: int,
-    next_bag: int,
-    instance: CostInstance,
-) -> list[tuple[int, tuple[int, ...], int]]:
+    triple: TailState, v: int, next_bag: int, instance: CostInstance
+) -> list[TailState]:
     """Insert v at every tail position the base order allows and charge the
     pairs it forms: tail vertices on either side, plus the bag vertices
     already committed before the whole tail."""
     tail, order, cost = triple
-    charge = instance.charge  # type: ignore[attr-defined]
+    charge = instance.charge
     base = instance.base
     up = base.strict_up(v)
     down = base.strict_down(v)
@@ -167,41 +159,22 @@ def _introduce_successors(
     return out
 
 
-def triple_successors(
-    triple: Triple,
-    instance: CostInstance,
-    dec: PathDecomposition,
-    p: int,
-) -> list[Triple]:
-    """Successor triples across the transition from position p to p + 1 of a
-    nice decomposition (exactly one vertex introduced or forgotten)."""
-    intro = dec.introduced(p + 1)
-    gone = dec.forgotten(p + 1)
-    if (intro | gone).bit_count() != 1:
-        raise InputError("transition is not nice: expected exactly one change")
-    if gone:
-        return [Triple(*_forget_successor(tuple(triple), gone))]
-    v = intro.bit_length() - 1
-    succ = _introduce_successors(tuple(triple), v, dec.bags[p + 1], instance)
-    return [Triple(*s) for s in succ]
-
-
 def prepare_decomposition(
     instance: CostInstance, decomposition: ConsistentPathDecomposition | None = None
-) -> tuple[PathDecomposition, int]:
-    """Nice, forget-terminated decomposition for the instance's base order,
-    building one if the caller did not supply it. Returns (bags, width)."""
+) -> tuple[ConsistentPathDecomposition, PathDecomposition]:
+    """The one place a decomposition is built or validated: returns it with
+    its bags padded to a final empty bag. One built here was validated by
+    its builder; a supplied one that is for another base order or fails
+    ``validate()`` (niceness included) raises InputError."""
     if decomposition is None:
         decomposition = consistent_path_decomposition(instance.base)
-    if decomposition.order != instance.base:
+    elif decomposition.order != instance.base:
         raise InputError("decomposition built for a different base order")
-    problems = decomposition.validate()
-    if problems:
-        raise InputError("invalid decomposition: " + "; ".join(problems))
-    dec = pad_with_forgets(decomposition.decomposition)
-    if not dec.is_nice:
-        raise InputError("decomposition is not nice")
-    return dec, decomposition.width
+    else:
+        problems = decomposition.validate()
+        if problems:
+            raise InputError("invalid decomposition: " + "; ".join(problems))
+    return decomposition, pad_with_forgets(decomposition.decomposition)
 
 
 def _check_deadline(deadline: float | None) -> None:
@@ -222,11 +195,10 @@ def forward_tables(
     keep the lexicographically smallest tail order, which pins the
     reconstructed optimum.
     """
-    first: dict = {}
-    for t in initial_triples(instance, dec.bags[0]):
-        key = (t.tail, t.order)
-        if key not in first or t.cost < first[key][0]:
-            first[key] = (t.cost, None)
+    first: dict = {
+        (tail, order): (cost, None)
+        for tail, order, cost in initial_triples(instance, dec.bags[0])
+    }
     tables = [first]
     BOUNDS.check_triples(len(first), 0, width)
     for p in range(len(dec.bags) - 1):
@@ -254,7 +226,7 @@ def forward_tables(
 
 
 def reconstruct_extension(
-    chain: Sequence[Triple | tuple[int, tuple[int, ...]]], base: PartialOrder
+    chain: Sequence[TailState | tuple[int, tuple[int, ...]]], base: PartialOrder
 ) -> LinearOrder:
     """Close the base order over every tail order in a compatible chain; the
     closure must be a linear extension, anything else is a solver bug."""
@@ -283,10 +255,8 @@ def solve_single(
     deadline: float | None = None,
 ) -> SingleSolution:
     """Optimal linear extension of the instance's base order and its cost."""
-    if decomposition is None:
-        decomposition = consistent_path_decomposition(instance.base)
-    dec, width = prepare_decomposition(instance, decomposition)
-    tables = forward_tables(instance, dec, width, deadline)
+    decomposition, dec = prepare_decomposition(instance, decomposition)
+    tables = forward_tables(instance, dec, decomposition.width, deadline)
     final = tables[-1]
     if list(final) != [(0, ())]:
         raise InternalError("final register is not the single empty tail")

@@ -517,7 +517,6 @@ class ConsistentPathDecomposition:
 
     decomposition: PathDecomposition
     order: PartialOrder
-    nice: bool
 
     @property
     def width(self) -> int:
@@ -526,8 +525,8 @@ class ConsistentPathDecomposition:
     def validate(self) -> list[str]:
         problems = self.decomposition.validate(cocomparability_graph(self.order))
         problems += self.decomposition.consistency_violations(self.order)
-        if self.nice and not self.decomposition.is_nice:
-            problems.append("decomposition is flagged nice but is not")
+        if not self.decomposition.is_nice:
+            problems.append("decomposition is not nice")
         return problems
 
 
@@ -566,8 +565,7 @@ def consistent_path_decomposition(order: PartialOrder) -> ConsistentPathDecompos
     the width is whatever the minimal-fill elimination produces.
     """
     raw, _, _ = clique_path_decomposition(order)
-    nice = make_nice(raw)
-    result = ConsistentPathDecomposition(nice, order, nice=True)
+    result = ConsistentPathDecomposition(make_nice(raw), order)
     problems = result.validate()
     if problems:
         raise InternalError("decomposition invalid: " + "; ".join(problems))

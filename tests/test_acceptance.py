@@ -27,7 +27,7 @@ from kemeny.instances import (
 )
 from kemeny.oracle import enumerate_extensions, oracle_diverse, oracle_optimum
 from kemeny.orders import LinearOrder, reduce_to_co
-from kemeny.pco import PcoInstance, pco_preprocess, solve_pco
+from kemeny.pco import PcoInstance, solve_pco
 from kemeny.solver_diverse import (
     DiverseQuery,
     scatteredness_increase,
@@ -185,7 +185,7 @@ def test_criterion_05_decomposition_validity(order_corpus):
     worst = 0.0
     for order in order_corpus:
         cpd = consistent_path_decomposition(order)
-        assert cpd.nice
+        assert cpd.decomposition.is_nice
         assert cpd.validate() == []
         pw = exact_pathwidth(cocomparability_graph(order))
         assert cpd.width >= pw
@@ -236,7 +236,7 @@ def test_criterion_08_pco_pipeline():
         assert result.feasible == (opt <= k), trial
         if result.feasible:
             assert inst.extension_cost(result.witness) <= k
-        if pco_preprocess(pco, k).rejected:
+        if result.optimum is None:
             assert opt > k  # the edge bound never rejects a YES-instance
 
     # width versus sqrt(edge count) on the bucket corpus: logged, not asserted

@@ -4,6 +4,7 @@ import io
 import json
 import pathlib
 import random
+import time
 
 import pytest
 
@@ -111,12 +112,56 @@ class TestSubcommands:
             ["diverse", FIFTY, "--r", "2", "--delta", "0", "--d", "1", "--s", "1"]
         )
         assert code == 0
-        assert "witness-2: A<B<D<C<E" in out
+        assert out == (
+            "result: diverse\n"
+            "n: 5\n"
+            "m: 100\n"
+            "unanimity-width: 1\n"
+            "r: 2\n"
+            "delta: 0\n"
+            "d: 1\n"
+            "s: 1\n"
+            "optimum: 50\n"
+            "decision: yes\n"
+            "diversity: 1\n"
+            "witness-1: A<B<C<D<E\n"
+            "score-1: 50\n"
+            "witness-2: A<B<D<C<E\n"
+            "score-2: 50\n"
+            "distance-1-2: 1\n"
+        )
         code, out, _ = invoke(
             ["diverse", FIFTY, "--r", "3", "--delta", "0", "--d", "1", "--s", "1"]
         )
         assert code == 1
-        assert "decision: no" in out
+        assert out == (
+            "result: diverse\n"
+            "n: 5\n"
+            "m: 100\n"
+            "unanimity-width: 1\n"
+            "r: 3\n"
+            "delta: 0\n"
+            "d: 1\n"
+            "s: 1\n"
+            "optimum: 50\n"
+            "decision: no\n"
+            "failed-constraint: scatteredness\n"
+            "detail: best achievable minimum pairwise distance within the cost "
+            "window is 0, required 1\n"
+        )
+
+    def test_diverse_timeout_aborts_promptly(self, tmp_path):
+        # 295 240 initial three-solution combinations, about 5 s to build
+        votes = str(tmp_path / "wide.votes")
+        invoke(["gen", "buckets", "--sizes", "5,5,5", "--m", "20", "--noise", "1",
+                "--seed", "1", "--out", votes])
+        start = time.monotonic()
+        code, _, err = invoke(
+            ["diverse", votes, "--r", "3", "--delta", "2", "--d", "3",
+             "--timeout", "0.2"]
+        )
+        assert code == 3 and "timeout" in err
+        assert time.monotonic() - start < 1.5
 
     def test_no_scatter_flag_fixes_s_to_one(self):
         code, out, _ = invoke(
@@ -126,17 +171,86 @@ class TestSubcommands:
         assert "s: 1\n" in out
 
     def test_optima_counts(self):
-        assert invoke(["optima", FIFTY, "--r", "2"])[0] == 0
-        assert invoke(["optima", FIFTY, "--r", "3"])[0] == 1
+        header = (
+            "result: optima\n"
+            "n: 5\n"
+            "m: 100\n"
+            "unanimity-width: 1\n"
+        )
+        assert invoke(["optima", FIFTY, "--r", "2"]) == (0, header + (
+            "r: 2\n"
+            "optimum: 50\n"
+            "decision: yes\n"
+            "witness-1: A<B<C<D<E\n"
+            "score-1: 50\n"
+            "witness-2: A<B<D<C<E\n"
+            "score-2: 50\n"
+        ), "")
+        assert invoke(["optima", FIFTY, "--r", "3"]) == (1, header + (
+            "r: 3\n"
+            "optimum: 50\n"
+            "decision: no\n"
+            "detail: fewer than 3 distinct optimal rankings\n"
+        ), "")
 
     def test_maxdiv_reports_exact_diversity(self):
         code, out, _ = invoke(["maxdiv", FIFTY, "--r", "2", "--delta", "0"])
         assert code == 0
-        assert "diversity: 1\n" in out
+        assert out == (
+            "result: maxdiv\n"
+            "n: 5\n"
+            "m: 100\n"
+            "unanimity-width: 1\n"
+            "r: 2\n"
+            "delta: 0\n"
+            "optimum: 50\n"
+            "decision: yes\n"
+            "diversity: 1\n"
+            "witness-1: A<B<C<D<E\n"
+            "score-1: 50\n"
+            "witness-2: A<B<D<C<E\n"
+            "score-2: 50\n"
+            "distance-1-2: 1\n"
+        )
+
+    def test_maxdiv_prints_each_witness_once(self, tmp_path):
+        # a chain has one extension, so both selected rankings coincide
+        votes = tmp_path / "chain.votes"
+        votes.write_text("candidates: A,B,C\nA<B<C\n")
+        code, out, _ = invoke(["maxdiv", str(votes), "--r", "2"])
+        assert code == 0
+        assert "diversity: 0\n" in out
+        assert out.count("witness-") == 1 and "witness-1: A<B<C\n" in out
+        assert "distance-" not in out
 
     def test_pco_decisions(self):
-        assert invoke(["pco", FIFTY, "--k", "50"])[0] == 0
-        assert invoke(["pco", FIFTY, "--k", "49"])[0] == 1
+        header = (
+            "result: pco\n"
+            "n: 5\n"
+            "m: 100\n"
+        )
+        assert invoke(["pco", FIFTY, "--k", "50"]) == (0, header + (
+            "budget: 50\n"
+            "incomparable-pairs: 1\n"
+            "unanimity-width: 1\n"
+            "optimum: 50\n"
+            "decision: yes\n"
+            "witness-1: A<B<D<C<E\n"
+            "score-1: 50\n"
+        ), "")
+        assert invoke(["pco", FIFTY, "--k", "49"]) == (1, header + (
+            "budget: 49\n"
+            "incomparable-pairs: 1\n"
+            "unanimity-width: 1\n"
+            "optimum: 50\n"
+            "decision: no\n"
+        ), "")
+        assert invoke(["pco", FIFTY, "--k", "0"]) == (1, header + (
+            "budget: 0\n"
+            "incomparable-pairs: 1\n"
+            "decision: no\n"
+            "detail: rejected by the edge-count bound\n"
+        ), "")
         code, _, err = invoke(["pco", FIVE, "--k", "10"])
         assert code == 2 and "positive" in err
 
@@ -165,10 +279,26 @@ class TestSubcommands:
     def test_json_output_is_valid_and_complete(self):
         code, out, _ = invoke(["maxdiv", FIFTY, "--r", "2", "--json"])
         assert code == 0
+        assert out == (
+            "{\n"
+            '  "decision": "yes",\n'
+            '  "delta": 0,\n'
+            '  "distance-1-2": 1,\n'
+            '  "diversity": 1,\n'
+            '  "m": 100,\n'
+            '  "n": 5,\n'
+            '  "optimum": 50,\n'
+            '  "r": 2,\n'
+            '  "result": "maxdiv",\n'
+            '  "score-1": 50,\n'
+            '  "score-2": 50,\n'
+            '  "unanimity-width": 1,\n'
+            '  "witness-1": "A<B<C<D<E",\n'
+            '  "witness-2": "A<B<D<C<E"\n'
+            "}\n"
+        )
         payload = json.loads(out)
         assert payload["decision"] == "yes"
-        assert payload["diversity"] == 1
-        assert payload["witness-1"] == "A<B<C<D<E"
 
     def test_input_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.votes"

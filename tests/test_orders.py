@@ -22,7 +22,6 @@ from kemeny.orders import (
     kemeny_score,
     kt_distance,
     reduce_to_co,
-    transitive_closure,
     unanimity_order,
 )
 
@@ -223,22 +222,6 @@ class TestUnanimity:
                         assert any(
                             not vote.leq(x, y) for vote, _ in profile.votes
                         )
-
-
-class TestTransitiveClosure:
-    def test_adds_composed_pair(self):
-        closed = transitive_closure([(0, 1), (1, 2)])
-        assert (0, 2) in closed
-
-    def test_idempotent_on_transitive_input(self):
-        pairs = {(0, 1), (1, 2), (0, 2)}
-        assert transitive_closure(pairs) == frozenset(pairs)
-
-    def test_keeps_cycles_for_downstream_validation(self):
-        closed = transitive_closure([(0, 1), (1, 0)])
-        assert (0, 1) in closed and (1, 0) in closed
-        with pytest.raises(InputError):
-            PartialOrder.from_pairs(2, closed)
 
 
 class TestReduction:

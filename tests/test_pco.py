@@ -8,7 +8,7 @@ from kemeny.errors import InputError
 from kemeny.instances import random_cost_instance
 from kemeny.oracle import oracle_optimum
 from kemeny.orders import CostInstance, PartialOrder
-from kemeny.pco import PcoInstance, pco_preprocess, solve_pco
+from kemeny.pco import PcoInstance, solve_pco
 
 
 def chain(n):
@@ -34,18 +34,18 @@ class TestPcoInstance:
 class TestPreprocess:
     def test_linear_base_proceeds_with_width_zero(self):
         cost = tuple(tuple(0 for _ in range(4)) for _ in range(4))
-        inst = PcoInstance(CostInstance(4, cost, chain(4)))
-        pre = pco_preprocess(inst, 0)
-        assert not pre.rejected
-        assert pre.edges == 0
-        assert pre.width == 0
+        result = solve_pco(PcoInstance(CostInstance(4, cost, chain(4))), 0)
+        assert result.optimum == 0
+        assert result.edges == 0
+        assert result.width == 0
 
     def test_edge_count_rejection(self):
         # complete incomparability on 5 vertices: 10 edges, budget 9
-        pre = pco_preprocess(unit_antichain(5), 9)
-        assert pre.rejected
-        assert pre.edges == 10
-        assert pco_preprocess(unit_antichain(5), 10).rejected is False
+        result = solve_pco(unit_antichain(5), 9)
+        assert result.optimum is None and not result.feasible
+        assert result.edges == 10
+        assert result.width is None
+        assert solve_pco(unit_antichain(5), 10).optimum == 10
 
     def test_rejection_never_loses_a_yes_instance(self):
         rng = random.Random(41)
@@ -56,7 +56,11 @@ class TestPreprocess:
             pco = PcoInstance(inst)
             opt, _ = oracle_optimum(inst)
             for k in (opt, opt + 2):
-                assert not pco_preprocess(pco, k).rejected
+                assert solve_pco(pco, k).optimum == opt
+
+    def test_negative_budget_rejected(self):
+        with pytest.raises(InputError):
+            solve_pco(unit_antichain(2), -1)
 
 
 class TestSolve:

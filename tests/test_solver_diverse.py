@@ -26,7 +26,6 @@ from kemeny.orders import (
 from kemeny.solver_diverse import (
     DiverseQuery,
     DiverseState,
-    diversity_increase,
     find_distinct_optima,
     scatteredness_increase,
     solve_diverse,
@@ -34,7 +33,7 @@ from kemeny.solver_diverse import (
     solve_max_diversity,
     tuple_successors,
 )
-from kemeny.solver_single import Triple, triple_successors
+from kemeny.solver_single import _introduce_successors, forward_tables
 from kemeny.width import PathDecomposition
 
 
@@ -66,23 +65,6 @@ class TestScatterednessIncrease:
             scatteredness_increase(0b001, (0,), (0, 2), [2])
 
 
-class TestDiversityIncrease:
-    def test_single_solution_has_no_pairs(self):
-        assert diversity_increase(0b001, [(0, 2)], [2]) == 0
-
-    def test_two_solutions_equal_pair_increase(self):
-        tails = [(2, 1), (1, 2)]
-        assert diversity_increase(0b010, tails, [2]) == scatteredness_increase(
-            0b010, tails[0], tails[1], [2]
-        )
-
-    def test_three_solutions_sum_over_pairs(self):
-        # two identical tails and one with the new vertex on the other side:
-        # pairs (1,3) and (2,3) each gain one, pair (1,2) gains nothing
-        tails = [(2, 1), (2, 1), (1, 2)]
-        assert diversity_increase(0b010, tails, [2]) == 2
-
-
 def _two_vertex_setup():
     base = PartialOrder.antichain(2)
     inst = CostInstance(2, ((0, 1), (4, 0)), base)
@@ -90,24 +72,31 @@ def _two_vertex_setup():
     return inst, dec
 
 
+def _successors(state, inst, dec, delta=0, d_cap=0, s_cap=0, cost_bound=99):
+    f_next = forward_tables(inst, dec, dec.width)[1]
+    return tuple_successors(
+        state, inst, dec, 0, delta=delta, d_cap=d_cap, s_cap=s_cap,
+        f_next=f_next, cost_bound=cost_bound, succ_cache={}, pair_cache={},
+    )
+
+
 class TestTupleSuccessors:
-    def test_r1_matches_triple_successors(self):
+    def test_r1_matches_introduce_successors(self):
         inst, dec = _two_vertex_setup()
-        triple = Triple(0b01, (0,), 0)
-        state = DiverseState((triple,), 0, ())
-        got = tuple_successors(state, inst, dec, 0, d_cap=0, s_cap=0)
-        expected = triple_successors(triple, inst, dec, 0)
+        triple = (0b01, (0,), 0)
+        got = _successors(DiverseState((triple,), 0, ()), inst, dec)
+        expected = _introduce_successors(triple, 1, 0b11, inst)
         assert [s.triples[0] for s in got] == expected
         assert all(s.div == 0 and s.dist == () for s in got)
 
     def test_r2_product_with_registers(self):
         inst, dec = _two_vertex_setup()
-        triple = Triple(0b01, (0,), 0)
+        triple = (0b01, (0,), 0)
         state = DiverseState((triple, triple), 0, (0,))
-        got = tuple_successors(state, inst, dec, 0, d_cap=9, s_cap=9)
+        got = _successors(state, inst, dec, d_cap=9, s_cap=9)
         assert len(got) == 4
         by_tails = {
-            (s.triples[0].order, s.triples[1].order): (s.div, s.dist) for s in got
+            (s.triples[0][1], s.triples[1][1]): (s.div, s.dist) for s in got
         }
         assert by_tails[((0, 1), (0, 1))] == (0, (0,))
         assert by_tails[((1, 0), (1, 0))] == (0, (0,))
@@ -116,21 +105,25 @@ class TestTupleSuccessors:
 
     def test_register_caps_saturate(self):
         inst, dec = _two_vertex_setup()
-        triple = Triple(0b01, (0,), 0)
+        triple = (0b01, (0,), 0)
         state = DiverseState((triple, triple), 3, (1,))
-        got = tuple_successors(state, inst, dec, 0, d_cap=3, s_cap=1)
+        got = _successors(state, inst, dec, d_cap=3, s_cap=1)
         for s in got:
             assert s.div == 3  # already at the cap, stays there
             assert s.dist[0] <= 1
 
     def test_cost_window_prunes_states(self):
         inst, dec = _two_vertex_setup()
-        triple = Triple(0b01, (0,), 0)
-        state = DiverseState((triple,), 0, ())
-        got = tuple_successors(
-            state, inst, dec, 0, d_cap=0, s_cap=0, cost_bound=1
-        )
-        assert [s.triples[0].cost for s in got] == [1]
+        state = DiverseState(((0b01, (0,), 0),), 0, ())
+        got = _successors(state, inst, dec, cost_bound=1)
+        assert [s.triples[0][2] for s in got] == [1]
+
+    def test_optimum_register_prunes_states(self):
+        # from cost 3 each successor tail costs 3 more than its register
+        inst, dec = _two_vertex_setup()
+        state = DiverseState(((0b01, (0,), 3),), 0, ())
+        assert _successors(state, inst, dec, delta=2) == []
+        assert len(_successors(state, inst, dec, delta=3)) == 2
 
 
 class TestSolveDiverse:

@@ -13,16 +13,21 @@ from kemeny.instances import (
 )
 from kemeny.oracle import oracle_optimum
 from kemeny.orders import CostInstance, LinearOrder, PartialOrder, reduce_to_co
+from kemeny.solver_diverse import DiverseQuery, solve_diverse
 from kemeny.solver_single import (
-    Triple,
+    _forget_successor,
+    _introduce_successors,
     forward_tables,
     initial_triples,
     prepare_decomposition,
     reconstruct_extension,
     solve_single,
-    triple_successors,
 )
-from kemeny.width import PathDecomposition, consistent_path_decomposition
+from kemeny.width import (
+    ConsistentPathDecomposition,
+    PathDecomposition,
+    consistent_path_decomposition,
+)
 
 
 def chain(n):
@@ -34,54 +39,59 @@ def instance_2(cost_ab, cost_ba, base=None):
     return CostInstance(2, ((0, cost_ab), (cost_ba, 0)), base)
 
 
+# Both solvers share prepare_decomposition and must refuse the same inputs.
+SOLVERS = (
+    solve_single,
+    lambda inst, cpd: solve_diverse(inst, DiverseQuery(r=2), cpd),
+)
+
+
+def assert_supplied_rejected(inst, dec, reason):
+    cpd = ConsistentPathDecomposition(dec, inst.base)
+    for solve in SOLVERS:
+        with pytest.raises(InputError, match=reason):
+            solve(inst, cpd)
+
+
 class TestInitialTriples:
     def test_single_vertex_bag(self):
         inst = instance_2(2, 3)
-        assert initial_triples(inst, 0b01) == [Triple(0b01, (0,), 0)]
+        assert initial_triples(inst, 0b01) == [(0b01, (0,), 0)]
 
     def test_incomparable_pair_both_orders(self):
         inst = instance_2(2, 3)
         triples = initial_triples(inst, 0b11)
-        assert set(triples) == {Triple(0b11, (0, 1), 2), Triple(0b11, (1, 0), 3)}
+        assert set(triples) == {(0b11, (0, 1), 2), (0b11, (1, 0), 3)}
 
     def test_forced_pair_single_extension_zero_cost(self):
         inst = instance_2(9, 9, base=chain(2))
-        assert initial_triples(inst, 0b11) == [Triple(0b11, (0, 1), 0)]
+        assert initial_triples(inst, 0b11) == [(0b11, (0, 1), 0)]
 
 
 class TestTripleSuccessors:
     def test_forget_keeps_suffix(self):
         # forget vertex 1 from tail (1, 0): survivor 0 sits after it
-        inst = instance_2(2, 3)
-        dec = PathDecomposition(2, (0b11, 0b01))
-        [succ] = triple_successors(Triple(0b11, (1, 0), 3), inst, dec, 0)
-        assert succ == Triple(0b01, (0,), 3)
+        assert _forget_successor((0b11, (1, 0), 3), 0b10) == (0b01, (0,), 3)
 
     def test_forget_drops_smaller_survivors(self):
         # forget vertex 1 from tail (0, 1): 0 precedes it and commits too
-        inst = instance_2(2, 3)
-        dec = PathDecomposition(2, (0b11, 0b01))
-        [succ] = triple_successors(Triple(0b11, (0, 1), 2), inst, dec, 0)
-        assert succ == Triple(0, (), 2)
+        assert _forget_successor((0b11, (0, 1), 2), 0b10) == (0, (), 2)
 
     def test_forget_outside_tail_changes_nothing(self):
-        inst = random_cost_instance(3, random.Random(0), 0.0)
-        dec = PathDecomposition(3, (0b111, 0b110))
-        [succ] = triple_successors(Triple(0b110, (1, 2), 5), inst, dec, 0)
-        assert succ == Triple(0b110, (1, 2), 5)
+        # forget vertex 0, which is committed rather than in the tail
+        state = (0b110, (1, 2), 5)
+        assert _forget_successor(state, 0b001) == state
 
     def test_introduce_charges_both_slots(self):
         base = PartialOrder.antichain(2)
         inst = CostInstance(2, ((0, 1), (4, 0)), base)
-        dec = PathDecomposition(2, (0b01, 0b11))
-        succ = set(triple_successors(Triple(0b01, (0,), 7), inst, dec, 0))
-        assert succ == {Triple(0b11, (0, 1), 8), Triple(0b11, (1, 0), 11)}
+        succ = set(_introduce_successors((0b01, (0,), 7), 1, 0b11, inst))
+        assert succ == {(0b11, (0, 1), 8), (0b11, (1, 0), 11)}
 
     def test_introduce_respects_base_order(self):
         inst = instance_2(9, 9, base=chain(2))
-        dec = PathDecomposition(2, (0b01, 0b11))
-        succ = triple_successors(Triple(0b01, (0,), 0), inst, dec, 0)
-        assert succ == [Triple(0b11, (0, 1), 0)]
+        succ = _introduce_successors((0b01, (0,), 0), 1, 0b11, inst)
+        assert succ == [(0b11, (0, 1), 0)]
 
     def test_introduce_charges_committed_bag_vertices(self):
         # vertex 0 is in the bag but not in the tail: it is committed before
@@ -89,18 +99,37 @@ class TestTripleSuccessors:
         base = PartialOrder.antichain(3)
         cost = ((0, 0, 2), (0, 0, 3), (5, 7, 0))
         inst = CostInstance(3, cost, base)
-        dec = PathDecomposition(3, (0b011, 0b111))
-        succ = set(triple_successors(Triple(0b010, (1,), 0), inst, dec, 0))
+        succ = set(_introduce_successors((0b010, (1,), 0), 2, 0b111, inst))
         assert succ == {
-            Triple(0b110, (1, 2), 2 + 3),  # 2 after 1: pay c(1,2); plus c(0,2)
-            Triple(0b110, (2, 1), 2 + 7),  # 2 before 1: pay c(2,1); plus c(0,2)
+            (0b110, (1, 2), 2 + 3),  # 2 after 1: pay c(1,2); plus c(0,2)
+            (0b110, (2, 1), 2 + 7),  # 2 before 1: pay c(2,1); plus c(0,2)
         }
 
     def test_non_nice_transition_rejected(self):
-        inst = instance_2(1, 1)
+        # valid for the chain 0 < 1, but one step forgets 0 and introduces 1
         dec = PathDecomposition(2, (0b01, 0b10))
-        with pytest.raises(InputError):
-            triple_successors(Triple(0b01, (0,), 0), inst, dec, 0)
+        assert_supplied_rejected(instance_2(1, 1, base=chain(2)), dec, "not nice")
+
+
+class TestSuppliedDecomposition:
+    def test_other_base_order_rejected(self):
+        inst = instance_2(1, 1)
+        cpd = consistent_path_decomposition(chain(2))
+        for solve in SOLVERS:
+            with pytest.raises(InputError, match="different base order"):
+                solve(inst, cpd)
+
+    def test_invalid_decomposition_rejected(self):
+        # the incomparable pair (0, 1) never shares a bag
+        dec = PathDecomposition(2, (0b01, 0b00, 0b10))
+        assert_supplied_rejected(instance_2(1, 1), dec, "not covered")
+
+    def test_valid_supplied_decomposition_is_used(self):
+        inst = instance_2(2, 3)
+        cpd = ConsistentPathDecomposition(PathDecomposition(2, (0b11,)), inst.base)
+        solution = solve_single(inst, cpd)
+        assert solution.decomposition is cpd
+        assert solution.cost == 2
 
 
 class TestSolve:
@@ -177,9 +206,8 @@ class TestProjectionRoundTrip:
         rng = random.Random(24)
         for _ in range(25):
             inst = random_cost_instance(rng.randint(2, 6), rng, rng.random())
-            cpd = consistent_path_decomposition(inst.base)
-            dec, width = prepare_decomposition(inst, cpd)
-            tables = forward_tables(inst, dec, width)
+            cpd, dec = prepare_decomposition(inst)
+            tables = forward_tables(inst, dec, cpd.width)
             opt, winners = oracle_optimum(inst)
             charge = inst.charge
             for ext in winners:
@@ -208,9 +236,8 @@ class TestProjectionRoundTrip:
         rng = random.Random(25)
         for _ in range(20):
             inst = random_cost_instance(rng.randint(2, 6), rng, rng.random())
-            cpd = consistent_path_decomposition(inst.base)
-            dec, width = prepare_decomposition(inst, cpd)
-            tables = forward_tables(inst, dec, width)
+            cpd, dec = prepare_decomposition(inst)
+            tables = forward_tables(inst, dec, cpd.width)
             key = (0, ())
             costs = []
             for p in range(len(tables) - 1, -1, -1):

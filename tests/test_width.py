@@ -253,7 +253,7 @@ class TestConsistentDecomposition:
         for _ in range(60):
             order = random_partial_order(rng.randint(2, 9), rng, rng.random())
             cpd = consistent_path_decomposition(order)
-            assert cpd.nice
+            assert cpd.decomposition.is_nice
             assert cpd.validate() == []
             pw = exact_pathwidth(cocomparability_graph(order))
             assert cpd.width >= pw
