@@ -15,7 +15,7 @@ from kemeny.width import (
     consistent_path_decomposition,
     exact_pathwidth,
     make_nice,
-    pad_with_forgets,
+    pad_to_empty,
 )
 
 
@@ -46,7 +46,7 @@ def main():
     print("clique bags in interval order:", " ".join(bag_str(b) for b in raw.bags))
 
     nice = make_nice(raw)
-    padded = pad_with_forgets(nice)
+    padded = pad_to_empty(nice)
     print(f"nice sequence ({len(padded.bags)} bags, width {padded.width}):")
     print("  " + " ".join(bag_str(b) for b in padded.bags))
 

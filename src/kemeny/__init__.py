@@ -35,7 +35,6 @@ from .width import (
     cocomparability_graph,
     consistent_path_decomposition,
     exact_pathwidth,
-    has_long_induced_cycle,
     interval_order_from_fill,
     make_nice,
     minimal_triangulation,
@@ -67,7 +66,6 @@ __all__ = [
     "diversity",
     "exact_pathwidth",
     "find_distinct_optima",
-    "has_long_induced_cycle",
     "interval_order_from_fill",
     "kemeny_score",
     "kt_distance",

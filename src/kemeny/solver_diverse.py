@@ -38,7 +38,6 @@ from .solver_single import (
     _forget_successor,
     _introduce_successors,
     forward_tables,
-    initial_triples,
     prepare_decomposition,
     reconstruct_extension,
 )
@@ -235,15 +234,21 @@ def _canonical(
 
 
 def _initial_states(
-    instance: CostInstance,
-    bag: int,
+    register: dict,
     r: int,
     d_cap: int,
     s_cap: int,
     cost_bound: int,
     deadline: float | None,
 ) -> dict[DiverseState, tuple[None, None]]:
-    base = sorted(t for t in initial_triples(instance, bag) if t[2] <= cost_bound)
+    """Every multiset of r tails from the single-solution register of the
+    first full bag within the cost window, with the registers their tail
+    orders already fix."""
+    base = sorted(
+        (tail, order, cost)
+        for (tail, order), (cost, _) in register.items()
+        if cost <= cost_bound
+    )
     pairs = _pairs(r)
     states: dict[DiverseState, tuple[None, None]] = {}
     for combo in itertools.combinations_with_replacement(base, r):
@@ -298,8 +303,7 @@ def solve_diverse(
 
     r = query.r
     delta = query.delta
-    maximize = query.mode == "max-diversity"
-    if maximize:
+    if query.mode == "max-diversity":
         d_cap = r * instance.n * instance.n
         s_req = query.s
         d_req = 0
@@ -311,11 +315,12 @@ def solve_diverse(
     cost_bound = opt + delta
     pair_index = {pair: k for k, pair in enumerate(_pairs(r))}
 
-    frontier = _initial_states(
-        instance, dec.bags[0], r, d_cap, s_cap, cost_bound, deadline
-    )
+    # The lockstep starts at the first full bag: started at the empty tail,
+    # its r identical slots would make every ordered product r!-redundant.
+    start = decomposition.decomposition.bags[0].bit_count()
+    frontier = _initial_states(singles[start], r, d_cap, s_cap, cost_bound, deadline)
     tables = [frontier]
-    for p in range(len(dec.bags) - 1):
+    for p in range(start, len(dec.bags) - 1):
         succ_cache: dict = {}
         pair_cache: dict = {}
         nxt: dict = {}
@@ -350,46 +355,30 @@ def solve_diverse(
         if any(cost > cost_bound for _, _, cost in key.triples):
             raise InternalError("final state escaped the cost window")
 
-    def meets_scatter(key: DiverseState) -> bool:
-        return r == 1 or not key.dist or min(key.dist) >= s_req
-
-    chosen = None
-    if maximize:
-        candidates = [k for k in final_keys if meets_scatter(k)]
-        if candidates:
-            best_div = max(k.div for k in candidates)
-            chosen = min(k for k in candidates if k.div == best_div)
-    else:
-        for key in final_keys:
-            if meets_scatter(key) and key.div >= d_req:
-                chosen = key
-                break
-
-    if chosen is None:
-        scatter_best = (
-            max((min(k.dist) for k in final_keys if k.dist), default=0)
-            if final_keys
-            else 0
+    meeting = [k for k in final_keys if not k.dist or min(k.dist) >= s_req]
+    if not meeting:
+        scatter_best = max((min(k.dist) for k in final_keys), default=0)
+        return DiverseOutcome(
+            False, None, None, None, None, opt, width,
+            failed_constraint="scatteredness",
+            detail=(
+                f"best achievable minimum pairwise distance within the "
+                f"cost window is {scatter_best}, required {s_req}"
+            ),
         )
-        if r > 1 and s_req > 0 and scatter_best < s_req:
-            return DiverseOutcome(
-                False, None, None, None, None, opt, width,
-                failed_constraint="scatteredness",
-                detail=(
-                    f"best achievable minimum pairwise distance within the "
-                    f"cost window is {scatter_best}, required {s_req}"
-                ),
-            )
-        meeting = [k for k in final_keys if meets_scatter(k)]
-        best_d = max((k.div for k in meeting), default=0)
+    best_div = max(k.div for k in meeting)
+    if best_div < d_req:
         return DiverseOutcome(
             False, None, None, None, None, opt, width,
             failed_constraint="diversity",
             detail=(
                 f"best achievable diversity within the cost window is "
-                f"{best_d}, required {d_req}"
+                f"{best_div}, required {d_req}"
             ),
         )
+    # In decide mode the diversity register is capped at d = d_req, so the
+    # smallest key of the best diversity is the first one that meets it.
+    chosen = min(k for k in meeting if k.div == best_div)
 
     chains = _backtrack(tables, chosen, r)
     witnesses = tuple(

@@ -1,15 +1,19 @@
 """Single-solution completion solver: a left-to-right dynamic program over a
-nice order-consistent path decomposition.
+nice order-consistent path decomposition padded to start and end with an
+empty bag.
 
 A state ("triple") is the tail of a partial solution, held as the plain
 tuple ``(tail mask, tail order, cost)``: the subset S of the current bag
 that sits after every forgotten vertex, the tail's linear order, and the
-charged cost accumulated so far. On a forget step the dropped vertex and
-everything tail-smaller than it become committed; on an introduce step the
-new vertex is inserted at every tail position the base order allows, paying
-for the pairs it forms with vertices already placed. Keeping only the
-cheapest triple per (subset, tail order) is lossless for the optimum, and
-the final empty tail's cost is the optimal completion cost.
+charged cost accumulated so far. The program starts from the empty tail at
+cost 0. On a forget step the dropped vertex and everything tail-smaller
+than it become committed; on an introduce step the new vertex is inserted
+at every tail position the base order allows, paying for the pairs it
+forms with vertices already placed. Keeping only the cheapest triple per
+(subset, tail order) is lossless for the optimum, and the final empty
+tail's cost is the optimal completion cost. The witness is read back off
+the chain of tails: each forget step commits a prefix of the tail, and the
+committed prefixes in order are the ranking.
 """
 
 from __future__ import annotations
@@ -17,15 +21,15 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import CapabilityError, InputError, InternalError
-from .orders import CostInstance, LinearOrder, PartialOrder, _bits, close_rows
+from .orders import CostInstance, LinearOrder, PartialOrder, _bits
 from .width import (
     ConsistentPathDecomposition,
     PathDecomposition,
     consistent_path_decomposition,
-    pad_with_forgets,
+    pad_to_empty,
 )
 
 
@@ -76,39 +80,6 @@ class SingleSolution:
     extension: LinearOrder
     cost: int
     decomposition: ConsistentPathDecomposition
-
-
-def _tail_extensions(order: PartialOrder, mask: int) -> Iterator[tuple[int, ...]]:
-    """All linear extensions of the base order restricted to mask, in
-    lexicographic vertex order."""
-
-    def rec(remaining: int, prefix: list[int]) -> Iterator[tuple[int, ...]]:
-        if not remaining:
-            yield tuple(prefix)
-            return
-        for v in _bits(remaining):
-            if order.strict_down(v) & remaining:
-                continue
-            prefix.append(v)
-            yield from rec(remaining & ~(1 << v), prefix)
-            prefix.pop()
-
-    yield from rec(mask, [])
-
-
-def initial_triples(instance: CostInstance, bag: int) -> list[TailState]:
-    """One triple per linear extension of the base order restricted to the
-    first bag, costed over the pairs inside the bag."""
-    charge = instance.charge
-    out = []
-    for perm in _tail_extensions(instance.base, bag):
-        cost = 0
-        for i, x in enumerate(perm):
-            row = charge[x]
-            for y in perm[i + 1 :]:
-                cost += row[y]
-        out.append((bag, perm, cost))
-    return out
 
 
 def _forget_successor(triple: TailState, gone: int) -> TailState:
@@ -163,9 +134,9 @@ def prepare_decomposition(
     instance: CostInstance, decomposition: ConsistentPathDecomposition | None = None
 ) -> tuple[ConsistentPathDecomposition, PathDecomposition]:
     """The one place a decomposition is built or validated: returns it with
-    its bags padded to a final empty bag. One built here was validated by
-    its builder; a supplied one that is for another base order or fails
-    ``validate()`` (niceness included) raises InputError."""
+    its bags padded to an empty bag at both ends. One built here was
+    validated by its builder; a supplied one that is for another base order
+    or fails ``validate()`` (niceness included) raises InputError."""
     if decomposition is None:
         decomposition = consistent_path_decomposition(instance.base)
     elif decomposition.order != instance.base:
@@ -174,7 +145,7 @@ def prepare_decomposition(
         problems = decomposition.validate()
         if problems:
             raise InputError("invalid decomposition: " + "; ".join(problems))
-    return decomposition, pad_with_forgets(decomposition.decomposition)
+    return decomposition, pad_to_empty(decomposition.decomposition)
 
 
 def _check_deadline(deadline: float | None) -> None:
@@ -191,16 +162,13 @@ def forward_tables(
     """Per-position registers mapping each reachable (tail, order) pair to
     its minimum accumulated cost and a predecessor key for backtracking.
 
+    ``dec`` must start and end with an empty bag (``pad_to_empty``): the
+    first register is the empty tail alone, the last one holds the optimum.
     Iteration over predecessors is in ascending (order, tail) so that ties
     keep the lexicographically smallest tail order, which pins the
     reconstructed optimum.
     """
-    first: dict = {
-        (tail, order): (cost, None)
-        for tail, order, cost in initial_triples(instance, dec.bags[0])
-    }
-    tables = [first]
-    BOUNDS.check_triples(len(first), 0, width)
+    tables: list[dict] = [{(0, ()): (0, None)}]
     for p in range(len(dec.bags) - 1):
         _check_deadline(deadline)
         prev = tables[-1]
@@ -228,24 +196,19 @@ def forward_tables(
 def reconstruct_extension(
     chain: Sequence[TailState | tuple[int, tuple[int, ...]]], base: PartialOrder
 ) -> LinearOrder:
-    """Close the base order over every tail order in a compatible chain; the
-    closure must be a linear extension, anything else is a solver bug."""
-    rows = list(base.rows)
-    for entry in chain:
+    """The ranking a chain of tails commits, from a tail with nothing
+    committed before it to the final empty tail: each step that shortens the
+    tail commits the prefix it drops. A ranking that misses or repeats a
+    vertex, or breaks the base order, is a solver bug."""
+    perm: list[int] = []
+    for entry, following in zip(chain, chain[1:]):
         order = entry[1]
-        for i, x in enumerate(order):
-            for y in order[i + 1 :]:
-                rows[x] |= 1 << y
-    close_rows(rows)
-    try:
-        closed = PartialOrder(base.n, tuple(rows))
-    except InputError as exc:
-        raise InternalError(f"chain closure is not an order: {exc}") from exc
-    if not closed.is_linear:
-        raise InternalError("chain closure is not a total order")
-    extension = closed.to_linear()
+        perm += order[: max(0, len(order) - len(following[1]))]
+    if sorted(perm) != list(range(base.n)):
+        raise InternalError("chain does not commit every vertex exactly once")
+    extension = LinearOrder(tuple(perm))
     if not extension.extends(base):
-        raise InternalError("chain closure does not extend the base order")
+        raise InternalError("chain ranking does not extend the base order")
     return extension
 
 

@@ -12,18 +12,15 @@ tail-order dynamic programs need.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import CapabilityError, InputError, InternalError
 from .orders import PartialOrder, _bits, _full_mask
 
-# Exhaustive search caps: subsets of 2^n states for pathwidth, vertex subsets
-# for the induced-cycle scan. Beyond these the answers come from heuristics.
+# Exhaustive pathwidth search over the 2^n vertex subsets stops here; beyond
+# it the decomposition comes from a heuristic.
 EXACT_PATHWIDTH_CAP = 12
-LONG_CYCLE_CAP = 13
-INTERVAL_RECOGNITION_CAP = 10
 
 
 @dataclass(frozen=True)
@@ -319,63 +316,6 @@ def interval_order_from_fill(order: PartialOrder, triangulated: Graph) -> Partia
         raise InternalError(f"fill removal broke the order: {exc}") from exc
 
 
-def is_interval_order(order: PartialOrder) -> bool:
-    """No pair of disjoint two-chains with incomparable cross pairs."""
-    strict = list(order.strict_pairs())
-    for (a, b), (c, d) in itertools.combinations(strict, 2):
-        if len({a, b, c, d}) == 4:
-            if order.incomparable(a, d) and order.incomparable(c, b):
-                return False
-    return True
-
-
-def is_interval_graph(g: Graph, cap: int = INTERVAL_RECOGNITION_CAP) -> bool:
-    """Clique-chain recognition by exhaustive ordering search (test utility)."""
-    if g.n > cap:
-        raise CapabilityError(f"interval recognition capped at {cap} vertices")
-    if not is_chordal(g):
-        return False
-    cliques = maximal_cliques_chordal(g)
-    for perm in itertools.permutations(range(len(cliques))):
-        if _consecutive_cliques(g.n, [cliques[i] for i in perm]):
-            return True
-    return False
-
-
-def _consecutive_cliques(n: int, cliques: Sequence[int]) -> bool:
-    for v in range(n):
-        hits = [i for i, c in enumerate(cliques) if c & (1 << v)]
-        if hits and hits[-1] - hits[0] != len(hits) - 1:
-            return False
-    return True
-
-
-def has_long_induced_cycle(g: Graph, cap: int = LONG_CYCLE_CAP) -> bool:
-    """True iff g has an induced cycle on five or more vertices."""
-    if g.n > cap:
-        raise CapabilityError(f"induced-cycle scan capped at {cap} vertices")
-    for size in range(5, g.n + 1):
-        for subset in itertools.combinations(range(g.n), size):
-            mask = 0
-            for v in subset:
-                mask |= 1 << v
-            degs = [(g.adj[v] & mask).bit_count() for v in subset]
-            if any(d != 2 for d in degs):
-                continue
-            # all degrees two; induced subgraph is a cycle iff connected
-            seen = 1 << subset[0]
-            frontier = seen
-            while frontier:
-                nxt = 0
-                for v in _bits(frontier):
-                    nxt |= g.adj[v] & mask
-                frontier = nxt & ~seen
-                seen |= nxt
-            if seen == mask:
-                return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # Path decompositions
 # ---------------------------------------------------------------------------
@@ -393,19 +333,13 @@ class PathDecomposition:
             raise InputError("decomposition needs at least one bag")
         introduced = []
         forgotten = []
-        leftsets = []
         prev = 0
-        left = 0
         for bag in self.bags:
             introduced.append(bag & ~prev)
-            gone = prev & ~bag
-            forgotten.append(gone)
-            left |= gone
-            leftsets.append(left)
+            forgotten.append(prev & ~bag)
             prev = bag
         object.__setattr__(self, "_introduced", tuple(introduced))
         object.__setattr__(self, "_forgotten", tuple(forgotten))
-        object.__setattr__(self, "_leftsets", tuple(leftsets))
 
     @property
     def width(self) -> int:
@@ -416,9 +350,6 @@ class PathDecomposition:
 
     def forgotten(self, p: int) -> int:
         return self._forgotten[p]  # type: ignore[attr-defined]
-
-    def leftset(self, p: int) -> int:
-        return self._leftsets[p]  # type: ignore[attr-defined]
 
     def first_bag(self, v: int) -> int:
         for i, bag in enumerate(self.bags):
@@ -451,16 +382,6 @@ class PathDecomposition:
             hits = [i for i, bag in enumerate(self.bags) if bag & (1 << v)]
             if hits and hits[-1] - hits[0] != len(hits) - 1:
                 problems.append(f"bags containing {v} are not consecutive")
-        # caches are derived from the bags; recompute and compare
-        left = 0
-        prev = 0
-        for p, bag in enumerate(self.bags):
-            left |= prev & ~bag
-            if self.introduced(p) != bag & ~prev or self.forgotten(p) != prev & ~bag:
-                problems.append(f"change caches inconsistent at position {p}")
-            if self.leftset(p) != left:
-                problems.append(f"leftset cache inconsistent at position {p}")
-            prev = bag
         return problems
 
     def consistency_violations(self, order: PartialOrder) -> list[str]:
@@ -500,13 +421,16 @@ def make_nice(dec: PathDecomposition) -> PathDecomposition:
     return PathDecomposition(dec.n, tuple(bags))
 
 
-def pad_with_forgets(dec: PathDecomposition) -> PathDecomposition:
-    """Append single-forget bags until the final bag is empty."""
-    bags = list(dec.bags)
-    cur = bags[-1]
-    for v in _bits(cur):
-        cur &= ~(1 << v)
-        bags.append(cur)
+def pad_to_empty(dec: PathDecomposition) -> PathDecomposition:
+    """Start from an empty bag and introduce the first bag's vertices one at
+    a time; after the last bag, forget one vertex at a time until the bag is
+    empty. Both runs go in ascending vertex index."""
+    bags = [0]
+    for v in _bits(dec.bags[0]):
+        bags.append(bags[-1] | 1 << v)
+    bags += dec.bags[1:]
+    for v in _bits(bags[-1]):
+        bags.append(bags[-1] & ~(1 << v))
     return PathDecomposition(dec.n, tuple(bags))
 
 

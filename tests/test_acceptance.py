@@ -38,8 +38,9 @@ from kemeny.width import (
     cocomparability_graph,
     consistent_path_decomposition,
     exact_pathwidth,
-    has_long_induced_cycle,
 )
+
+from graph_oracles import has_long_induced_cycle
 
 import pathlib
 

@@ -315,6 +315,195 @@ class TestSubcommands:
         assert code == 3 and "timeout" in err
 
 
+# The witnesses depend on how ties between optima break (3,3,3 has 18 optima
+# and prints A<C<B<F<E<D<H<I<G, not the lexicographically smallest one), so
+# any change to the order in which states are built or kept shows up here.
+TIE_GOLDENS = [
+    ("3,3,3", "solve", 0, (
+        "result: solve\n"
+        "n: 9\n"
+        "m: 6\n"
+        "unanimity-width: 2\n"
+        "decision: yes\n"
+        "optimum: 24\n"
+        "witness-1: A<C<B<F<E<D<H<I<G\n"
+        "score-1: 24\n"
+    )),
+    ("3,3,3", "optima --r 3", 0, (
+        "result: optima\n"
+        "n: 9\n"
+        "m: 6\n"
+        "unanimity-width: 2\n"
+        "r: 3\n"
+        "optimum: 24\n"
+        "decision: yes\n"
+        "witness-1: A<B<C<F<E<D<H<I<G\n"
+        "score-1: 24\n"
+        "witness-2: A<C<B<F<E<D<H<I<G\n"
+        "score-2: 24\n"
+        "witness-3: B<A<C<F<E<D<H<I<G\n"
+        "score-3: 24\n"
+    )),
+    ("3,3,3", "maxdiv --r 2 --delta 1", 0, (
+        "result: maxdiv\n"
+        "n: 9\n"
+        "m: 6\n"
+        "unanimity-width: 2\n"
+        "r: 2\n"
+        "delta: 1\n"
+        "optimum: 24\n"
+        "decision: yes\n"
+        "diversity: 5\n"
+        "witness-1: A<C<B<F<E<D<G<H<I\n"
+        "score-1: 24\n"
+        "witness-2: B<A<C<F<D<E<H<I<G\n"
+        "score-2: 24\n"
+        "distance-1-2: 5\n"
+    )),
+    ("3,3,3", "diverse --r 2 --delta 1 --d 4", 0, (
+        "result: diverse\n"
+        "n: 9\n"
+        "m: 6\n"
+        "unanimity-width: 2\n"
+        "r: 2\n"
+        "delta: 1\n"
+        "d: 4\n"
+        "s: 1\n"
+        "optimum: 24\n"
+        "decision: yes\n"
+        "diversity: 4\n"
+        "witness-1: A<C<B<F<E<D<H<I<G\n"
+        "score-1: 24\n"
+        "witness-2: B<A<C<F<D<E<H<G<I\n"
+        "score-2: 24\n"
+        "distance-1-2: 4\n"
+    )),
+    ("4,3,2", "solve", 0, (
+        "result: solve\n"
+        "n: 9\n"
+        "m: 6\n"
+        "unanimity-width: 3\n"
+        "decision: yes\n"
+        "optimum: 26\n"
+        "witness-1: C<B<D<A<G<E<F<I<H\n"
+        "score-1: 26\n"
+    )),
+    ("4,3,2", "optima --r 3", 0, (
+        "result: optima\n"
+        "n: 9\n"
+        "m: 6\n"
+        "unanimity-width: 3\n"
+        "r: 3\n"
+        "optimum: 26\n"
+        "decision: yes\n"
+        "witness-1: C<B<D<A<E<G<F<I<H\n"
+        "score-1: 26\n"
+        "witness-2: C<B<D<A<G<E<F<I<H\n"
+        "score-2: 26\n"
+        "witness-3: C<B<D<A<G<F<E<I<H\n"
+        "score-3: 26\n"
+    )),
+    ("4,3,2", "maxdiv --r 2 --delta 1", 0, (
+        "result: maxdiv\n"
+        "n: 9\n"
+        "m: 6\n"
+        "unanimity-width: 3\n"
+        "r: 2\n"
+        "delta: 1\n"
+        "optimum: 26\n"
+        "decision: yes\n"
+        "diversity: 2\n"
+        "witness-1: C<B<D<A<E<G<F<I<H\n"
+        "score-1: 26\n"
+        "witness-2: C<B<D<A<G<F<E<I<H\n"
+        "score-2: 26\n"
+        "distance-1-2: 2\n"
+    )),
+    ("4,3,2", "diverse --r 2 --delta 1 --d 4", 1, (
+        "result: diverse\n"
+        "n: 9\n"
+        "m: 6\n"
+        "unanimity-width: 3\n"
+        "r: 2\n"
+        "delta: 1\n"
+        "d: 4\n"
+        "s: 1\n"
+        "optimum: 26\n"
+        "decision: no\n"
+        "failed-constraint: diversity\n"
+        "detail: best achievable diversity within the cost window is 2, required 4\n"
+    )),
+    ("4,4", "solve", 0, (
+        "result: solve\n"
+        "n: 8\n"
+        "m: 6\n"
+        "unanimity-width: 3\n"
+        "decision: yes\n"
+        "optimum: 27\n"
+        "witness-1: A<B<C<D<E<H<G<F\n"
+        "score-1: 27\n"
+    )),
+    ("4,4", "optima --r 3", 0, (
+        "result: optima\n"
+        "n: 8\n"
+        "m: 6\n"
+        "unanimity-width: 3\n"
+        "r: 3\n"
+        "optimum: 27\n"
+        "decision: yes\n"
+        "witness-1: A<B<D<C<E<H<G<F\n"
+        "score-1: 27\n"
+        "witness-2: B<A<D<C<E<H<G<F\n"
+        "score-2: 27\n"
+        "witness-3: B<D<A<C<E<H<G<F\n"
+        "score-3: 27\n"
+    )),
+    ("4,4", "maxdiv --r 2 --delta 1", 0, (
+        "result: maxdiv\n"
+        "n: 8\n"
+        "m: 6\n"
+        "unanimity-width: 3\n"
+        "r: 2\n"
+        "delta: 1\n"
+        "optimum: 27\n"
+        "decision: yes\n"
+        "diversity: 3\n"
+        "witness-1: A<B<C<D<E<H<G<F\n"
+        "score-1: 27\n"
+        "witness-2: B<D<A<C<E<H<G<F\n"
+        "score-2: 27\n"
+        "distance-1-2: 3\n"
+    )),
+    ("4,4", "diverse --r 2 --delta 1 --d 4", 1, (
+        "result: diverse\n"
+        "n: 8\n"
+        "m: 6\n"
+        "unanimity-width: 3\n"
+        "r: 2\n"
+        "delta: 1\n"
+        "d: 4\n"
+        "s: 1\n"
+        "optimum: 27\n"
+        "decision: no\n"
+        "failed-constraint: diversity\n"
+        "detail: best achievable diversity within the cost window is 3, required 4\n"
+    )),
+]
+
+
+class TestTieSensitiveGoldens:
+    @pytest.mark.parametrize(
+        "sizes,query,code,text", TIE_GOLDENS,
+        ids=[f"{g[0]} {g[1]}" for g in TIE_GOLDENS],
+    )
+    def test_bucket_profile_output(self, tmp_path, sizes, query, code, text):
+        votes = str(tmp_path / "b.votes")
+        invoke(["gen", "buckets", "--sizes", sizes, "--m", "6", "--noise", "1",
+                "--seed", "1", "--out", votes])
+        command, *flags = query.split()
+        assert invoke([command, votes, *flags]) == (code, text, "")
+
+
 class TestValidateDecomposition:
     def test_dump_then_validate(self, tmp_path):
         dump = tmp_path / "five.dec"

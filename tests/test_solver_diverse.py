@@ -68,14 +68,15 @@ class TestScatterednessIncrease:
 def _two_vertex_setup():
     base = PartialOrder.antichain(2)
     inst = CostInstance(2, ((0, 1), (4, 0)), base)
-    dec = PathDecomposition(2, (0b01, 0b11))
+    dec = PathDecomposition(2, (0, 0b01, 0b11))
     return inst, dec
 
 
 def _successors(state, inst, dec, delta=0, d_cap=0, s_cap=0, cost_bound=99):
-    f_next = forward_tables(inst, dec, dec.width)[1]
+    # the transition 1 -> 2 introduces vertex 1 next to the tail (0,)
+    f_next = forward_tables(inst, dec, dec.width)[2]
     return tuple_successors(
-        state, inst, dec, 0, delta=delta, d_cap=d_cap, s_cap=s_cap,
+        state, inst, dec, 1, delta=delta, d_cap=d_cap, s_cap=s_cap,
         f_next=f_next, cost_bound=cost_bound, succ_cache={}, pair_cache={},
     )
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from kemeny.errors import InputError
+from kemeny.errors import InputError, InternalError
 from kemeny.instances import (
     fifty_fifty_profile,
     five_type_profile,
@@ -18,7 +18,6 @@ from kemeny.solver_single import (
     _forget_successor,
     _introduce_successors,
     forward_tables,
-    initial_triples,
     prepare_decomposition,
     reconstruct_extension,
     solve_single,
@@ -27,6 +26,7 @@ from kemeny.width import (
     ConsistentPathDecomposition,
     PathDecomposition,
     consistent_path_decomposition,
+    pad_to_empty,
 )
 
 
@@ -53,19 +53,27 @@ def assert_supplied_rejected(inst, dec, reason):
             solve(inst, cpd)
 
 
+def first_bag_states(inst, bag):
+    """The states of the register at the first full bag: every extension of
+    the base order on the bag, costed over the pairs inside it."""
+    dec = pad_to_empty(PathDecomposition(inst.n, (bag,)))
+    table = forward_tables(inst, dec, dec.width)[bag.bit_count()]
+    return {(tail, order, cost) for (tail, order), (cost, _) in table.items()}
+
+
 class TestInitialTriples:
     def test_single_vertex_bag(self):
         inst = instance_2(2, 3)
-        assert initial_triples(inst, 0b01) == [(0b01, (0,), 0)]
+        assert first_bag_states(inst, 0b01) == {(0b01, (0,), 0)}
 
     def test_incomparable_pair_both_orders(self):
         inst = instance_2(2, 3)
-        triples = initial_triples(inst, 0b11)
-        assert set(triples) == {(0b11, (0, 1), 2), (0b11, (1, 0), 3)}
+        triples = first_bag_states(inst, 0b11)
+        assert triples == {(0b11, (0, 1), 2), (0b11, (1, 0), 3)}
 
     def test_forced_pair_single_extension_zero_cost(self):
         inst = instance_2(9, 9, base=chain(2))
-        assert initial_triples(inst, 0b11) == [(0b11, (0, 1), 0)]
+        assert first_bag_states(inst, 0b11) == {(0b11, (0, 1), 0)}
 
 
 class TestTripleSuccessors:
@@ -181,15 +189,29 @@ class TestSolve:
 
 class TestReconstruction:
     def test_single_bag_chain(self):
-        ext = reconstruct_extension([(0b11, (1, 0))], PartialOrder.antichain(2))
+        chain_ = [(0, ()), (0b01, (0,)), (0b11, (1, 0)), (0b01, (0,)), (0, ())]
+        ext = reconstruct_extension(chain_, PartialOrder.antichain(2))
         assert ext.perm == (1, 0)
 
     def test_hand_built_two_bag_chain(self):
-        # tails (1, 0) then (0, 2) over an antichain: closure is 1 < 0 < 2
-        ext = reconstruct_extension(
-            [(0b11, (1, 0)), (0b101, (0, 2))], PartialOrder.antichain(3)
-        )
+        # tails (1, 0), then forgetting 1 commits it and (0, 2) follows
+        chain_ = [
+            (0, ()), (0b01, (0,)), (0b11, (1, 0)), (0b01, (0,)),
+            (0b101, (0, 2)), (0b100, (2,)), (0, ()),
+        ]
+        ext = reconstruct_extension(chain_, PartialOrder.antichain(3))
         assert ext.perm == (1, 0, 2)
+
+    def test_chain_that_skips_a_vertex_rejected(self):
+        # vertex 1 never enters a tail, so it is never committed
+        chain_ = [(0, ()), (0b001, (0,)), (0b101, (0, 2)), (0, ())]
+        with pytest.raises(InternalError, match="exactly once"):
+            reconstruct_extension(chain_, PartialOrder.antichain(3))
+
+    def test_chain_against_the_base_order_rejected(self):
+        chain_ = [(0, ()), (0b01, (0,)), (0b11, (1, 0)), (0, ())]
+        with pytest.raises(InternalError, match="base order"):
+            reconstruct_extension(chain_, chain(2))
 
     def test_chain_cost_matches_register(self):
         rng = random.Random(23)
@@ -212,8 +234,10 @@ class TestProjectionRoundTrip:
             charge = inst.charge
             for ext in winners:
                 pos = {v: i for i, v in enumerate(ext.perm)}
+                seen = 0
                 for p in range(len(dec.bags)):
-                    left = dec.leftset(p)
+                    seen |= dec.bags[p]
+                    left = seen & ~dec.bags[p]
                     cut = max((pos[v] for v in bits(left)), default=-1)
                     tail = [v for v in bits(dec.bags[p]) if pos[v] > cut]
                     tail.sort(key=lambda v: pos[v])

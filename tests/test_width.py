@@ -17,15 +17,18 @@ from kemeny.width import (
     consistent_path_decomposition,
     decomposition_from_layout,
     exact_pathwidth,
-    has_long_induced_cycle,
     interval_order_from_fill,
     is_chordal,
-    is_interval_graph,
-    is_interval_order,
     make_nice,
     minimal_triangulation,
     optimal_path_layout,
-    pad_with_forgets,
+    pad_to_empty,
+)
+
+from graph_oracles import (
+    has_long_induced_cycle,
+    is_interval_graph,
+    is_interval_order,
 )
 
 
@@ -201,9 +204,9 @@ class TestMakeNice:
             assert nice.is_nice
             assert nice.width == raw.width
             assert nice.validate(g) == []
-            padded = pad_with_forgets(nice)
+            padded = pad_to_empty(nice)
             assert padded.is_nice
-            assert padded.bags[-1] == 0
+            assert padded.bags[0] == 0 and padded.bags[-1] == 0
 
 
 class TestLongInducedCycle:
