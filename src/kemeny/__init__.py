@@ -1,5 +1,6 @@
-"""Kemeny rank aggregation over partially ordered votes: exact optima and
-diverse solution sets via dynamic programming on order-consistent path
+"""Kemeny rank aggregation over partially ordered votes: exact optima by
+dynamic programming over the ideals of the unanimity order, diverse
+solution sets by dynamic programming on order-consistent path
 decompositions, with brute-force oracles for desk-scale verification."""
 
 from .errors import CapabilityError, InputError, InternalError, KemenyError

@@ -1,18 +1,32 @@
-"""Single-solution completion solver: a left-to-right dynamic program over a
-nice order-consistent path decomposition padded to start and end with an
-empty bag.
+"""Single-solution completion solver, and the tail-order register the
+diverse solver builds on.
 
-A state ("triple") is the tail of a partial solution, held as the plain
-tuple ``(tail mask, tail order, cost)``: the subset S of the current bag
-that sits after every forgotten vertex, the tail's linear order, and the
-charged cost accumulated so far. The program starts from the empty tail at
-cost 0. On a forget step the dropped vertex and everything tail-smaller
+``solve_single`` is an exact dynamic program over the ideals (downsets) of
+the base order, the subset program of Betzler et al. (*Fixed-parameter
+algorithms for Kemeny rankings*, TCS 2009). A state is the bitmask of the
+vertices already placed; placing a minimal remaining vertex v pays
+charge[v][u] for every u still unplaced after it. Ideals are built layer by
+layer, by size; a backward pass gives every ideal's exact cost to go, and a
+greedy walk from the empty ideal then takes the smallest-index vertex that
+keeps to an optimum, so the witness is the lexicographically smallest
+optimal ranking: a function of the input alone. An ideal is fixed by its
+antichain of maximal elements, so their number stays within the sum of
+2^|bag| over the bags of any path decomposition of the cocomparability
+graph: fixed-parameter in the unanimity width.
+
+``forward_tables`` is the left-to-right tail-order program over a nice
+order-consistent path decomposition padded to start and end with an empty
+bag. A state ("triple") is the tail of a partial solution, held as the
+plain tuple ``(tail mask, tail order, cost)``: the subset S of the current
+bag that sits after every forgotten vertex, the tail's linear order, and
+the charged cost accumulated so far. The program starts from the empty tail
+at cost 0. On a forget step the dropped vertex and everything tail-smaller
 than it become committed; on an introduce step the new vertex is inserted
 at every tail position the base order allows, paying for the pairs it
 forms with vertices already placed. Keeping only the cheapest triple per
 (subset, tail order) is lossless for the optimum, and the final empty
-tail's cost is the optimal completion cost. The witness is read back off
-the chain of tails: each forget step commits a prefix of the tail, and the
+tail's cost is the optimal completion cost. A ranking is read back off a
+chain of tails: each forget step commits a prefix of the tail, and the
 committed prefixes in order are the ranking.
 """
 
@@ -39,14 +53,28 @@ TailState = tuple[int, tuple[int, ...], int]
 
 
 class BoundMonitor:
-    """Counts per-position state-count checks against the factorial bound
-    e * (delta + 1) * (width + 1)!. Violations raise immediately; the
-    counters let test suites assert that the bound never fired."""
+    """Counts state-count checks against the solvers' proven bounds: the
+    factorial bound e * (delta + 1) * (width + 1)! per position of the
+    tail-order programs, and the bag bound on the ideals of the single
+    solver. Violations raise immediately; the counters let test suites
+    assert that no bound ever fired."""
 
     def __init__(self) -> None:
         self.enabled = True
         self.checks = 0
         self.violations = 0
+
+    def check_ideals(self, count: int, bags: Sequence[int]) -> None:
+        """At most sum 2^|bag| ideals: an ideal is fixed by its antichain of
+        maximal elements, which is a clique of the cocomparability graph
+        and so lies in some bag."""
+        if not self.enabled:
+            return
+        self.checks += 1
+        bound = sum(1 << bag.bit_count() for bag in bags)
+        if count > bound:
+            self.violations += 1
+            raise InternalError(f"ideal count {count} exceeds sum of 2^|bag| = {bound}")
 
     def check_triples(self, count: int, delta: int, width: int) -> None:
         if not self.enabled:
@@ -159,14 +187,14 @@ def forward_tables(
     width: int,
     deadline: float | None = None,
 ) -> list[dict[tuple[int, tuple[int, ...]], tuple[int, tuple | None]]]:
-    """Per-position registers mapping each reachable (tail, order) pair to
-    its minimum accumulated cost and a predecessor key for backtracking.
+    """The diverse solver's per-position register: each reachable (tail,
+    order) pair mapped to its minimum accumulated cost and a predecessor
+    key for backtracking.
 
     ``dec`` must start and end with an empty bag (``pad_to_empty``): the
     first register is the empty tail alone, the last one holds the optimum.
-    Iteration over predecessors is in ascending (order, tail) so that ties
-    keep the lexicographically smallest tail order, which pins the
-    reconstructed optimum.
+    Iteration over predecessors is in ascending (order, tail), so the
+    registers and their predecessor keys are the same on every run.
     """
     tables: list[dict] = [{(0, ()): (0, None)}]
     for p in range(len(dec.bags) - 1):
@@ -217,21 +245,55 @@ def solve_single(
     decomposition: ConsistentPathDecomposition | None = None,
     deadline: float | None = None,
 ) -> SingleSolution:
-    """Optimal linear extension of the instance's base order and its cost."""
+    """Optimal linear extension of the instance's base order and its cost;
+    of several optima, the lexicographically smallest by vertex index."""
     decomposition, dec = prepare_decomposition(instance, decomposition)
-    tables = forward_tables(instance, dec, decomposition.width, deadline)
-    final = tables[-1]
-    if list(final) != [(0, ())]:
-        raise InternalError("final register is not the single empty tail")
-    opt = final[(0, ())][0]
+    n = instance.n
+    base = instance.base
+    full = (1 << n) - 1
+    down = [base.strict_down(v) for v in range(n)]
+    # (bit of u, charge[v][u]) over the incomparable u that v pays for when
+    # u is placed after it; pairs comparable in the base order never pay.
+    pays = [
+        [
+            (1 << u, c)
+            for u, c in enumerate(instance.charge[v])
+            if c and base.incomparable(v, u)
+        ]
+        for v in range(n)
+    ]
 
-    chain = []
-    key = (0, ())
-    for p in range(len(tables) - 1, -1, -1):
-        chain.append(key)
-        key = tables[p][key][1]
-    chain.reverse()
-    extension = reconstruct_extension(chain, instance.base)
+    # The minimal remaining vertices of every ideal, in ascending index,
+    # found layer by layer from the empty ideal up to the full one.
+    moves: dict[int, list[int]] = {}
+    layers = [{0}]
+    for _ in range(n):
+        _check_deadline(deadline)
+        nxt = set()
+        for ideal in layers[-1]:
+            vs = moves[ideal] = [v for v in _bits(full & ~ideal) if not down[v] & ~ideal]
+            nxt.update(ideal | 1 << v for v in vs)
+        layers.append(nxt)
+    BOUNDS.check_ideals(sum(len(layer) for layer in layers), dec.bags)
+
+    def step(ideal: int, v: int) -> int:
+        return sum(c for bit, c in pays[v] if not ideal & bit)
+
+    to_go = {full: 0}
+    for layer in reversed(layers[:-1]):
+        _check_deadline(deadline)
+        for ideal in layer:
+            to_go[ideal] = min(step(ideal, v) + to_go[ideal | 1 << v] for v in moves[ideal])
+    opt = to_go[0]
+
+    perm = []
+    ideal = 0
+    while ideal != full:
+        left = to_go[ideal]
+        v = next(v for v in moves[ideal] if step(ideal, v) + to_go[ideal | 1 << v] == left)
+        perm.append(v)
+        ideal |= 1 << v
+    extension = LinearOrder(tuple(perm))
     if instance.extension_cost(extension) != opt:
         raise InternalError("reconstructed extension cost does not match optimum")
     return SingleSolution(extension, opt, decomposition)

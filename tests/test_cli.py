@@ -15,6 +15,7 @@ from kemeny.instances import (
     five_type_profile,
     random_profile,
 )
+from kemeny.orders import reduce_to_co
 DATA = pathlib.Path(__file__).parent / "data"
 FIVE = str(DATA / "five_type.votes")
 FIFTY = str(DATA / "fifty_fifty.votes")
@@ -235,7 +236,7 @@ class TestSubcommands:
             "unanimity-width: 1\n"
             "optimum: 50\n"
             "decision: yes\n"
-            "witness-1: A<B<D<C<E\n"
+            "witness-1: A<B<C<D<E\n"
             "score-1: 50\n"
         ), "")
         assert invoke(["pco", FIFTY, "--k", "49"]) == (1, header + (
@@ -314,10 +315,29 @@ class TestSubcommands:
         code, _, err = invoke(["solve", FIVE, "--timeout", "0"])
         assert code == 3 and "timeout" in err
 
+    def test_solve_reaches_width_eleven(self, tmp_path):
+        # two buckets of 12: 12! tail orders per position, 2 * 2^12 ideals
+        votes = tmp_path / "wide.votes"
+        invoke(["gen", "buckets", "--sizes", "12,12", "--m", "20", "--seed", "1",
+                "--out", str(votes)])
+        code, out, err = invoke(["solve", str(votes)])
+        assert (code, err) == (0, "")
+        doc = dict(line.split(": ", 1) for line in out.splitlines())
+        assert doc["unanimity-width"] == "11"
+        assert doc["score-1"] == doc["optimum"]
+        cost = reduce_to_co(parse_votes(votes.read_text())).cost
+        n = len(cost)
+        lower = sum(
+            min(cost[x][y], cost[y][x]) for x in range(n) for y in range(x + 1, n)
+        )
+        assert int(doc["optimum"]) >= lower
 
-# The witnesses depend on how ties between optima break (3,3,3 has 18 optima
-# and prints A<C<B<F<E<D<H<I<G, not the lexicographically smallest one), so
-# any change to the order in which states are built or kept shows up here.
+
+# Profiles with many tied optima (3,3,3 has 18). `solve` prints the
+# lexicographically smallest optimum, the oracle's first minimizer
+# (TestWitnessIsOracleMinimum); the optima, maxdiv and diverse witnesses
+# depend on how the diverse lockstep breaks ties, so any change to the order
+# in which its states are built or kept shows up here.
 TIE_GOLDENS = [
     ("3,3,3", "solve", 0, (
         "result: solve\n"
@@ -326,7 +346,7 @@ TIE_GOLDENS = [
         "unanimity-width: 2\n"
         "decision: yes\n"
         "optimum: 24\n"
-        "witness-1: A<C<B<F<E<D<H<I<G\n"
+        "witness-1: A<B<C<F<D<E<G<H<I\n"
         "score-1: 24\n"
     )),
     ("3,3,3", "optima --r 3", 0, (
@@ -385,7 +405,7 @@ TIE_GOLDENS = [
         "unanimity-width: 3\n"
         "decision: yes\n"
         "optimum: 26\n"
-        "witness-1: C<B<D<A<G<E<F<I<H\n"
+        "witness-1: C<B<D<A<E<G<F<I<H\n"
         "score-1: 26\n"
     )),
     ("4,3,2", "optima --r 3", 0, (
@@ -502,6 +522,31 @@ class TestTieSensitiveGoldens:
                 "--seed", "1", "--out", votes])
         command, *flags = query.split()
         assert invoke([command, votes, *flags]) == (code, text, "")
+
+
+class TestWitnessIsOracleMinimum:
+    @staticmethod
+    def witness(text):
+        return next(line for line in text.splitlines() if line.startswith("witness-1: "))
+
+    @pytest.mark.parametrize("sizes", sorted({g[0] for g in TIE_GOLDENS}))
+    def test_bucket_profile(self, tmp_path, sizes):
+        votes = str(tmp_path / "b.votes")
+        invoke(["gen", "buckets", "--sizes", sizes, "--m", "6", "--noise", "1",
+                "--seed", "1", "--out", votes])
+        _, oracle, _ = invoke(["oracle", votes, "--task", "optimum"])
+        _, solve, _ = invoke(["solve", votes])
+        assert self.witness(solve) == self.witness(oracle)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve", FIVE], ["solve", FIFTY], ["pco", FIFTY, "--k", "50"]],
+        ids=["solve five", "solve fifty", "pco fifty"],
+    )
+    def test_fixture(self, argv):
+        _, oracle, _ = invoke(["oracle", argv[1], "--task", "optimum"])
+        _, out, _ = invoke(argv)
+        assert self.witness(out) == self.witness(oracle)
 
 
 class TestValidateDecomposition:

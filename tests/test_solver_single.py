@@ -1,20 +1,28 @@
-"""The tail-order dynamic program for a single optimal completion."""
+"""The single-optimum solver (ideal lattice) and the tail-order register."""
 
 import random
 
 import pytest
 
+from kemeny.cli import parse_votes
 from kemeny.errors import InputError, InternalError
 from kemeny.instances import (
+    BucketSpec,
+    candidate_labels,
     fifty_fifty_profile,
     five_type_profile,
+    generate_bucket_order,
+    generate_profile,
     random_cost_instance,
+    random_linear_extension,
+    random_partial_order,
     random_profile,
 )
 from kemeny.oracle import oracle_optimum
 from kemeny.orders import CostInstance, LinearOrder, PartialOrder, reduce_to_co
 from kemeny.solver_diverse import DiverseQuery, solve_diverse
 from kemeny.solver_single import (
+    BoundMonitor,
     _forget_successor,
     _introduce_successors,
     forward_tables,
@@ -185,6 +193,88 @@ class TestSolve:
         a = solve_single(inst)
         b = solve_single(inst)
         assert a.extension == b.extension
+
+
+def pairs_profile(n, m, rng, density):
+    """A vote file of ``pairs:`` lines: each vote keeps the pairs of a shared
+    random base order plus about half the others of one of its extensions."""
+    base = random_partial_order(n, rng, density)
+    names = candidate_labels(n)
+    lines = ["candidates: " + ",".join(names)]
+    for _ in range(m):
+        ext = random_linear_extension(base, rng).perm
+        pairs = [
+            (ext[i], ext[j])
+            for i in range(n)
+            for j in range(i + 1, n)
+            if base.lt(ext[i], ext[j]) or rng.random() < 0.5
+        ] or [(ext[0], ext[1])]
+        lines.append("pairs: " + ", ".join(f"{names[x]}<{names[y]}" for x, y in pairs))
+    return parse_votes("\n".join(lines) + "\n")
+
+
+def restrict(inst, vertices):
+    """The sub-instance on ``vertices``, renumbered in the given order."""
+    cost = tuple(tuple(inst.cost[x][y] for y in vertices) for x in vertices)
+    pairs = [
+        (i, j)
+        for i, x in enumerate(vertices)
+        for j, y in enumerate(vertices)
+        if inst.base.lt(x, y)
+    ]
+    return CostInstance(len(vertices), cost, PartialOrder.from_pairs(len(vertices), pairs))
+
+
+class TestIdealEngine:
+    def test_matches_oracle_and_its_smallest_minimizer(self):
+        rng = random.Random(31)
+        ties = 0
+        for i in range(300):
+            n = rng.randint(2, 9)
+            if i % 3 == 0:
+                inst = random_cost_instance(n, rng, rng.uniform(0.2, 0.6), max_cost=2)
+            elif i % 3 == 1:
+                profile = random_profile(rng.randint(2, 7), rng.randint(1, 5), rng)
+                inst = reduce_to_co(profile)
+            else:
+                profile = pairs_profile(n, rng.randint(1, 5), rng, rng.uniform(0.2, 0.6))
+                inst = reduce_to_co(profile)
+            solution = solve_single(inst)
+            opt, winners = oracle_optimum(inst)
+            ties += len(winners) > 1
+            assert solution.cost == opt
+            assert solution.extension == min(winners, key=lambda w: w.perm)
+        assert ties >= 100  # the tie-break is exercised, not just the optimum
+
+    def test_matches_tail_order_engine_above_oracle_cap(self):
+        rng = random.Random(32)
+        widths = []
+        while len(widths) < 40:
+            inst = random_cost_instance(rng.randint(11, 16), rng, rng.uniform(0.4, 0.6))
+            cpd, dec = prepare_decomposition(inst)
+            if cpd.width > 5:
+                continue
+            widths.append(cpd.width)
+            tail_opt = forward_tables(inst, dec, cpd.width)[-1][(0, ())][0]
+            assert solve_single(inst, cpd).cost == tail_opt
+        assert max(widths) == 5
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_noiseless_buckets_split_into_bucket_optima(self, seed):
+        # every vote extends the bucket order, so each bucket is its own
+        # sub-problem and the optima add up
+        base = generate_bucket_order(BucketSpec((8, 8, 8), seed))
+        inst = reduce_to_co(generate_profile(base, 20, 0, seed).profile)
+        parts = [restrict(inst, list(range(s, s + 8))) for s in (0, 8, 16)]
+        assert solve_single(inst).cost == sum(oracle_optimum(p)[0] for p in parts)
+
+    def test_ideal_bound_fires_past_the_bag_sum(self):
+        # one bag of two vertices admits at most 2^2 ideals
+        monitor = BoundMonitor()
+        monitor.check_ideals(4, [0b11])
+        with pytest.raises(InternalError, match="ideal count 5"):
+            monitor.check_ideals(5, [0b11])
+        assert (monitor.checks, monitor.violations) == (2, 1)
 
 
 class TestReconstruction:
