@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Look inside the decomposition pipeline on a random partial order:
-incomparability graph, minimal fill, the interval order it leaves behind,
-and the resulting nice bag sequence the solvers walk.
+"""Look inside the decomposition on a random partial order: incomparability
+graph, the ideal lattice of the order, the width-optimal linear extension
+chosen over it, and the padded nice bag sequence the solvers walk.
 
 Run: python3 demos/width_pipeline.py
 """
@@ -10,12 +10,12 @@ import random
 
 from kemeny.instances import random_partial_order
 from kemeny.width import (
-    clique_path_decomposition,
     cocomparability_graph,
     consistent_path_decomposition,
-    exact_pathwidth,
-    make_nice,
+    decomposition_from_layout,
+    ideal_lattice,
     pad_to_empty,
+    width_optimal_extension,
 )
 
 
@@ -37,20 +37,21 @@ def main():
 
     g = cocomparability_graph(order)
     print(f"incomparability graph: {g.n} vertices, {g.edge_count} edges")
-    print(f"exact pathwidth: {exact_pathwidth(g)}")
 
-    raw, iota, filled = clique_path_decomposition(order)
-    fill = [e for e in filled.edges() if e not in set(g.edges())]
-    print(f"minimal fill: {fill}")
-    print("interval order kept:", sorted(iota.strict_pairs()))
-    print("clique bags in interval order:", " ".join(bag_str(b) for b in raw.bags))
+    lattice = ideal_lattice(order)
+    sizes = [len(layer) for layer in lattice.layers]
+    print(f"ideal lattice: {sum(sizes)} ideals, by size {sizes}")
 
-    nice = make_nice(raw)
-    padded = pad_to_empty(nice)
-    print(f"nice sequence ({len(padded.bags)} bags, width {padded.width}):")
+    layout = width_optimal_extension(g, lattice)
+    print("width-optimal linear extension:", " < ".join(map(str, layout)))
+    raw = decomposition_from_layout(g, layout)
+    print(f"layout bags (width {raw.width}):", " ".join(bag_str(b) for b in raw.bags))
+
+    cpd = consistent_path_decomposition(order, lattice=lattice)
+    padded = pad_to_empty(cpd.decomposition)
+    print(f"padded nice sequence ({len(padded.bags)} bags, width {padded.width}):")
     print("  " + " ".join(bag_str(b) for b in padded.bags))
 
-    cpd = consistent_path_decomposition(order)
     problems = cpd.validate()
     print("validator:", "all checks pass" if not problems else problems)
 

@@ -35,10 +35,7 @@ from .width import (
     PathDecomposition,
     cocomparability_graph,
     consistent_path_decomposition,
-    exact_pathwidth,
-    interval_order_from_fill,
     make_nice,
-    minimal_triangulation,
 )
 
 __all__ = [
@@ -65,13 +62,10 @@ __all__ = [
     "cocomparability_graph",
     "consistent_path_decomposition",
     "diversity",
-    "exact_pathwidth",
     "find_distinct_optima",
-    "interval_order_from_fill",
     "kemeny_score",
     "kt_distance",
     "make_nice",
-    "minimal_triangulation",
     "reduce_to_co",
     "solve_diverse",
     "solve_diverse_kra",

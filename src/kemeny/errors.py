@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and the deadline check
+that raises one."""
+
+import time
 
 
 class KemenyError(Exception):
@@ -15,3 +18,9 @@ class CapabilityError(KemenyError):
 
 class InternalError(KemenyError):
     """An internal invariant was violated; indicates a bug, not bad input."""
+
+
+def check_deadline(deadline: float | None) -> None:
+    """Raise CapabilityError once the monotonic clock passes the deadline."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise CapabilityError("solve aborted: wall-clock timeout")

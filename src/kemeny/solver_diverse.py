@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .errors import InputError, InternalError
+from .errors import InputError, InternalError, check_deadline
 from .orders import (
     CostInstance,
     LinearOrder,
@@ -34,7 +34,6 @@ from .orders import (
 from .solver_single import (
     BOUNDS,
     TailState,
-    _check_deadline,
     _forget_successor,
     _introduce_successors,
     forward_tables,
@@ -122,7 +121,7 @@ def scatteredness_increase(
     placed = bag
     for v in introduced:
         if v not in pos_i or v not in pos_j:
-            raise InputError("introduced vertex missing from a new tail")
+            raise InternalError("introduced vertex missing from a new tail")
         pvi = pos_i[v]
         pvj = pos_j[v]
         for u in _bits(placed):
@@ -241,8 +240,8 @@ def _initial_states(
     cost_bound: int,
     deadline: float | None,
 ) -> dict[DiverseState, tuple[None, None]]:
-    """Every multiset of r tails from the single-solution register of the
-    first full bag within the cost window, with the registers their tail
+    """Every multiset of r tails from the single-solution register where
+    the lockstep starts, within the cost window, with the registers their tail
     orders already fix."""
     base = sorted(
         (tail, order, cost)
@@ -252,7 +251,7 @@ def _initial_states(
     pairs = _pairs(r)
     states: dict[DiverseState, tuple[None, None]] = {}
     for combo in itertools.combinations_with_replacement(base, r):
-        _check_deadline(deadline)
+        check_deadline(deadline)
         kts = [_tail_kt(combo[i][1], combo[j][1]) for i, j in pairs]
         state = DiverseState(
             tuple(combo),
@@ -296,7 +295,7 @@ def solve_diverse(
     (an upper bound on any achievable diversity at this scale), so final
     registers carry exact diversities and the best one is returned.
     """
-    decomposition, dec = prepare_decomposition(instance, decomposition)
+    decomposition, dec = prepare_decomposition(instance, decomposition, deadline=deadline)
     width = decomposition.width
     singles = forward_tables(instance, dec, width, deadline)
     opt = singles[-1][(0, ())][0]
@@ -315,9 +314,10 @@ def solve_diverse(
     cost_bound = opt + delta
     pair_index = {pair: k for k, pair in enumerate(_pairs(r))}
 
-    # The lockstep starts at the first full bag: started at the empty tail,
-    # its r identical slots would make every ordered product r!-redundant.
-    start = decomposition.decomposition.bags[0].bit_count()
+    # The lockstep starts at the last bag before the first forget step:
+    # started at the empty tail, its r identical slots would make every
+    # ordered product r!-redundant, and up to that bag nothing is committed.
+    start = next(p for p in range(1, len(dec.bags)) if dec.forgotten(p)) - 1
     frontier = _initial_states(singles[start], r, d_cap, s_cap, cost_bound, deadline)
     tables = [frontier]
     for p in range(start, len(dec.bags) - 1):
@@ -325,7 +325,7 @@ def solve_diverse(
         pair_cache: dict = {}
         nxt: dict = {}
         for key in sorted(frontier):
-            _check_deadline(deadline)
+            check_deadline(deadline)
             for raw in tuple_successors(
                 key,
                 instance,

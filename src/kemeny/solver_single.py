@@ -5,11 +5,12 @@ diverse solver builds on.
 the base order, the subset program of Betzler et al. (*Fixed-parameter
 algorithms for Kemeny rankings*, TCS 2009). A state is the bitmask of the
 vertices already placed; placing a minimal remaining vertex v pays
-charge[v][u] for every u still unplaced after it. Ideals are built layer by
-layer, by size; a backward pass gives every ideal's exact cost to go, and a
-greedy walk from the empty ideal then takes the smallest-index vertex that
-keeps to an optimum, so the witness is the lexicographically smallest
-optimal ranking: a function of the input alone. An ideal is fixed by its
+charge[v][u] for every u still unplaced after it. The ideals are built
+once, layer by layer by size (``width.ideal_lattice``), and the same lattice
+yields the decomposition; a backward pass gives every ideal's exact cost to
+go, and a greedy walk from the empty ideal then takes the smallest-index
+vertex that keeps to an optimum, so the witness is the lexicographically
+smallest optimal ranking: a function of the input alone. An ideal is fixed by its
 antichain of maximal elements, so their number stays within the sum of
 2^|bag| over the bags of any path decomposition of the cocomparability
 graph: fixed-parameter in the unanimity width.
@@ -33,16 +34,17 @@ committed prefixes in order are the ranking.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import CapabilityError, InputError, InternalError
+from .errors import InputError, InternalError, check_deadline
 from .orders import CostInstance, LinearOrder, PartialOrder, _bits
 from .width import (
     ConsistentPathDecomposition,
+    IdealLattice,
     PathDecomposition,
     consistent_path_decomposition,
+    ideal_lattice,
     pad_to_empty,
 )
 
@@ -111,16 +113,15 @@ class SingleSolution:
 
 
 def _forget_successor(triple: TailState, gone: int) -> TailState:
-    """Drop the forgotten vertex and everything tail-smaller than it."""
+    """Drop the forgotten vertex (a nice step forgets exactly one) and
+    everything tail-smaller than it."""
     tail, order, cost = triple
     if not tail & gone:
         return triple
-    cut = max(order.index(v) for v in _bits(tail & gone))
-    kept = order[cut + 1 :]
-    new_tail = 0
-    for v in kept:
-        new_tail |= 1 << v
-    return (new_tail, kept, cost)
+    cut = order.index(gone.bit_length() - 1) + 1
+    for v in order[:cut]:
+        tail ^= 1 << v
+    return (tail, order[cut:], cost)
 
 
 def _introduce_successors(
@@ -159,14 +160,20 @@ def _introduce_successors(
 
 
 def prepare_decomposition(
-    instance: CostInstance, decomposition: ConsistentPathDecomposition | None = None
+    instance: CostInstance,
+    decomposition: ConsistentPathDecomposition | None = None,
+    lattice: IdealLattice | None = None,
+    deadline: float | None = None,
 ) -> tuple[ConsistentPathDecomposition, PathDecomposition]:
     """The one place a decomposition is built or validated: returns it with
-    its bags padded to an empty bag at both ends. One built here was
-    validated by its builder; a supplied one that is for another base order
-    or fails ``validate()`` (niceness included) raises InputError."""
+    its bags padded to an empty bag at both ends. One built here, from the
+    base order's ideal lattice if the caller has it, was validated by its
+    builder; a supplied one that is for another base order or fails
+    ``validate()`` (niceness included) raises InputError."""
     if decomposition is None:
-        decomposition = consistent_path_decomposition(instance.base)
+        decomposition = consistent_path_decomposition(
+            instance.base, lattice=lattice, deadline=deadline
+        )
     elif decomposition.order != instance.base:
         raise InputError("decomposition built for a different base order")
     else:
@@ -174,11 +181,6 @@ def prepare_decomposition(
         if problems:
             raise InputError("invalid decomposition: " + "; ".join(problems))
     return decomposition, pad_to_empty(decomposition.decomposition)
-
-
-def _check_deadline(deadline: float | None) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise CapabilityError("solve aborted: wall-clock timeout")
 
 
 def forward_tables(
@@ -198,7 +200,7 @@ def forward_tables(
     """
     tables: list[dict] = [{(0, ()): (0, None)}]
     for p in range(len(dec.bags) - 1):
-        _check_deadline(deadline)
+        check_deadline(deadline)
         prev = tables[-1]
         nxt: dict = {}
         intro = dec.introduced(p + 1)
@@ -247,11 +249,13 @@ def solve_single(
 ) -> SingleSolution:
     """Optimal linear extension of the instance's base order and its cost;
     of several optima, the lexicographically smallest by vertex index."""
-    decomposition, dec = prepare_decomposition(instance, decomposition)
-    n = instance.n
     base = instance.base
+    lattice = ideal_lattice(base, deadline)
+    decomposition, dec = prepare_decomposition(instance, decomposition, lattice, deadline)
+    layers, moves = lattice
+    BOUNDS.check_ideals(sum(len(layer) for layer in layers), dec.bags)
+    n = instance.n
     full = (1 << n) - 1
-    down = [base.strict_down(v) for v in range(n)]
     # (bit of u, charge[v][u]) over the incomparable u that v pays for when
     # u is placed after it; pairs comparable in the base order never pay.
     pays = [
@@ -263,25 +267,12 @@ def solve_single(
         for v in range(n)
     ]
 
-    # The minimal remaining vertices of every ideal, in ascending index,
-    # found layer by layer from the empty ideal up to the full one.
-    moves: dict[int, list[int]] = {}
-    layers = [{0}]
-    for _ in range(n):
-        _check_deadline(deadline)
-        nxt = set()
-        for ideal in layers[-1]:
-            vs = moves[ideal] = [v for v in _bits(full & ~ideal) if not down[v] & ~ideal]
-            nxt.update(ideal | 1 << v for v in vs)
-        layers.append(nxt)
-    BOUNDS.check_ideals(sum(len(layer) for layer in layers), dec.bags)
-
     def step(ideal: int, v: int) -> int:
         return sum(c for bit, c in pays[v] if not ideal & bit)
 
     to_go = {full: 0}
     for layer in reversed(layers[:-1]):
-        _check_deadline(deadline)
+        check_deadline(deadline)
         for ideal in layer:
             to_go[ideal] = min(step(ideal, v) + to_go[ideal | 1 << v] for v in moves[ideal])
     opt = to_go[0]

@@ -1,11 +1,11 @@
-"""Cocomparability graphs, minimal triangulations, and order-consistent
-path decompositions.
+"""Cocomparability graphs and order-consistent path decompositions.
 
-The decomposition pipeline: triangulate the cocomparability graph of the
-base order with an inclusion-minimal fill, drop the pairs matching fill
-edges from the order (the remainder is an interval order), sort the maximal
-cliques of the triangulation by that interval order, and refine to a nice
-decomposition. The resulting bag sequence never forgets an element while a
+The decomposition comes from one program over the ideal lattice of the
+order, the lattice the single solver also walks: a backward pass over the
+ideals finds a linear extension of least vertex separation in the
+cocomparability graph, which is its pathwidth (Habib and Möhring, Order
+1994). That layout's decomposition, refined to a nice one, introduces every
+element before any larger one, so it never forgets an element while a
 smaller one is still waiting to be introduced, which is exactly what the
 tail-order dynamic programs need.
 """
@@ -13,14 +13,10 @@ tail-order dynamic programs need.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .errors import CapabilityError, InputError, InternalError
+from .errors import InputError, InternalError, check_deadline
 from .orders import PartialOrder, _bits, _full_mask
-
-# Exhaustive pathwidth search over the 2^n vertex subsets stops here; beyond
-# it the decomposition comes from a heuristic.
-EXACT_PATHWIDTH_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -80,100 +76,71 @@ def cocomparability_graph(order: PartialOrder) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# Chordality, maximal cliques, exact pathwidth
+# The ideal lattice and a width-optimal linear extension
 # ---------------------------------------------------------------------------
 
 
-def _mcs_elimination_order(g: Graph) -> list[int]:
-    """Maximum cardinality search; returns an elimination order that is
-    perfect iff the graph is chordal. Ties break toward lower index."""
-    n = g.n
-    weight = [0] * n
-    visited = 0
-    visit_order = []
-    for _ in range(n):
-        z = max(
-            (v for v in range(n) if not visited & (1 << v)),
-            key=lambda v: (weight[v], -v),
-        )
-        visit_order.append(z)
-        visited |= 1 << z
-        for y in _bits(g.adj[z] & ~visited):
-            weight[y] += 1
-    return visit_order[::-1]
+class IdealLattice(NamedTuple):
+    """The ideals (downsets) of a partial order, layer by layer by size from
+    the empty ideal to the full one, and the minimal remaining vertices of
+    every ideal but the full one, in ascending index."""
+
+    layers: list[set[int]]
+    moves: dict[int, list[int]]
 
 
-def is_chordal(g: Graph) -> bool:
-    order = _mcs_elimination_order(g)
-    pos = [0] * g.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    eliminated = 0
-    for v in order:
-        eliminated |= 1 << v
-        later = g.adj[v] & ~eliminated
-        if later:
-            parent = min(_bits(later), key=lambda u: pos[u])
-            if (later & ~(1 << parent)) & ~g.adj[parent]:
-                return False
-    return True
+def ideal_lattice(order: PartialOrder, deadline: float | None = None) -> IdealLattice:
+    """All ideals of the order, checking the deadline once per layer."""
+    full = _full_mask(order.n)
+    down = [order.strict_down(v) for v in range(order.n)]
+    moves: dict[int, list[int]] = {}
+    layers = [{0}]
+    for _ in range(order.n):
+        check_deadline(deadline)
+        nxt: set[int] = set()
+        for ideal in layers[-1]:
+            vs = moves[ideal] = [v for v in _bits(full & ~ideal) if not down[v] & ~ideal]
+            nxt.update(ideal | 1 << v for v in vs)
+        layers.append(nxt)
+    return IdealLattice(layers, moves)
 
 
-def maximal_cliques_chordal(g: Graph) -> list[int]:
-    """Maximal cliques of a chordal graph as bitmasks, one per clique."""
-    if not is_chordal(g):
-        raise InputError("graph is not chordal")
-    order = _mcs_elimination_order(g)
-    eliminated = 0
-    candidates = []
-    for v in order:
-        eliminated |= 1 << v
-        candidates.append((1 << v) | (g.adj[v] & ~eliminated))
-    candidates.sort(key=lambda c: -c.bit_count())
-    cliques: list[int] = []
-    for c in candidates:
-        if not any(c & ~kept == 0 for kept in cliques):
-            cliques.append(c)
-    return cliques
+def width_optimal_extension(
+    g: Graph, lattice: IdealLattice, deadline: float | None = None
+) -> list[int]:
+    """A linear extension of the order whose vertex separation in g, the
+    order's cocomparability graph, is g's pathwidth: some linear extension
+    always reaches it (Habib and Möhring, *Treewidth of cocomparability
+    graphs and a new order-theoretic parameter*, Order 1994).
 
-
-def exact_pathwidth(g: Graph, cap: int = EXACT_PATHWIDTH_CAP) -> int:
-    """Exact pathwidth by vertex-separation search over vertex subsets."""
-    return _vertex_separation(g, cap)[0]
-
-
-def optimal_path_layout(g: Graph, cap: int = EXACT_PATHWIDTH_CAP) -> list[int]:
-    """A vertex layout whose induced decomposition has optimal width."""
-    return _vertex_separation(g, cap)[1]
-
-
-def _vertex_separation(g: Graph, cap: int) -> tuple[int, list[int]]:
-    n = g.n
-    if n > cap:
-        raise CapabilityError(f"exact pathwidth capped at {cap} vertices, got {n}")
-    full = _full_mask(n)
-
-    def boundary(mask: int) -> int:
-        return sum(1 for u in _bits(mask) if g.adj[u] & ~mask)
-
-    dp = [0] * (full + 1)
-    for mask in range(1, full + 1):
-        best = min(dp[mask & ~(1 << v)] for v in _bits(mask))
-        dp[mask] = max(best, boundary(mask))
-
-    layout: list[int] = []
-    mask = full
-    while mask:
-        # any last vertex whose remainder is no harder than the whole set
-        v = min(v for v in _bits(mask) if dp[mask & ~(1 << v)] <= dp[mask])
+    A backward pass gives every ideal I the least width w[I] of a layout
+    that continues I: w[I] = max(cut(I), min over moves v of w[I | v]),
+    where cut(I) counts the vertices of I with a neighbour outside I. The
+    neighbours of the outside, reach[I], are those of I | v's outside plus
+    those of v, for any move v. A greedy walk from the empty ideal then
+    takes the smallest-index move that keeps to w[empty]."""
+    full = _full_mask(g.n)
+    w = {full: 0}
+    reach = {full: 0}
+    for layer in reversed(lattice.layers[:-1]):
+        check_deadline(deadline)
+        for ideal in layer:
+            vs = lattice.moves[ideal]
+            near = reach[ideal] = reach[ideal | 1 << vs[0]] | g.adj[vs[0]]
+            w[ideal] = max((ideal & near).bit_count(), min(w[ideal | 1 << v] for v in vs))
+    layout = []
+    ideal = 0
+    while ideal != full:
+        v = next(v for v in lattice.moves[ideal] if w[ideal | 1 << v] <= w[0])
         layout.append(v)
-        mask &= ~(1 << v)
-    layout.reverse()
-    return dp[full], layout
+        ideal |= 1 << v
+    return layout
 
 
 def decomposition_from_layout(g: Graph, layout: Sequence[int]) -> "PathDecomposition":
-    """Path decomposition whose width equals the layout's vertex separation."""
+    """Path decomposition whose width equals the layout's vertex separation:
+    bag i holds the i-th vertex and every earlier one with a neighbour
+    among the i-th and later ones."""
     n = g.n
     bags = []
     placed = 0
@@ -186,134 +153,6 @@ def decomposition_from_layout(g: Graph, layout: Sequence[int]) -> "PathDecomposi
         bags.append(boundary | (1 << v))
         placed |= 1 << v
     return PathDecomposition(n, tuple(bags))
-
-
-# ---------------------------------------------------------------------------
-# Minimal triangulation
-# ---------------------------------------------------------------------------
-
-
-def minimal_triangulation(g: Graph, exact_cap: int = EXACT_PATHWIDTH_CAP) -> Graph:
-    """Chordal supergraph of g with an inclusion-minimal fill-edge set.
-
-    Small graphs go through a width-optimal path layout whose bag cliques are
-    then shrunk back edge by edge, so the triangulation is also width-optimal;
-    larger graphs use a minimal-fill elimination search directly.
-    """
-    if is_chordal(g):
-        return g
-    if g.n <= exact_cap:
-        layout = optimal_path_layout(g, exact_cap)
-        filled = _fill_bags(g, decomposition_from_layout(g, layout))
-        return _shrink_fill(g, filled)
-    return _mcs_m(g)
-
-
-def _fill_bags(g: Graph, dec: "PathDecomposition") -> Graph:
-    adj = list(g.adj)
-    for bag in dec.bags:
-        for u in _bits(bag):
-            adj[u] |= bag & ~(1 << u)
-    return Graph(g.n, tuple(adj))
-
-
-def _shrink_fill(g: Graph, h: Graph) -> Graph:
-    """Delete fill edges one at a time while the graph stays chordal.
-
-    A triangulation with no single removable fill edge is inclusion-minimal.
-    """
-    adj = list(h.adj)
-    fill = [
-        (u, v)
-        for u in range(g.n)
-        for v in _bits(adj[u] & ~g.adj[u])
-        if u < v
-    ]
-    changed = True
-    while changed:
-        changed = False
-        kept = []
-        for u, v in fill:
-            adj[u] &= ~(1 << v)
-            adj[v] &= ~(1 << u)
-            if is_chordal(Graph(g.n, tuple(adj))):
-                changed = True
-            else:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-                kept.append((u, v))
-        fill = kept
-    return Graph(g.n, tuple(adj))
-
-
-def _mcs_m(g: Graph) -> Graph:
-    """Minimal triangulation by maximum-cardinality search with fill.
-
-    At each step the next vertex z is the unnumbered one of maximum weight;
-    every unnumbered y reachable from z through strictly lighter unnumbered
-    vertices gets its weight bumped, adding the fill edge {z, y} if missing.
-    """
-    n = g.n
-    weight = [0] * n
-    unnumbered = _full_mask(n)
-    adj = list(g.adj)
-    for _ in range(n):
-        z = max(_bits(unnumbered), key=lambda v: (weight[v], -v))
-        unnumbered &= ~(1 << z)
-        updates = []
-        for y in _bits(unnumbered):
-            allowed = 0
-            for u in _bits(unnumbered & ~(1 << y)):
-                if weight[u] < weight[y]:
-                    allowed |= 1 << u
-            # search from z through allowed vertices for a neighbor of y
-            frontier = 1 << z
-            seen = frontier
-            reached = bool(adj[z] & (1 << y))
-            while frontier and not reached:
-                nxt = 0
-                for u in _bits(frontier):
-                    nxt |= adj[u]
-                nxt &= allowed & ~seen
-                if nxt:
-                    for u in _bits(nxt):
-                        if adj[u] & (1 << y):
-                            reached = True
-                            break
-                seen |= nxt
-                frontier = nxt
-            if reached:
-                updates.append(y)
-        for y in updates:
-            weight[y] += 1
-            if not adj[z] & (1 << y):
-                adj[z] |= 1 << y
-                adj[y] |= 1 << z
-    return Graph(n, tuple(adj))
-
-
-def interval_order_from_fill(order: PartialOrder, triangulated: Graph) -> PartialOrder:
-    """Drop from the order every pair matching a fill edge of the
-    triangulation; for a minimal fill the remainder is an interval order."""
-    g = cocomparability_graph(order)
-    if order.n != triangulated.n:
-        raise InputError("triangulation over a different universe")
-    if any(g.adj[v] & ~triangulated.adj[v] for v in range(g.n)):
-        raise InputError("graph is not a supergraph of the order's "
-                         "cocomparability graph")
-    if not is_chordal(triangulated):
-        raise InputError("graph is not chordal")
-    rows = list(order.rows)
-    for u in range(order.n):
-        for v in _bits(triangulated.adj[u] & ~g.adj[u]):
-            rows[u] &= ~(1 << v)
-            rows[v] &= ~(1 << u)
-    try:
-        return PartialOrder(order.n, tuple(rows))
-    except InputError as exc:
-        # A minimal fill always leaves a transitive relation behind; a failure
-        # here means the triangulation upstream was not inclusion-minimal.
-        raise InternalError(f"fill removal broke the order: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -454,42 +293,23 @@ class ConsistentPathDecomposition:
         return problems
 
 
-def clique_path_decomposition(
+def consistent_path_decomposition(
     order: PartialOrder,
-) -> tuple[PathDecomposition, PartialOrder, Graph]:
-    """Maximal cliques of a minimal triangulation of the cocomparability
-    graph, ordered by the extracted interval order. Returns the raw bag
-    sequence together with the interval order and the triangulation."""
+    lattice: IdealLattice | None = None,
+    deadline: float | None = None,
+) -> ConsistentPathDecomposition:
+    """Nice order-consistent path decomposition of the cocomparability
+    graph, of optimal width: the layout decomposition of a width-optimal
+    linear extension, made nice. A linear extension introduces x before y
+    whenever x < y, so the result is consistent by construction. Pass the
+    order's ``ideal_lattice`` when the caller has already built it."""
     g = cocomparability_graph(order)
-    h = minimal_triangulation(g)
-    iota = interval_order_from_fill(order, h)
-    cliques = maximal_cliques_chordal(h)
-
-    def beats(x_mask: int, y_mask: int) -> bool:
-        return any(iota.strict_up(x) & y_mask for x in _bits(x_mask))
-
-    scored = sorted(
-        cliques,
-        key=lambda c: (
-            -sum(1 for other in cliques if other != c and beats(c, other)),
-            tuple(_bits(c)),
-        ),
+    if lattice is None:
+        lattice = ideal_lattice(order, deadline)
+    layout = width_optimal_extension(g, lattice, deadline)
+    result = ConsistentPathDecomposition(
+        make_nice(decomposition_from_layout(g, layout)), order
     )
-    dec = PathDecomposition(order.n, tuple(scored))
-    problems = dec.validate(h) + dec.consistency_violations(iota)
-    if problems:
-        raise InternalError("clique ordering failed: " + "; ".join(problems))
-    return dec, iota, h
-
-
-def consistent_path_decomposition(order: PartialOrder) -> ConsistentPathDecomposition:
-    """Nice order-consistent path decomposition of the cocomparability graph.
-
-    For inputs within the exact-search cap the width is optimal; beyond it
-    the width is whatever the minimal-fill elimination produces.
-    """
-    raw, _, _ = clique_path_decomposition(order)
-    result = ConsistentPathDecomposition(make_nice(raw), order)
     problems = result.validate()
     if problems:
         raise InternalError("decomposition invalid: " + "; ".join(problems))

@@ -1,48 +1,33 @@
-"""Graph and order recognisers the tests use to check the decomposition
-pipeline's structural claims. They are exhaustive searches, capped to the
-small graphs the tests build."""
+"""Exhaustive graph searches the tests use as references for the
+decomposition's claims, capped to the small graphs the tests build."""
 
 import itertools
-from typing import Sequence
 
 from kemeny.errors import CapabilityError
-from kemeny.orders import PartialOrder, _bits
-from kemeny.width import Graph, is_chordal, maximal_cliques_chordal
+from kemeny.orders import _bits, _full_mask
+from kemeny.width import Graph
 
 # Vertex caps of the exhaustive searches below.
+EXACT_PATHWIDTH_CAP = 12
 LONG_CYCLE_CAP = 13
-INTERVAL_RECOGNITION_CAP = 10
 
 
-def is_interval_order(order: PartialOrder) -> bool:
-    """No pair of disjoint two-chains with incomparable cross pairs."""
-    strict = list(order.strict_pairs())
-    for (a, b), (c, d) in itertools.combinations(strict, 2):
-        if len({a, b, c, d}) == 4:
-            if order.incomparable(a, d) and order.incomparable(c, b):
-                return False
-    return True
+def exact_pathwidth(g: Graph, cap: int = EXACT_PATHWIDTH_CAP) -> int:
+    """Exact pathwidth as the least vertex separation over all layouts, by
+    a program over all 2^n vertex subsets."""
+    n = g.n
+    if n > cap:
+        raise CapabilityError(f"exact pathwidth capped at {cap} vertices, got {n}")
+    full = _full_mask(n)
 
+    def boundary(mask: int) -> int:
+        return sum(1 for u in _bits(mask) if g.adj[u] & ~mask)
 
-def is_interval_graph(g: Graph, cap: int = INTERVAL_RECOGNITION_CAP) -> bool:
-    """Clique-chain recognition by exhaustive ordering search."""
-    if g.n > cap:
-        raise CapabilityError(f"interval recognition capped at {cap} vertices")
-    if not is_chordal(g):
-        return False
-    cliques = maximal_cliques_chordal(g)
-    for perm in itertools.permutations(range(len(cliques))):
-        if _consecutive_cliques(g.n, [cliques[i] for i in perm]):
-            return True
-    return False
-
-
-def _consecutive_cliques(n: int, cliques: Sequence[int]) -> bool:
-    for v in range(n):
-        hits = [i for i, c in enumerate(cliques) if c & (1 << v)]
-        if hits and hits[-1] - hits[0] != len(hits) - 1:
-            return False
-    return True
+    dp = [0] * (full + 1)
+    for mask in range(1, full + 1):
+        best = min(dp[mask & ~(1 << v)] for v in _bits(mask))
+        dp[mask] = max(best, boundary(mask))
+    return dp[full]
 
 
 def has_long_induced_cycle(g: Graph, cap: int = LONG_CYCLE_CAP) -> bool:

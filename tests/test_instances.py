@@ -14,7 +14,9 @@ from kemeny.instances import (
     random_partial_order,
 )
 from kemeny.orders import PartialOrder, unanimity_order
-from kemeny.width import cocomparability_graph, exact_pathwidth
+from kemeny.width import cocomparability_graph
+
+from graph_oracles import exact_pathwidth
 
 
 class TestBucketOrders:

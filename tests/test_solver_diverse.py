@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from kemeny.errors import InputError
+from kemeny.errors import InternalError
 from kemeny.instances import (
     fifty_fifty_profile,
     five_type_profile,
@@ -61,7 +61,7 @@ class TestScatterednessIncrease:
         assert inc == 1
 
     def test_requires_introduced_in_tails(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InternalError):
             scatteredness_increase(0b001, (0,), (0, 2), [2])
 
 

@@ -1,35 +1,29 @@
-"""Cocomparability graphs, triangulation, and consistent decompositions."""
+"""Cocomparability graphs, the ideal lattice, and consistent decompositions."""
 
+import itertools
 import random
+import time
 
 import pytest
 
-from kemeny.errors import CapabilityError, InputError
+from kemeny.errors import CapabilityError
 from kemeny.instances import random_partial_order
-from kemeny.orders import PartialOrder, unanimity_order
+from kemeny.orders import LinearOrder, PartialOrder, unanimity_order
 from kemeny.instances import five_type_profile
 from kemeny.oracle import enumerate_extensions
 from kemeny.width import (
     Graph,
     PathDecomposition,
-    clique_path_decomposition,
     cocomparability_graph,
     consistent_path_decomposition,
     decomposition_from_layout,
-    exact_pathwidth,
-    interval_order_from_fill,
-    is_chordal,
+    ideal_lattice,
     make_nice,
-    minimal_triangulation,
-    optimal_path_layout,
     pad_to_empty,
+    width_optimal_extension,
 )
 
-from graph_oracles import (
-    has_long_induced_cycle,
-    is_interval_graph,
-    is_interval_order,
-)
+from graph_oracles import exact_pathwidth, has_long_induced_cycle
 
 
 def chain(n):
@@ -50,8 +44,22 @@ def complete_graph(n):
     )
 
 
-def fill_edges(g, h):
-    return [e for e in h.edges() if e not in set(g.edges())]
+def has_induced_four_cycle(g):
+    """Two non-adjacent vertices with two non-adjacent common neighbours.
+    A cocomparability graph has no longer induced cycle, so for it this is
+    exactly a failure of chordality."""
+    for u, v in itertools.combinations(range(g.n), 2):
+        if g.has_edge(u, v):
+            continue
+        common = [w for w in range(g.n) if g.has_edge(u, w) and g.has_edge(v, w)]
+        if any(not g.has_edge(a, b) for a, b in itertools.combinations(common, 2)):
+            return True
+    return False
+
+
+def layout_of(order):
+    g = cocomparability_graph(order)
+    return g, width_optimal_extension(g, ideal_lattice(order))
 
 
 FIVE_TYPE_UNANIMITY = unanimity_order(five_type_profile())
@@ -94,92 +102,12 @@ class TestExactPathwidth:
         rng = random.Random(11)
         for _ in range(40):
             order = random_partial_order(rng.randint(2, 8), rng, rng.random())
-            g = cocomparability_graph(order)
+            g, layout = layout_of(order)
+            assert LinearOrder(tuple(layout)).extends(order)
             pw = exact_pathwidth(g)
-            dec = decomposition_from_layout(g, optimal_path_layout(g))
+            dec = decomposition_from_layout(g, layout)
             assert dec.validate(g) == []
             assert dec.width == pw
-
-
-class TestMinimalTriangulation:
-    def test_chordal_input_unchanged(self):
-        g = path_graph(5)
-        assert minimal_triangulation(g).adj == g.adj
-
-    def test_four_cycle_gets_one_chord(self):
-        g = cycle_graph(4)
-        h = minimal_triangulation(g)
-        assert is_chordal(h)
-        assert len(fill_edges(g, h)) == 1
-
-    def test_fill_is_inclusion_minimal(self):
-        rng = random.Random(12)
-        for _ in range(30):
-            order = random_partial_order(rng.randint(3, 8), rng, rng.random())
-            g = cocomparability_graph(order)
-            h = minimal_triangulation(g)
-            assert is_chordal(h)
-            for u, v in fill_edges(g, h):
-                adj = list(h.adj)
-                adj[u] &= ~(1 << v)
-                adj[v] &= ~(1 << u)
-                assert not is_chordal(Graph(h.n, tuple(adj)))
-
-    def test_cocomparability_triangulation_is_interval(self):
-        rng = random.Random(13)
-        for _ in range(30):
-            order = random_partial_order(rng.randint(2, 8), rng, rng.random())
-            h = minimal_triangulation(cocomparability_graph(order))
-            assert is_interval_graph(h)
-
-    def test_elimination_route_beyond_exact_cap(self):
-        # above 12 vertices the minimal-fill elimination takes over; the fill
-        # must still be inclusion-minimal and the decomposition valid
-        rng = random.Random(19)
-        seen_nonchordal = 0
-        while seen_nonchordal < 5:
-            order = random_partial_order(rng.randint(13, 16), rng, 0.65)
-            g = cocomparability_graph(order)
-            if is_chordal(g):
-                continue
-            seen_nonchordal += 1
-            h = minimal_triangulation(g)
-            assert is_chordal(h)
-            for u, v in fill_edges(g, h):
-                adj = list(h.adj)
-                adj[u] &= ~(1 << v)
-                adj[v] &= ~(1 << u)
-                assert not is_chordal(Graph(h.n, tuple(adj)))
-            cpd = consistent_path_decomposition(order)
-            assert cpd.validate() == []
-
-
-class TestIntervalOrderFromFill:
-    def test_zero_fill_keeps_order(self):
-        order = chain(4)
-        g = cocomparability_graph(order)
-        assert interval_order_from_fill(order, g).rows == order.rows
-
-    def test_antichain_has_nothing_to_remove(self):
-        order = PartialOrder.antichain(4)
-        h = minimal_triangulation(cocomparability_graph(order))
-        assert interval_order_from_fill(order, h).rows == order.rows
-
-    def test_result_is_contained_transitive_interval_order(self):
-        rng = random.Random(14)
-        for _ in range(40):
-            order = random_partial_order(rng.randint(2, 8), rng, rng.random())
-            h = minimal_triangulation(cocomparability_graph(order))
-            iota = interval_order_from_fill(order, h)
-            assert order.contains(iota)
-            assert is_interval_order(iota)
-
-    def test_rejects_non_triangulation(self):
-        bogus = Graph.from_edges(3, [(0, 1)])  # misses two edges of K3
-        with pytest.raises(InputError):
-            interval_order_from_fill(PartialOrder.antichain(3), bogus)
-        with pytest.raises(InputError):
-            interval_order_from_fill(chain(4), cycle_graph(4))  # not chordal
 
 
 class TestMakeNice:
@@ -198,8 +126,8 @@ class TestMakeNice:
         rng = random.Random(15)
         for _ in range(40):
             order = random_partial_order(rng.randint(2, 8), rng, rng.random())
-            g = cocomparability_graph(order)
-            raw, _, _ = clique_path_decomposition(order)
+            g, layout = layout_of(order)
+            raw = decomposition_from_layout(g, layout)
             nice = make_nice(raw)
             assert nice.is_nice
             assert nice.width == raw.width
@@ -235,15 +163,16 @@ class TestLongInducedCycle:
 
 class TestConsistentDecomposition:
     def test_linear_order_clique_bags(self):
-        raw, iota, _ = clique_path_decomposition(chain(4))
-        assert raw.bags == (0b0001, 0b0010, 0b0100, 0b1000)
-        assert raw.width == 0
-        assert iota.rows == chain(4).rows
+        # every bag of a chain is a single vertex, in chain order
+        cpd = consistent_path_decomposition(chain(4))
+        assert cpd.width == 0
+        assert [b for b in cpd.decomposition.bags if b] == [0b0001, 0b0010, 0b0100, 0b1000]
 
     def test_antichain_single_bag(self):
-        raw, _, _ = clique_path_decomposition(PartialOrder.antichain(4))
-        assert raw.bags == (0b1111,)
-        assert raw.width == 3
+        # the one maximal clique of an antichain fills a single bag
+        cpd = consistent_path_decomposition(PartialOrder.antichain(4))
+        assert cpd.width == 3
+        assert cpd.decomposition.bags.count(0b1111) == 1
 
     def test_five_type_unanimity_decomposition(self):
         cpd = consistent_path_decomposition(FIVE_TYPE_UNANIMITY)
@@ -260,8 +189,28 @@ class TestConsistentDecomposition:
             assert cpd.validate() == []
             pw = exact_pathwidth(cocomparability_graph(order))
             assert cpd.width >= pw
-            # the exact-search route is width-optimal at this scale
             assert cpd.width == pw
+
+    def test_non_chordal_orders_beyond_twelve_match_exact_width(self):
+        # the decomposition is width-optimal at every size, also where the
+        # cocomparability graph needs fill to become an interval graph
+        rng = random.Random(19)
+        checked = 0
+        while checked < 12:
+            order = random_partial_order(rng.randint(13, 14), rng, 0.45)
+            g = cocomparability_graph(order)
+            if not has_induced_four_cycle(g):
+                continue
+            checked += 1
+            cpd = consistent_path_decomposition(order)
+            assert cpd.validate() == []
+            assert cpd.width == exact_pathwidth(g, cap=14)
+
+    def test_width_pass_checks_the_deadline(self):
+        order = PartialOrder.antichain(6)
+        lattice = ideal_lattice(order)
+        with pytest.raises(CapabilityError):
+            consistent_path_decomposition(order, lattice=lattice, deadline=time.monotonic() - 1)
 
     def test_consistency_violation_detected(self):
         # forget element 1 before introducing element 0 although 0 < 1
