@@ -41,7 +41,6 @@ from .orders import (
     PartialOrder,
     Profile,
     _bits,
-    diversity,
     kemeny_score,
     kt_distance,
     reduce_to_co,

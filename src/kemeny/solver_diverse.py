@@ -10,9 +10,12 @@ introduced; vertices forgotten before a new vertex arrives are below it in
 the base order, so both solutions agree on those pairs and nothing is
 missed. Since increments are non-negative, saturating addition makes every
 final register exactly min(true value, cap), which is all the acceptance
-checks need. Per-solution states are pruned against the single-solution
-registers: a tail whose cost exceeds its per-position optimum by more than
-the allowed imperfection can never finish within it.
+checks need. Per-solution states are pruned by an exact cost window: the
+single-solution cost-to-go register (``backward_tables``) gives every tail
+the least cost its completions add, and a tail whose cost plus that
+exceeds opt + delta can never finish within it. A dropped state is never an
+ancestor of a final state, so the final states and the backtrack are those
+of the unpruned program.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .solver_single import (
     TailState,
     _forget_successor,
     _introduce_successors,
+    backward_tables,
     forward_tables,
     prepare_decomposition,
     reconstruct_extension,
@@ -137,16 +141,14 @@ def scatteredness_increase(
     return total
 
 
-def _triple_allowed(
-    triple: TailState, f_next: dict, delta: int, cost_bound: int
-) -> bool:
+def _triple_allowed(triple: TailState, to_go: dict, cost_bound: int) -> bool:
+    """Whether the tail can still finish within the cost window: its cost
+    plus its exact cost to go stays within ``cost_bound`` (opt + delta)."""
     tail, order, cost = triple
-    if cost > cost_bound:
-        return False
-    entry = f_next.get((tail, order))
-    if entry is None:
-        raise InternalError("successor tail missing from the optimum register")
-    return cost <= entry[0] + delta
+    rest = to_go.get((tail, order))
+    if rest is None:
+        raise InternalError("successor tail missing from the cost-to-go register")
+    return cost + rest <= cost_bound
 
 
 def tuple_successors(
@@ -155,10 +157,9 @@ def tuple_successors(
     dec: PathDecomposition,
     p: int,
     *,
-    delta: int,
     d_cap: int,
     s_cap: int,
-    f_next: dict,
+    to_go: dict,
     cost_bound: int,
     succ_cache: dict,
     pair_cache: dict,
@@ -168,8 +169,9 @@ def tuple_successors(
 
     Each solution advances by its own tail transition; on an introduce step
     the registers grow by the pairwise increases and saturate at their caps.
-    Solutions whose tail falls outside the allowed cost window kill the
-    whole state. ``succ_cache`` and ``pair_cache`` memoise per-solution
+    ``to_go`` is the cost-to-go register at p+1; a solution whose tail cannot
+    finish within ``cost_bound`` (``_triple_allowed``) kills the whole
+    state. ``succ_cache`` and ``pair_cache`` memoise per-solution
     successors and pairwise increases within one transition.
     """
     gone = dec.forgotten(p + 1)
@@ -177,7 +179,7 @@ def tuple_successors(
         new_triples = []
         for t in state.triples:
             succ = _forget_successor(t, gone)
-            if not _triple_allowed(succ, f_next, delta, cost_bound):
+            if not _triple_allowed(succ, to_go, cost_bound):
                 return []
             new_triples.append(succ)
         return [DiverseState(tuple(new_triples), state.div, state.dist)]
@@ -190,7 +192,7 @@ def tuple_successors(
             opts = succ_cache[t] = [
                 s
                 for s in _introduce_successors(t, v, dec.bags[p + 1], instance)
-                if _triple_allowed(s, f_next, delta, cost_bound)
+                if _triple_allowed(s, to_go, cost_bound)
             ]
         if not opts:
             return []
@@ -234,6 +236,7 @@ def _canonical(
 
 def _initial_states(
     register: dict,
+    to_go: dict,
     r: int,
     d_cap: int,
     s_cap: int,
@@ -241,12 +244,13 @@ def _initial_states(
     deadline: float | None,
 ) -> dict[DiverseState, tuple[None, None]]:
     """Every multiset of r tails from the single-solution register where
-    the lockstep starts, within the cost window, with the registers their tail
-    orders already fix."""
+    the lockstep starts, with the registers their tail orders already fix.
+    Only tails that can finish within the cost window (``_triple_allowed``
+    against the cost-to-go register ``to_go``) take part."""
     base = sorted(
         (tail, order, cost)
         for (tail, order), (cost, _) in register.items()
-        if cost <= cost_bound
+        if _triple_allowed((tail, order, cost), to_go, cost_bound)
     )
     pairs = _pairs(r)
     states: dict[DiverseState, tuple[None, None]] = {}
@@ -299,6 +303,7 @@ def solve_diverse(
     width = decomposition.width
     singles = forward_tables(instance, dec, width, deadline)
     opt = singles[-1][(0, ())][0]
+    to_go = backward_tables(instance, dec, singles, deadline)
 
     r = query.r
     delta = query.delta
@@ -318,7 +323,9 @@ def solve_diverse(
     # started at the empty tail, its r identical slots would make every
     # ordered product r!-redundant, and up to that bag nothing is committed.
     start = next(p for p in range(1, len(dec.bags)) if dec.forgotten(p)) - 1
-    frontier = _initial_states(singles[start], r, d_cap, s_cap, cost_bound, deadline)
+    frontier = _initial_states(
+        singles[start], to_go[start], r, d_cap, s_cap, cost_bound, deadline
+    )
     tables = [frontier]
     for p in range(start, len(dec.bags) - 1):
         succ_cache: dict = {}
@@ -331,10 +338,9 @@ def solve_diverse(
                 instance,
                 dec,
                 p,
-                delta=delta,
                 d_cap=d_cap,
                 s_cap=s_cap,
-                f_next=singles[p + 1],
+                to_go=to_go[p + 1],
                 cost_bound=cost_bound,
                 succ_cache=succ_cache,
                 pair_cache=pair_cache,

@@ -28,7 +28,9 @@ forms with vertices already placed. Keeping only the cheapest triple per
 (subset, tail order) is lossless for the optimum, and the final empty
 tail's cost is the optimal completion cost. A ranking is read back off a
 chain of tails: each forget step commits a prefix of the tail, and the
-committed prefixes in order are the ranking.
+committed prefixes in order are the ranking. ``backward_tables`` runs the
+same moves right to left over the forward keys and gives each key its exact
+cost to go.
 """
 
 from __future__ import annotations
@@ -220,6 +222,44 @@ def forward_tables(
                     nxt[skey] = (new_cost, key)
         BOUNDS.check_triples(len(nxt), 0, width)
         tables.append(nxt)
+    return tables
+
+
+def backward_tables(
+    instance: CostInstance,
+    dec: PathDecomposition,
+    singles: Sequence[dict],
+    deadline: float | None = None,
+) -> list[dict[tuple[int, tuple[int, ...]], int]]:
+    """The mirror of ``forward_tables``: each (tail, order) key of the
+    forward registers ``singles`` mapped to its exact cost to go, the least
+    cost its completions add on the way to the final empty tail.
+
+    One backward sweep makes the same moves from each key at cost 0, so a
+    move's cost is its successor's cost. So forward + to-go of a key is the
+    cheapest full solution through it, never below the optimum, which is
+    the to-go of the empty tail at position 0.
+    """
+    last = len(dec.bags) - 1
+    tables: list[dict] = [{} for _ in dec.bags]
+    tables[last] = dict.fromkeys(singles[last], 0)
+    for p in range(last - 1, -1, -1):
+        check_deadline(deadline)
+        nxt = tables[p + 1]
+        here = tables[p]
+        intro = dec.introduced(p + 1)
+        gone = dec.forgotten(p + 1)
+        for tail, order in singles[p]:
+            state = (tail, order, 0)
+            if gone:
+                succs = [_forget_successor(state, gone)]
+            else:
+                v = intro.bit_length() - 1
+                succs = _introduce_successors(state, v, dec.bags[p + 1], instance)
+            try:
+                here[(tail, order)] = min(step + nxt[(t, o)] for t, o, step in succs)
+            except (KeyError, ValueError):
+                raise InternalError("reachable tail has no completion") from None
     return tables
 
 

@@ -15,7 +15,8 @@ from kemeny.instances import (
     five_type_profile,
     random_profile,
 )
-from kemeny.orders import reduce_to_co
+from kemeny.orders import LinearOrder, diversity, kemeny_score, reduce_to_co
+
 DATA = pathlib.Path(__file__).parent / "data"
 FIVE = str(DATA / "five_type.votes")
 FIFTY = str(DATA / "fifty_fifty.votes")
@@ -151,18 +152,43 @@ class TestSubcommands:
             "window is 0, required 1\n"
         )
 
-    def test_diverse_timeout_aborts_promptly(self, tmp_path):
-        # 295 240 initial three-solution combinations, about 5 s to build
+    @staticmethod
+    def _wide_votes(tmp_path):
         votes = str(tmp_path / "wide.votes")
         invoke(["gen", "buckets", "--sizes", "5,5,5", "--m", "20", "--noise", "1",
                 "--seed", "1", "--out", votes])
+        return votes
+
+    def test_diverse_timeout_aborts_promptly(self, tmp_path):
+        # a cost window of delta 8 keeps the lockstep busy for over 10 s
+        votes = self._wide_votes(tmp_path)
         start = time.monotonic()
         code, _, err = invoke(
-            ["diverse", votes, "--r", "3", "--delta", "2", "--d", "3",
+            ["diverse", votes, "--r", "3", "--delta", "8", "--d", "3",
              "--timeout", "0.2"]
         )
         assert code == 3 and "timeout" in err
         assert time.monotonic() - start < 1.5
+
+    def test_diverse_wide_window_case_answers(self, tmp_path):
+        # 295 240 initial combinations at delta 2 without the exact cost
+        # window; with it, only tails that can still finish take part
+        votes = self._wide_votes(tmp_path)
+        code, out, err = invoke(
+            ["diverse", votes, "--r", "3", "--delta", "2", "--d", "3", "--json"]
+        )
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["decision"] == "yes"
+        profile = parse_votes(pathlib.Path(votes).read_text())
+        names = profile.candidates
+        witnesses = [
+            LinearOrder(tuple(names.index(x) for x in doc[f"witness-{i}"].split("<")))
+            for i in (1, 2, 3)
+        ]
+        for i, w in enumerate(witnesses, 1):
+            assert kemeny_score(profile, w) == doc[f"score-{i}"] <= doc["optimum"] + 2
+        assert diversity(witnesses) == doc["diversity"] >= 3
 
     def test_no_scatter_flag_fixes_s_to_one(self):
         code, out, _ = invoke(

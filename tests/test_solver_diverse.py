@@ -33,7 +33,12 @@ from kemeny.solver_diverse import (
     solve_max_diversity,
     tuple_successors,
 )
-from kemeny.solver_single import _introduce_successors, forward_tables
+from kemeny.solver_single import (
+    _introduce_successors,
+    backward_tables,
+    forward_tables,
+    prepare_decomposition,
+)
 from kemeny.width import PathDecomposition
 
 
@@ -66,18 +71,20 @@ class TestScatterednessIncrease:
 
 
 def _two_vertex_setup():
+    # padded to empty bags at both ends; placing 1 before 0 costs 4, after 1
     base = PartialOrder.antichain(2)
     inst = CostInstance(2, ((0, 1), (4, 0)), base)
-    dec = PathDecomposition(2, (0, 0b01, 0b11))
+    dec = PathDecomposition(2, (0, 0b01, 0b11, 0b10, 0))
     return inst, dec
 
 
-def _successors(state, inst, dec, delta=0, d_cap=0, s_cap=0, cost_bound=99):
+def _successors(state, inst, dec, d_cap=0, s_cap=0, cost_bound=99):
     # the transition 1 -> 2 introduces vertex 1 next to the tail (0,)
-    f_next = forward_tables(inst, dec, dec.width)[2]
+    singles = forward_tables(inst, dec, dec.width)
+    to_go = backward_tables(inst, dec, singles)[2]
     return tuple_successors(
-        state, inst, dec, 1, delta=delta, d_cap=d_cap, s_cap=s_cap,
-        f_next=f_next, cost_bound=cost_bound, succ_cache={}, pair_cache={},
+        state, inst, dec, 1, d_cap=d_cap, s_cap=s_cap,
+        to_go=to_go, cost_bound=cost_bound, succ_cache={}, pair_cache={},
     )
 
 
@@ -119,12 +126,54 @@ class TestTupleSuccessors:
         got = _successors(state, inst, dec, cost_bound=1)
         assert [s.triples[0][2] for s in got] == [1]
 
-    def test_optimum_register_prunes_states(self):
-        # from cost 3 each successor tail costs 3 more than its register
+    def test_window_prunes_from_expensive_start(self):
+        # from cost 3 the successors cost 4 and 7 with nothing left to pay
         inst, dec = _two_vertex_setup()
         state = DiverseState(((0b01, (0,), 3),), 0, ())
-        assert _successors(state, inst, dec, delta=2) == []
-        assert len(_successors(state, inst, dec, delta=3)) == 2
+        assert _successors(state, inst, dec, cost_bound=3) == []
+        assert [s.triples[0][2] for s in _successors(state, inst, dec, cost_bound=4)] == [4]
+        assert len(_successors(state, inst, dec, cost_bound=7)) == 2
+
+    def test_missing_successor_raises(self):
+        inst, dec = _two_vertex_setup()
+        state = DiverseState(((0b01, (0,), 0),), 0, ())
+        with pytest.raises(InternalError):
+            tuple_successors(
+                state, inst, dec, 1, d_cap=0, s_cap=0, to_go={},
+                cost_bound=99, succ_cache={}, pair_cache={},
+            )
+
+
+class TestBackwardTables:
+    def test_two_vertex_costs_to_go(self):
+        inst, dec = _two_vertex_setup()
+        to_go = backward_tables(inst, dec, forward_tables(inst, dec, dec.width))
+        assert to_go[0] == {(0, ()): 1}
+        assert to_go[1] == {(0b01, (0,)): 1}
+        assert to_go[2] == {(0b11, (0, 1)): 0, (0b11, (1, 0)): 0}
+        assert to_go[4] == {(0, ()): 0}
+
+    def test_window_sums_on_random_instances(self):
+        rng = random.Random(36)
+        for _ in range(25):
+            inst = random_cost_instance(rng.randint(1, 6), rng, 0.5, max_cost=4)
+            opt, _ = oracle_optimum(inst)
+            decomposition, dec = prepare_decomposition(inst)
+            singles = forward_tables(inst, dec, decomposition.width)
+            to_go = backward_tables(inst, dec, singles)
+            assert to_go[0][(0, ())] == opt
+            for forward, rest in zip(singles, to_go):
+                assert forward.keys() == rest.keys()
+                sums = [forward[key][0] + rest[key] for key in forward]
+                assert min(sums) == opt
+                assert all(total >= opt for total in sums)
+
+    def test_key_without_completion_raises(self):
+        inst, dec = _two_vertex_setup()
+        singles = forward_tables(inst, dec, dec.width)
+        singles[3] = {}
+        with pytest.raises(InternalError):
+            backward_tables(inst, dec, singles)
 
 
 class TestSolveDiverse:
