@@ -47,7 +47,12 @@ from .orders import (
     unanimity_order,
 )
 from .pco import PcoInstance, solve_pco
-from .solver_diverse import DiverseQuery, solve_diverse_kra, solve_max_diversity
+from .solver_diverse import (
+    DiverseQuery,
+    find_distinct_optima,
+    solve_diverse_kra,
+    solve_max_diversity,
+)
 from .solver_single import solve_single
 from .width import PathDecomposition, cocomparability_graph
 
@@ -264,13 +269,20 @@ def _dump_decomposition(path: str, dec: PathDecomposition, names: Sequence[str])
             handle.write(" ".join(names[v] for v in _bits(bag)) + "\n")
 
 
+def _checked_score(profile: Profile, ranking: LinearOrder, cost: int) -> int:
+    """The ranking's Kemeny score over the profile, which must equal the
+    cost the solver reports for it."""
+    score = kemeny_score(profile, ranking)
+    if score != cost:
+        raise InternalError("document self-check failed: score mismatch")
+    return score
+
+
 def _cmd_solve(args, out: IO[str]) -> int:
     profile = _read_profile(args.votes)
     instance = reduce_to_co(profile)
     solution = solve_single(instance, deadline=_deadline(args))
-    score = kemeny_score(profile, solution.extension)
-    if score != solution.cost:
-        raise InternalError("document self-check failed: score mismatch")
+    score = _checked_score(profile, solution.extension, solution.cost)
     if args.dump_decomposition:
         _dump_decomposition(
             args.dump_decomposition,
@@ -318,22 +330,22 @@ def _cmd_diverse(args, out: IO[str]) -> int:
 
 def _cmd_optima(args, out: IO[str]) -> int:
     profile = _read_profile(args.votes)
-    query = DiverseQuery(r=args.r, delta=0, d=0, s=1, mode="distinct-optima")
-    result = solve_diverse_kra(profile, query, deadline=_deadline(args))
-    outcome = result.outcome
+    instance = reduce_to_co(profile)
+    outcome = find_distinct_optima(instance, args.r, deadline=_deadline(args))
     doc = ResultDocument()
     doc.add("result", "optima")
     _instance_summary(doc, profile, outcome.width)
     doc.add("r", args.r)
     doc.add("optimum", outcome.optimum)
     if outcome.feasible:
-        assert outcome.witnesses is not None and result.scores is not None
+        assert outcome.witnesses is not None
+        scores = [_checked_score(profile, w, outcome.optimum) for w in outcome.witnesses]
         doc.add("decision", "yes")
-        _add_witnesses(doc, outcome.witnesses, result.scores, profile.candidates.names)
+        _add_witnesses(doc, outcome.witnesses, scores, profile.candidates.names)
         _emit(doc, args, out)
         return EXIT_YES
     doc.add("decision", "no")
-    doc.add("detail", f"fewer than {args.r} distinct optimal rankings")
+    doc.add("detail", outcome.detail)
     _emit(doc, args, out)
     return EXIT_NO
 
@@ -348,9 +360,7 @@ def _cmd_maxdiv(args, out: IO[str]) -> int:
     assert outcome.witnesses is not None and outcome.costs is not None
     costs = dict(zip(outcome.witnesses, outcome.costs))
     witnesses = result.witnesses
-    scores = [kemeny_score(profile, w) for w in witnesses]
-    if scores != [costs[w] for w in witnesses]:
-        raise InternalError("document self-check failed: score mismatch")
+    scores = [_checked_score(profile, w, costs[w]) for w in witnesses]
     doc = ResultDocument()
     doc.add("result", "maxdiv")
     _instance_summary(doc, profile, outcome.width)
@@ -382,10 +392,8 @@ def _cmd_pco(args, out: IO[str]) -> int:
         doc.add("optimum", result.optimum)
     doc.add("decision", "yes" if result.feasible else "no")
     if result.feasible:
-        assert result.witness is not None
-        score = kemeny_score(profile, result.witness)
-        if score != result.optimum:
-            raise InternalError("document self-check failed: score mismatch")
+        assert result.witness is not None and result.optimum is not None
+        score = _checked_score(profile, result.witness, result.optimum)
         _add_witnesses(doc, [result.witness], [score], profile.candidates.names)
     elif result.optimum is None:
         doc.add("detail", "rejected by the edge-count bound")

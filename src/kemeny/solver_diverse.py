@@ -1,5 +1,6 @@
 """Diverse-solution solver: r tail-order programs advanced in lockstep over
-one nice consistent path decomposition, with two kinds of saturating
+one nice consistent path decomposition, from r empty tails at the first
+(empty) bag to r empty tails at the last, with two kinds of saturating
 registers riding along every state:
 
 * one register per unordered solution pair holding min(distance so far, s),
@@ -16,6 +17,10 @@ the least cost its completions add, and a tail whose cost plus that
 exceeds opt + delta can never finish within it. A dropped state is never an
 ancestor of a final state, so the final states and the backtrack are those
 of the unpruned program.
+
+The modes are ``decide`` and ``max-diversity``. Asking for r distinct
+optima (``find_distinct_optima``) needs no lockstep: it lists the first r
+optima off the ideal lattice (``solver_single.optimal_rankings``).
 """
 
 from __future__ import annotations
@@ -37,22 +42,22 @@ from .orders import (
 from .solver_single import (
     BOUNDS,
     TailState,
-    _forget_successor,
-    _introduce_successors,
     backward_tables,
     forward_tables,
+    optimal_rankings,
     prepare_decomposition,
     reconstruct_extension,
+    tail_successors,
 )
 from .width import ConsistentPathDecomposition, PathDecomposition
 
-MODES = ("decide", "max-diversity", "distinct-optima")
+MODES = ("decide", "max-diversity")
 
 
 @dataclass(frozen=True)
 class DiverseQuery:
     """How many solutions, how far from optimal they may be, and the
-    diversity / pairwise-distance targets. Decision modes treat the answer
+    diversity / pairwise-distance targets. Decide mode treats the answer
     as a set, which forces a pairwise distance of at least 1."""
 
     r: int
@@ -91,17 +96,6 @@ class DiverseOutcome:
 
 def _pairs(r: int) -> list[tuple[int, int]]:
     return list(itertools.combinations(range(r), 2))
-
-
-def _tail_kt(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    """Opposite-ordered pairs between two orders of the same vertex set."""
-    pos = {v: i for i, v in enumerate(b)}
-    count = 0
-    for i in range(len(a)):
-        for j in range(i + 1, len(a)):
-            if pos[a[i]] > pos[a[j]]:
-                count += 1
-    return count
 
 
 def scatteredness_increase(
@@ -174,30 +168,22 @@ def tuple_successors(
     state. ``succ_cache`` and ``pair_cache`` memoise per-solution
     successors and pairwise increases within one transition.
     """
-    gone = dec.forgotten(p + 1)
-    if gone:
-        new_triples = []
-        for t in state.triples:
-            succ = _forget_successor(t, gone)
-            if not _triple_allowed(succ, to_go, cost_bound):
-                return []
-            new_triples.append(succ)
-        return [DiverseState(tuple(new_triples), state.div, state.dist)]
-
-    v = dec.introduced(p + 1).bit_length() - 1
     options: list[list[TailState]] = []
     for t in state.triples:
         opts = succ_cache.get(t)
         if opts is None:
             opts = succ_cache[t] = [
                 s
-                for s in _introduce_successors(t, v, dec.bags[p + 1], instance)
+                for s in tail_successors(t, dec, p, instance)
                 if _triple_allowed(s, to_go, cost_bound)
             ]
         if not opts:
             return []
         options.append(opts)
+    if dec.forgotten(p + 1):
+        return [DiverseState(tuple(opts[0] for opts in options), state.div, state.dist)]
 
+    v = dec.introduced(p + 1).bit_length() - 1
     bag = dec.bags[p]
     pairs = _pairs(len(state.triples))
     out = []
@@ -232,38 +218,6 @@ def _canonical(
         for i, j in _pairs(r)
     )
     return DiverseState(triples, state.div, dist), tuple(order)
-
-
-def _initial_states(
-    register: dict,
-    to_go: dict,
-    r: int,
-    d_cap: int,
-    s_cap: int,
-    cost_bound: int,
-    deadline: float | None,
-) -> dict[DiverseState, tuple[None, None]]:
-    """Every multiset of r tails from the single-solution register where
-    the lockstep starts, with the registers their tail orders already fix.
-    Only tails that can finish within the cost window (``_triple_allowed``
-    against the cost-to-go register ``to_go``) take part."""
-    base = sorted(
-        (tail, order, cost)
-        for (tail, order), (cost, _) in register.items()
-        if _triple_allowed((tail, order, cost), to_go, cost_bound)
-    )
-    pairs = _pairs(r)
-    states: dict[DiverseState, tuple[None, None]] = {}
-    for combo in itertools.combinations_with_replacement(base, r):
-        check_deadline(deadline)
-        kts = [_tail_kt(combo[i][1], combo[j][1]) for i, j in pairs]
-        state = DiverseState(
-            tuple(combo),
-            min(sum(kts), d_cap),
-            tuple(min(k, s_cap) for k in kts),
-        )
-        states.setdefault(state, (None, None))
-    return states
 
 
 def _backtrack(
@@ -302,7 +256,7 @@ def solve_diverse(
     decomposition, dec = prepare_decomposition(instance, decomposition, deadline=deadline)
     width = decomposition.width
     singles = forward_tables(instance, dec, width, deadline)
-    opt = singles[-1][(0, ())][0]
+    opt = singles[-1][(0, ())]
     to_go = backward_tables(instance, dec, singles, deadline)
 
     r = query.r
@@ -319,15 +273,10 @@ def solve_diverse(
     cost_bound = opt + delta
     pair_index = {pair: k for k, pair in enumerate(_pairs(r))}
 
-    # The lockstep starts at the last bag before the first forget step:
-    # started at the empty tail, its r identical slots would make every
-    # ordered product r!-redundant, and up to that bag nothing is committed.
-    start = next(p for p in range(1, len(dec.bags)) if dec.forgotten(p)) - 1
-    frontier = _initial_states(
-        singles[start], to_go[start], r, d_cap, s_cap, cost_bound, deadline
-    )
+    root = DiverseState(((0, (), 0),) * r, 0, (0,) * len(pair_index))
+    frontier: dict = {root: (None, None)}
     tables = [frontier]
-    for p in range(start, len(dec.bags) - 1):
+    for p in range(len(dec.bags) - 1):
         succ_cache: dict = {}
         pair_cache: dict = {}
         nxt: dict = {}
@@ -453,9 +402,22 @@ def find_distinct_optima(
     decomposition: ConsistentPathDecomposition | None = None,
     deadline: float | None = None,
 ) -> DiverseOutcome:
-    """Are there at least r distinct optimal extensions? Witnesses on YES."""
-    query = DiverseQuery(r=r, delta=0, d=0, s=1, mode="distinct-optima")
-    return solve_diverse(instance, query, decomposition, deadline)
+    """Are there at least r distinct optimal extensions? On YES the
+    witnesses are the r lexicographically smallest optima, read off the
+    ideal lattice rather than the lockstep."""
+    if r < 1:
+        raise InputError("need at least one solution")
+    opt, decomposition, rankings = optimal_rankings(instance, decomposition, deadline)
+    witnesses = tuple(itertools.islice(rankings, r))
+    width = decomposition.width
+    if len(witnesses) < r:
+        return DiverseOutcome(
+            False, None, None, None, None, opt, width,
+            failed_constraint="scatteredness",
+            detail=f"fewer than {r} distinct optimal rankings",
+        )
+    pairwise = tuple(kt_distance(witnesses[i], witnesses[j]) for i, j in _pairs(r))
+    return DiverseOutcome(True, witnesses, (opt,) * r, sum(pairwise), pairwise, opt, width)
 
 
 @dataclass(frozen=True)

@@ -1,43 +1,44 @@
-"""Single-solution completion solver, and the tail-order register the
+"""Single-solution completion solver, and the tail-order registers the
 diverse solver builds on.
 
-``solve_single`` is an exact dynamic program over the ideals (downsets) of
-the base order, the subset program of Betzler et al. (*Fixed-parameter
-algorithms for Kemeny rankings*, TCS 2009). A state is the bitmask of the
-vertices already placed; placing a minimal remaining vertex v pays
-charge[v][u] for every u still unplaced after it. The ideals are built
-once, layer by layer by size (``width.ideal_lattice``), and the same lattice
-yields the decomposition; a backward pass gives every ideal's exact cost to
-go, and a greedy walk from the empty ideal then takes the smallest-index
-vertex that keeps to an optimum, so the witness is the lexicographically
-smallest optimal ranking: a function of the input alone. An ideal is fixed by its
-antichain of maximal elements, so their number stays within the sum of
-2^|bag| over the bags of any path decomposition of the cocomparability
-graph: fixed-parameter in the unanimity width.
+``optimal_rankings`` is an exact dynamic program over the ideals
+(downsets) of the base order, the subset program of Betzler et al.
+(*Fixed-parameter algorithms for Kemeny rankings*, TCS 2009). A state is
+the bitmask of the vertices already placed; placing a minimal remaining
+vertex v pays charge[v][u] for every u still unplaced after it. The ideals
+are built once, layer by layer by size (``width.ideal_lattice``), and the
+same lattice yields the decomposition; a backward pass gives every ideal's
+exact cost to go. A move is tight when it keeps to that cost, and the
+optimal rankings are exactly the paths of tight moves from the empty ideal
+to the full one (De Loof, De Meyer and De Baets, Fundamenta Informaticae
+2006). Walked depth first in ascending vertex index, they come in
+lexicographic order, a function of the input alone: ``solve`` and ``pco``
+take the first, ``optima`` the first r. An ideal is fixed by its antichain
+of maximal elements, so their number stays within the sum of 2^|bag| over
+the bags of any path decomposition of the cocomparability graph:
+fixed-parameter in the unanimity width.
 
 ``forward_tables`` is the left-to-right tail-order program over a nice
 order-consistent path decomposition padded to start and end with an empty
 bag. A state ("triple") is the tail of a partial solution, held as the
 plain tuple ``(tail mask, tail order, cost)``: the subset S of the current
 bag that sits after every forgotten vertex, the tail's linear order, and
-the charged cost accumulated so far. The program starts from the empty tail
-at cost 0. On a forget step the dropped vertex and everything tail-smaller
-than it become committed; on an introduce step the new vertex is inserted
-at every tail position the base order allows, paying for the pairs it
-forms with vertices already placed. Keeping only the cheapest triple per
-(subset, tail order) is lossless for the optimum, and the final empty
-tail's cost is the optimal completion cost. A ranking is read back off a
-chain of tails: each forget step commits a prefix of the tail, and the
-committed prefixes in order are the ranking. ``backward_tables`` runs the
-same moves right to left over the forward keys and gives each key its exact
-cost to go.
+the charged cost accumulated so far. From the empty tail at cost 0,
+``tail_successors`` makes every move: a forget step commits the dropped
+vertex and everything tail-smaller than it; an introduce step inserts the
+new vertex at every tail position the base order allows, paying for the
+pairs it forms with vertices already placed. The register keeps each
+(subset, tail order) key's least cost, which is lossless for the optimum:
+the final empty tail's. A ranking is read back off a chain of tails, as the
+prefixes its forget steps commit. ``backward_tables`` runs the same moves
+right to left over the forward keys and gives each key its exact cost to go.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import InputError, InternalError, check_deadline
 from .orders import CostInstance, LinearOrder, PartialOrder, _bits
@@ -185,41 +186,43 @@ def prepare_decomposition(
     return decomposition, pad_to_empty(decomposition.decomposition)
 
 
+def tail_successors(
+    triple: TailState, dec: PathDecomposition, p: int, instance: CostInstance
+) -> list[TailState]:
+    """The tail's successors across the transition p -> p+1 of a nice
+    decomposition: one on a forget step, one per allowed slot of the new
+    vertex on an introduce step."""
+    gone = dec.forgotten(p + 1)
+    if gone:
+        return [_forget_successor(triple, gone)]
+    v = dec.introduced(p + 1).bit_length() - 1
+    return _introduce_successors(triple, v, dec.bags[p + 1], instance)
+
+
 def forward_tables(
     instance: CostInstance,
     dec: PathDecomposition,
     width: int,
     deadline: float | None = None,
-) -> list[dict[tuple[int, tuple[int, ...]], tuple[int, tuple | None]]]:
+) -> list[dict[tuple[int, tuple[int, ...]], int]]:
     """The diverse solver's per-position register: each reachable (tail,
-    order) pair mapped to its minimum accumulated cost and a predecessor
-    key for backtracking.
+    order) pair mapped to its least accumulated cost.
 
     ``dec`` must start and end with an empty bag (``pad_to_empty``): the
     first register is the empty tail alone, the last one holds the optimum.
-    Iteration over predecessors is in ascending (order, tail), so the
-    registers and their predecessor keys are the same on every run.
     """
-    tables: list[dict] = [{(0, ()): (0, None)}]
+    tables: list[dict] = [{(0, ()): 0}]
     for p in range(len(dec.bags) - 1):
         check_deadline(deadline)
-        prev = tables[-1]
         nxt: dict = {}
-        intro = dec.introduced(p + 1)
-        gone = dec.forgotten(p + 1)
-        for key in sorted(prev, key=lambda k: (k[1], k[0])):
-            cost = prev[key][0]
-            state = (key[0], key[1], cost)
-            if gone:
-                succs = [_forget_successor(state, gone)]
-            else:
-                v = intro.bit_length() - 1
-                succs = _introduce_successors(state, v, dec.bags[p + 1], instance)
-            for tail, order, new_cost in succs:
-                skey = (tail, order)
-                old = nxt.get(skey)
-                if old is None or new_cost < old[0]:
-                    nxt[skey] = (new_cost, key)
+        for (tail, order), cost in tables[-1].items():
+            for new_tail, new_order, new_cost in tail_successors(
+                (tail, order, cost), dec, p, instance
+            ):
+                key = (new_tail, new_order)
+                old = nxt.get(key)
+                if old is None or new_cost < old:
+                    nxt[key] = new_cost
         BOUNDS.check_triples(len(nxt), 0, width)
         tables.append(nxt)
     return tables
@@ -247,15 +250,8 @@ def backward_tables(
         check_deadline(deadline)
         nxt = tables[p + 1]
         here = tables[p]
-        intro = dec.introduced(p + 1)
-        gone = dec.forgotten(p + 1)
         for tail, order in singles[p]:
-            state = (tail, order, 0)
-            if gone:
-                succs = [_forget_successor(state, gone)]
-            else:
-                v = intro.bit_length() - 1
-                succs = _introduce_successors(state, v, dec.bags[p + 1], instance)
+            succs = tail_successors((tail, order, 0), dec, p, instance)
             try:
                 here[(tail, order)] = min(step + nxt[(t, o)] for t, o, step in succs)
             except (KeyError, ValueError):
@@ -282,13 +278,15 @@ def reconstruct_extension(
     return extension
 
 
-def solve_single(
+def optimal_rankings(
     instance: CostInstance,
     decomposition: ConsistentPathDecomposition | None = None,
     deadline: float | None = None,
-) -> SingleSolution:
-    """Optimal linear extension of the instance's base order and its cost;
-    of several optima, the lexicographically smallest by vertex index."""
+) -> tuple[int, ConsistentPathDecomposition, Iterator[LinearOrder]]:
+    """The optimum, the decomposition, and every optimal linear extension of
+    the instance's base order, lazily and in lexicographic order by vertex
+    index: the tight-move paths of the ideal lattice, depth first. Each is
+    checked to cost the optimum before it is yielded."""
     base = instance.base
     lattice = ideal_lattice(base, deadline)
     decomposition, dec = prepare_decomposition(instance, decomposition, lattice, deadline)
@@ -315,16 +313,34 @@ def solve_single(
         check_deadline(deadline)
         for ideal in layer:
             to_go[ideal] = min(step(ideal, v) + to_go[ideal | 1 << v] for v in moves[ideal])
-    opt = to_go[0]
 
-    perm = []
-    ideal = 0
-    while ideal != full:
-        left = to_go[ideal]
-        v = next(v for v in moves[ideal] if step(ideal, v) + to_go[ideal | 1 << v] == left)
-        perm.append(v)
-        ideal |= 1 << v
-    extension = LinearOrder(tuple(perm))
-    if instance.extension_cost(extension) != opt:
-        raise InternalError("reconstructed extension cost does not match optimum")
-    return SingleSolution(extension, opt, decomposition)
+    def walk() -> Iterator[LinearOrder]:
+        # Depth first over the tight moves, smallest vertex popped first;
+        # every ideal on a tight path has a tight move out, so no dead ends.
+        stack: list[tuple[int, tuple[int, ...]]] = [(0, ())]
+        while stack:
+            check_deadline(deadline)
+            ideal, prefix = stack.pop()
+            if ideal == full:
+                ranking = LinearOrder(prefix)
+                if instance.extension_cost(ranking) != to_go[0]:
+                    raise InternalError("tight path does not cost the optimum")
+                yield ranking
+                continue
+            left = to_go[ideal]
+            for v in reversed(moves[ideal]):
+                if step(ideal, v) + to_go[ideal | 1 << v] == left:
+                    stack.append((ideal | 1 << v, prefix + (v,)))
+
+    return to_go[0], decomposition, walk()
+
+
+def solve_single(
+    instance: CostInstance,
+    decomposition: ConsistentPathDecomposition | None = None,
+    deadline: float | None = None,
+) -> SingleSolution:
+    """Optimal linear extension of the instance's base order and its cost;
+    of several optima, the lexicographically smallest by vertex index."""
+    opt, decomposition, rankings = optimal_rankings(instance, decomposition, deadline)
+    return SingleSolution(next(rankings), opt, decomposition)

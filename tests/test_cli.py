@@ -360,12 +360,13 @@ class TestSubcommands:
 
 
 # Profiles with many tied optima (3,3,3 has 18). `solve` prints the
-# lexicographically smallest optimum, the oracle's first minimizer
-# (TestWitnessIsOracleMinimum); the optima, maxdiv and diverse witnesses
-# depend on the decomposition the diverse lockstep walks and on how it breaks
-# ties, so any change to either shows up here. The 3,3,3 maxdiv pair has
-# the oracle's maximum diversity (`oracle --task diverse --max`: 5) with
-# both scores at the optimum.
+# lexicographically smallest optimum and `optima --r R` the R smallest, the
+# oracle's first minimizers (TestWitnessIsOracleMinimum), so their witnesses
+# depend on the input alone. The maxdiv and diverse witnesses still depend
+# on the decomposition the diverse lockstep walks and on how it breaks ties,
+# so any change to either shows up here. The 3,3,3 maxdiv pair has the
+# oracle's maximum diversity (`oracle --task diverse --max`: 5) with both
+# scores at the optimum.
 TIE_GOLDENS = [
     ("3,3,3", "solve", 0, (
         "result: solve\n"
@@ -385,11 +386,11 @@ TIE_GOLDENS = [
         "r: 3\n"
         "optimum: 24\n"
         "decision: yes\n"
-        "witness-1: A<B<C<F<E<D<H<I<G\n"
+        "witness-1: A<B<C<F<D<E<G<H<I\n"
         "score-1: 24\n"
-        "witness-2: A<C<B<F<E<D<H<I<G\n"
+        "witness-2: A<B<C<F<D<E<H<G<I\n"
         "score-2: 24\n"
-        "witness-3: B<A<C<F<E<D<H<I<G\n"
+        "witness-3: A<B<C<F<D<E<H<I<G\n"
         "score-3: 24\n"
     )),
     ("3,3,3", "maxdiv --r 2 --delta 1", 0, (
@@ -499,11 +500,11 @@ TIE_GOLDENS = [
         "r: 3\n"
         "optimum: 27\n"
         "decision: yes\n"
-        "witness-1: A<B<D<C<E<H<G<F\n"
+        "witness-1: A<B<C<D<E<H<G<F\n"
         "score-1: 27\n"
-        "witness-2: B<A<D<C<E<H<G<F\n"
+        "witness-2: A<B<D<C<E<H<G<F\n"
         "score-2: 27\n"
-        "witness-3: B<D<A<C<E<H<G<F\n"
+        "witness-3: B<A<C<D<E<H<G<F\n"
         "score-3: 27\n"
     )),
     ("4,4", "maxdiv --r 2 --delta 1", 0, (
@@ -554,8 +555,8 @@ class TestTieSensitiveGoldens:
 
 class TestWitnessIsOracleMinimum:
     @staticmethod
-    def witness(text):
-        return next(line for line in text.splitlines() if line.startswith("witness-1: "))
+    def witnesses(text):
+        return [line for line in text.splitlines() if line.startswith("witness-")]
 
     @pytest.mark.parametrize("sizes", sorted({g[0] for g in TIE_GOLDENS}))
     def test_bucket_profile(self, tmp_path, sizes):
@@ -564,17 +565,26 @@ class TestWitnessIsOracleMinimum:
                 "--seed", "1", "--out", votes])
         _, oracle, _ = invoke(["oracle", votes, "--task", "optimum"])
         _, solve, _ = invoke(["solve", votes])
-        assert self.witness(solve) == self.witness(oracle)
+        _, optima, _ = invoke(["optima", votes, "--r", "3"])
+        _, single, _ = invoke(["optima", votes, "--r", "1"])
+        assert self.witnesses(solve) == self.witnesses(oracle)[:1]
+        assert self.witnesses(optima) == self.witnesses(oracle)[:3]
+        assert self.witnesses(single) == self.witnesses(solve)
 
     @pytest.mark.parametrize(
-        "argv",
-        [["solve", FIVE], ["solve", FIFTY], ["pco", FIFTY, "--k", "50"]],
-        ids=["solve five", "solve fifty", "pco fifty"],
+        "argv,r",
+        [
+            (["solve", FIVE], 1),
+            (["solve", FIFTY], 1),
+            (["pco", FIFTY, "--k", "50"], 1),
+            (["optima", FIFTY, "--r", "2"], 2),
+        ],
+        ids=["solve five", "solve fifty", "pco fifty", "optima fifty"],
     )
-    def test_fixture(self, argv):
+    def test_fixture(self, argv, r):
         _, oracle, _ = invoke(["oracle", argv[1], "--task", "optimum"])
         _, out, _ = invoke(argv)
-        assert self.witness(out) == self.witness(oracle)
+        assert self.witnesses(out) == self.witnesses(oracle)[:r]
 
 
 class TestValidateDecomposition:

@@ -164,7 +164,7 @@ class TestBackwardTables:
             assert to_go[0][(0, ())] == opt
             for forward, rest in zip(singles, to_go):
                 assert forward.keys() == rest.keys()
-                sums = [forward[key][0] + rest[key] for key in forward]
+                sums = [forward[key] + rest[key] for key in forward]
                 assert min(sums) == opt
                 assert all(total >= opt for total in sums)
 
@@ -290,8 +290,10 @@ class TestDistinctOptima:
             inst = random_cost_instance(rng.randint(2, 5), rng, 0.5)
             _, winners = oracle_optimum(inst)
             for r in (2, 3):
-                got = find_distinct_optima(inst, r).feasible
-                assert got == (len(winners) >= r)
+                out = find_distinct_optima(inst, r)
+                assert out.feasible == (len(winners) >= r)
+                if out.feasible:
+                    assert out.witnesses == winners[:r]
 
 
 class TestKraEntryPoint:

@@ -66,7 +66,7 @@ def first_bag_states(inst, bag):
     the base order on the bag, costed over the pairs inside it."""
     dec = pad_to_empty(PathDecomposition(inst.n, (bag,)))
     table = forward_tables(inst, dec, dec.width)[bag.bit_count()]
-    return {(tail, order, cost) for (tail, order), (cost, _) in table.items()}
+    return {(tail, order, cost) for (tail, order), cost in table.items()}
 
 
 class TestInitialTriples:
@@ -255,7 +255,7 @@ class TestIdealEngine:
             if cpd.width > 5:
                 continue
             widths.append(cpd.width)
-            tail_opt = forward_tables(inst, dec, cpd.width)[-1][(0, ())][0]
+            tail_opt = forward_tables(inst, dec, cpd.width)[-1][(0, ())]
             assert solve_single(inst, cpd).cost == tail_opt
         assert max(widths) == 5
 
@@ -344,24 +344,7 @@ class TestProjectionRoundTrip:
                         mask |= 1 << v
                     key = (mask, tuple(tail))
                     assert key in tables[p]
-                    assert tables[p][key][0] == cost
-
-    def test_costs_monotone_along_backtracked_chain(self):
-        rng = random.Random(25)
-        for _ in range(20):
-            inst = random_cost_instance(rng.randint(2, 6), rng, rng.random())
-            cpd, dec = prepare_decomposition(inst)
-            tables = forward_tables(inst, dec, cpd.width)
-            key = (0, ())
-            costs = []
-            for p in range(len(tables) - 1, -1, -1):
-                cost, parent = tables[p][key]
-                costs.append(cost)
-                if parent is None:
-                    break
-                key = parent
-            costs.reverse()
-            assert all(a <= b for a, b in zip(costs, costs[1:]))
+                    assert tables[p][key] == cost
 
 
 def bits(mask):
