@@ -22,7 +22,6 @@ from .solver_diverse import (
     DiverseQuery,
     DiverseState,
     KraDiverseOutcome,
-    MaxDiversityResult,
     find_distinct_optima,
     solve_diverse,
     solve_diverse_kra,
@@ -52,7 +51,6 @@ __all__ = [
     "KemenyError",
     "KraDiverseOutcome",
     "LinearOrder",
-    "MaxDiversityResult",
     "PartialOrder",
     "PathDecomposition",
     "PcoInstance",

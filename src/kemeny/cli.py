@@ -1,5 +1,10 @@
-"""Command-line surface: vote-file parsing, result serialization, and the
+"""Command-line surface: vote-file parsing, result documents, and the
 solver/oracle/generator subcommands.
+
+``run`` is the one path from argv to output: it reads the vote file, sets
+the deadline, calls the subcommand, which returns its exit code and
+document, appends the ``--timing`` line, renders the document and writes it
+once. ``gen`` alone writes vote text instead of a document.
 
 Vote files look like::
 
@@ -17,6 +22,7 @@ timeout. Output is deterministic for fixed input and seed; the optional
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import random
 import re
@@ -48,6 +54,7 @@ from .orders import (
 )
 from .pco import PcoInstance, solve_pco
 from .solver_diverse import (
+    DiverseOutcome,
     DiverseQuery,
     find_distinct_optima,
     solve_diverse_kra,
@@ -208,182 +215,140 @@ class ResultDocument:
     def add(self, key: str, value: object) -> None:
         self.entries.append((key, value))
 
-    def to_text(self) -> str:
+    def render(self, as_json: bool) -> str:
+        if as_json:
+            return json.dumps(dict(self.entries), indent=2, sort_keys=True) + "\n"
         return "".join(f"{key}: {value}\n" for key, value in self.entries)
 
-    def to_json(self) -> str:
-        payload: dict = {}
-        for key, value in self.entries:
-            payload[key] = value
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
-    def render(self, as_json: bool) -> str:
-        return self.to_json() if as_json else self.to_text()
+Answer = tuple[int, ResultDocument]  # a subcommand's exit code and document
 
 
-def _instance_summary(doc: ResultDocument, profile: Profile, width: int) -> None:
+def _head(result: str, profile: Profile, width: int | None = None) -> ResultDocument:
+    doc = ResultDocument()
+    doc.add("result", result)
     doc.add("n", profile.n)
     doc.add("m", profile.m)
-    doc.add("unanimity-width", width)
+    if width is not None:
+        doc.add("unanimity-width", width)
+    return doc
 
 
-def _add_witnesses(
+def _witness_lines(
     doc: ResultDocument,
+    profile: Profile,
     witnesses: Sequence[LinearOrder],
-    scores: Sequence[int],
-    names: Sequence[str],
+    costs: Sequence[int] | None = None,
+    *,
+    checked: bool = False,
+    pairwise: bool = False,
 ) -> None:
-    for i, (w, score) in enumerate(zip(witnesses, scores), start=1):
+    """A ``witness-i`` line per ranking; given the solver's costs, a
+    ``score-i`` line after each, checked to be the ranking's Kemeny score
+    over the profile unless the solver has ``checked`` that already; with
+    ``pairwise``, a ``distance-i-j`` line per pair."""
+    names = profile.candidates.names
+    for i, w in enumerate(witnesses, start=1):
         doc.add(f"witness-{i}", _ranking_str(w, names))
-        doc.add(f"score-{i}", score)
+        if costs is not None:
+            if not checked and kemeny_score(profile, w) != costs[i - 1]:
+                raise InternalError("document self-check failed: score mismatch")
+            doc.add(f"score-{i}", costs[i - 1])
+    if pairwise:
+        for (i, a), (j, b) in itertools.combinations(enumerate(witnesses, start=1), 2):
+            doc.add(f"distance-{i}-{j}", kt_distance(a, b))
 
 
-def _add_pairwise(doc: ResultDocument, witnesses: Sequence[LinearOrder]) -> None:
-    for i in range(len(witnesses)):
-        for j in range(i + 1, len(witnesses)):
-            doc.add(f"distance-{i + 1}-{j + 1}", kt_distance(witnesses[i], witnesses[j]))
+def _selection(
+    doc: ResultDocument,
+    profile: Profile,
+    outcome: DiverseOutcome,
+    *,
+    spread: bool,
+    checked: bool = False,
+) -> Answer:
+    """The tail of a ``diverse``, ``optima`` or ``maxdiv`` document: the
+    optimum, the decision and, on YES, the witness lines. ``spread`` adds
+    the diversity and the distances on YES and the failed constraint on
+    NO (``diverse`` and ``maxdiv``); ``checked`` says the solver has
+    already checked the witness scores."""
+    doc.add("optimum", outcome.optimum)
+    if not outcome.feasible:
+        doc.add("decision", "no")
+        if spread:
+            doc.add("failed-constraint", outcome.failed_constraint)
+        doc.add("detail", outcome.detail)
+        return EXIT_NO, doc
+    assert outcome.witnesses is not None
+    doc.add("decision", "yes")
+    if spread:
+        doc.add("diversity", outcome.diversity)
+    _witness_lines(
+        doc, profile, outcome.witnesses, outcome.costs, checked=checked, pairwise=spread
+    )
+    return EXIT_YES, doc
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each takes the parsed arguments, the profile and the
+# deadline and returns its exit code and document
 # ---------------------------------------------------------------------------
 
 
-def _read_profile(path: str) -> Profile:
+def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return parse_votes(handle.read())
+            return handle.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
-def _deadline(args) -> float | None:
-    if args.timeout is None:
-        return None
-    return time.monotonic() + args.timeout
-
-
-def _dump_decomposition(path: str, dec: PathDecomposition, names: Sequence[str]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for bag in dec.bags:
-            handle.write(" ".join(names[v] for v in _bits(bag)) + "\n")
-
-
-def _checked_score(profile: Profile, ranking: LinearOrder, cost: int) -> int:
-    """The ranking's Kemeny score over the profile, which must equal the
-    cost the solver reports for it."""
-    score = kemeny_score(profile, ranking)
-    if score != cost:
-        raise InternalError("document self-check failed: score mismatch")
-    return score
-
-
-def _cmd_solve(args, out: IO[str]) -> int:
-    profile = _read_profile(args.votes)
-    instance = reduce_to_co(profile)
-    solution = solve_single(instance, deadline=_deadline(args))
-    score = _checked_score(profile, solution.extension, solution.cost)
+def _cmd_solve(args, profile: Profile, deadline: float | None) -> Answer:
+    solution = solve_single(reduce_to_co(profile), deadline=deadline)
+    names = profile.candidates.names
     if args.dump_decomposition:
-        _dump_decomposition(
-            args.dump_decomposition,
-            solution.decomposition.decomposition,
-            profile.candidates.names,
-        )
-    doc = ResultDocument()
-    doc.add("result", "solve")
-    _instance_summary(doc, profile, solution.decomposition.width)
+        with open(args.dump_decomposition, "w", encoding="utf-8") as handle:
+            for bag in solution.decomposition.decomposition.bags:
+                handle.write(" ".join(names[v] for v in _bits(bag)) + "\n")
+    doc = _head("solve", profile, solution.decomposition.width)
     doc.add("decision", "yes")
     doc.add("optimum", solution.cost)
-    _add_witnesses(doc, [solution.extension], [score], profile.candidates.names)
-    _emit(doc, args, out)
-    return EXIT_YES
+    _witness_lines(doc, profile, [solution.extension], [solution.cost])
+    return EXIT_YES, doc
 
 
-def _cmd_diverse(args, out: IO[str]) -> int:
-    profile = _read_profile(args.votes)
+def _cmd_diverse(args, profile: Profile, deadline: float | None) -> Answer:
     s = 1 if args.no_scatter else args.s
     query = DiverseQuery(r=args.r, delta=args.delta, d=args.d, s=s, mode="decide")
-    result = solve_diverse_kra(profile, query, deadline=_deadline(args))
-    outcome = result.outcome
-    doc = ResultDocument()
-    doc.add("result", "diverse")
-    _instance_summary(doc, profile, outcome.width)
+    result = solve_diverse_kra(profile, query, deadline=deadline)
+    doc = _head("diverse", profile, result.outcome.width)
     doc.add("r", args.r)
     doc.add("delta", args.delta)
     doc.add("d", args.d)
     doc.add("s", max(s, 1))
-    doc.add("optimum", outcome.optimum)
-    if outcome.feasible:
-        assert outcome.witnesses is not None and result.scores is not None
-        doc.add("decision", "yes")
-        doc.add("diversity", outcome.diversity)
-        _add_witnesses(doc, outcome.witnesses, result.scores, profile.candidates.names)
-        _add_pairwise(doc, outcome.witnesses)
-        _emit(doc, args, out)
-        return EXIT_YES
-    doc.add("decision", "no")
-    doc.add("failed-constraint", outcome.failed_constraint)
-    doc.add("detail", outcome.detail)
-    _emit(doc, args, out)
-    return EXIT_NO
+    # solve_diverse_kra has checked each witness cost against its Kemeny score
+    return _selection(doc, profile, result.outcome, spread=True, checked=True)
 
 
-def _cmd_optima(args, out: IO[str]) -> int:
-    profile = _read_profile(args.votes)
-    instance = reduce_to_co(profile)
-    outcome = find_distinct_optima(instance, args.r, deadline=_deadline(args))
-    doc = ResultDocument()
-    doc.add("result", "optima")
-    _instance_summary(doc, profile, outcome.width)
+def _cmd_optima(args, profile: Profile, deadline: float | None) -> Answer:
+    outcome = find_distinct_optima(reduce_to_co(profile), args.r, deadline=deadline)
+    doc = _head("optima", profile, outcome.width)
     doc.add("r", args.r)
-    doc.add("optimum", outcome.optimum)
-    if outcome.feasible:
-        assert outcome.witnesses is not None
-        scores = [_checked_score(profile, w, outcome.optimum) for w in outcome.witnesses]
-        doc.add("decision", "yes")
-        _add_witnesses(doc, outcome.witnesses, scores, profile.candidates.names)
-        _emit(doc, args, out)
-        return EXIT_YES
-    doc.add("decision", "no")
-    doc.add("detail", outcome.detail)
-    _emit(doc, args, out)
-    return EXIT_NO
+    return _selection(doc, profile, outcome, spread=False)
 
 
-def _cmd_maxdiv(args, out: IO[str]) -> int:
-    profile = _read_profile(args.votes)
-    instance = reduce_to_co(profile)
-    result = solve_max_diversity(
-        instance, args.r, args.delta, deadline=_deadline(args)
-    )
-    outcome = result.outcome
-    assert outcome.witnesses is not None and outcome.costs is not None
-    costs = dict(zip(outcome.witnesses, outcome.costs))
-    witnesses = result.witnesses
-    scores = [_checked_score(profile, w, costs[w]) for w in witnesses]
-    doc = ResultDocument()
-    doc.add("result", "maxdiv")
-    _instance_summary(doc, profile, outcome.width)
+def _cmd_maxdiv(args, profile: Profile, deadline: float | None) -> Answer:
+    outcome = solve_max_diversity(reduce_to_co(profile), args.r, args.delta, deadline=deadline)
+    doc = _head("maxdiv", profile, outcome.width)
     doc.add("r", args.r)
     doc.add("delta", args.delta)
-    doc.add("optimum", result.optimum)
-    doc.add("decision", "yes")
-    doc.add("diversity", result.diversity)
-    _add_witnesses(doc, witnesses, scores, profile.candidates.names)
-    _add_pairwise(doc, witnesses)
-    _emit(doc, args, out)
-    return EXIT_YES
+    return _selection(doc, profile, outcome, spread=True)
 
 
-def _cmd_pco(args, out: IO[str]) -> int:
-    profile = _read_profile(args.votes)
-    instance = reduce_to_co(profile)
-    inst = PcoInstance(instance)  # raises InputError when costs are not positive
-    result = solve_pco(inst, args.k, deadline=_deadline(args))
-    doc = ResultDocument()
-    doc.add("result", "pco")
-    doc.add("n", profile.n)
-    doc.add("m", profile.m)
+def _cmd_pco(args, profile: Profile, deadline: float | None) -> Answer:
+    inst = PcoInstance(reduce_to_co(profile))  # InputError unless costs are positive
+    result = solve_pco(inst, args.k, deadline=deadline)
+    doc = _head("pco", profile)
     doc.add("budget", args.k)
     doc.add("incomparable-pairs", result.edges)
     if result.width is not None:
@@ -393,50 +358,68 @@ def _cmd_pco(args, out: IO[str]) -> int:
     doc.add("decision", "yes" if result.feasible else "no")
     if result.feasible:
         assert result.witness is not None and result.optimum is not None
-        score = _checked_score(profile, result.witness, result.optimum)
-        _add_witnesses(doc, [result.witness], [score], profile.candidates.names)
+        _witness_lines(doc, profile, [result.witness], [result.optimum])
     elif result.optimum is None:
         doc.add("detail", "rejected by the edge-count bound")
-    _emit(doc, args, out)
-    return EXIT_YES if result.feasible else EXIT_NO
+    return (EXIT_YES if result.feasible else EXIT_NO), doc
 
 
-def _cmd_oracle(args, out: IO[str]) -> int:
-    profile = _read_profile(args.votes)
+def _cmd_oracle(args, profile: Profile, deadline: float | None) -> Answer:
     instance = reduce_to_co(profile)
-    names = profile.candidates.names
-    doc = ResultDocument()
-    doc.add("result", f"oracle-{args.task}")
-    doc.add("n", profile.n)
-    doc.add("m", profile.m)
+    doc = _head(f"oracle-{args.task}", profile)
     if args.task == "count":
         doc.add("extensions", count_extensions(instance.base))
     elif args.task == "extensions":
         exts = list(enumerate_extensions(instance.base))
         doc.add("extensions", len(exts))
         for i, ext in enumerate(exts, start=1):
-            doc.add(f"extension-{i}", _ranking_str(ext, names))
+            doc.add(f"extension-{i}", _ranking_str(ext, profile.candidates.names))
     elif args.task == "optimum":
         opt, winners = oracle_optimum(instance)
         doc.add("optimum", opt)
         doc.add("minimizers", len(winners))
-        for i, w in enumerate(winners, start=1):
-            doc.add(f"witness-{i}", _ranking_str(w, names))
+        _witness_lines(doc, profile, winners)
     else:  # diverse
         result = oracle_diverse(
             instance, args.r, args.delta, args.d, args.s, maximize=args.max
         )
         doc.add("optimum", result.optimum)
         doc.add("decision", "yes" if result.feasible else "no")
-        if result.feasible:
-            assert result.witnesses is not None
-            doc.add("diversity", result.diversity)
-            for i, w in enumerate(result.witnesses, start=1):
-                doc.add(f"witness-{i}", _ranking_str(w, names))
-        _emit(doc, args, out)
-        return EXIT_YES if result.feasible else EXIT_NO
-    _emit(doc, args, out)
-    return EXIT_YES
+        if not result.feasible:
+            return EXIT_NO, doc
+        assert result.witnesses is not None
+        doc.add("diversity", result.diversity)
+        _witness_lines(doc, profile, result.witnesses)
+    return EXIT_YES, doc
+
+
+def _cmd_validate_decomposition(args, profile: Profile, deadline: float | None) -> Answer:
+    body = _read(args.decomposition).split("\n")
+    if body and body[-1] == "":
+        body.pop()
+    bags = []
+    for lineno, line in enumerate(body, start=1):
+        mask = 0
+        for token in line.split():
+            try:
+                mask |= 1 << profile.candidates.index(token)
+            except InputError as exc:
+                raise InputError(f"line {lineno}: {exc}") from None
+        bags.append(mask)
+    if not bags:
+        raise InputError("decomposition file has no bags")
+    dec = PathDecomposition(profile.n, tuple(bags))
+    base = unanimity_order(profile)
+    problems = dec.validate(cocomparability_graph(base)) + dec.consistency_violations(base)
+    doc = ResultDocument()
+    doc.add("result", "validate-decomposition")
+    doc.add("bags", len(bags))
+    doc.add("width", dec.width)
+    doc.add("nice", "yes" if dec.is_nice else "no")
+    doc.add("valid", "yes" if not problems else "no")
+    for i, problem in enumerate(problems, start=1):
+        doc.add(f"problem-{i}", problem)
+    return (EXIT_NO if problems else EXIT_YES), doc
 
 
 def _cmd_gen(args, out: IO[str]) -> int:
@@ -461,47 +444,6 @@ def _cmd_gen(args, out: IO[str]) -> int:
     return EXIT_YES
 
 
-def _cmd_validate_decomposition(args, out: IO[str]) -> int:
-    profile = _read_profile(args.votes)
-    base = unanimity_order(profile)
-    names = profile.candidates.names
-    try:
-        with open(args.decomposition, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {args.decomposition}: {exc}") from None
-    bags = []
-    body = text.split("\n")
-    if body and body[-1] == "":
-        body.pop()
-    for lineno, line in enumerate(body, start=1):
-        mask = 0
-        for token in line.split():
-            mask |= 1 << profile.candidates.index(token)
-        bags.append(mask)
-    if not bags:
-        raise InputError("decomposition file has no bags")
-    dec = PathDecomposition(profile.n, tuple(bags))
-    graph = cocomparability_graph(base)
-    problems = dec.validate(graph) + dec.consistency_violations(base)
-    doc = ResultDocument()
-    doc.add("result", "validate-decomposition")
-    doc.add("bags", len(bags))
-    doc.add("width", dec.width)
-    doc.add("nice", "yes" if dec.is_nice else "no")
-    doc.add("valid", "yes" if not problems else "no")
-    for i, problem in enumerate(problems, start=1):
-        doc.add(f"problem-{i}", problem)
-    _emit(doc, args, out)
-    return EXIT_YES if not problems else EXIT_NO
-
-
-def _emit(doc: ResultDocument, args, out: IO[str]) -> None:
-    if args.timing:
-        doc.add("timing-ms", round((time.monotonic() - args._start) * 1000.0, 1))
-    out.write(doc.render(args.json))
-
-
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
@@ -522,15 +464,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "--timeout", type=float, default=None, metavar="SECONDS",
         help="abort with exit code 3 after this much wall-clock time",
     )
+    voting = argparse.ArgumentParser(add_help=False, parents=[common])
+    voting.add_argument("votes")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", parents=[common], help="optimal ranking")
-    p.add_argument("votes")
+    p = sub.add_parser("solve", parents=[voting], help="optimal ranking")
     p.add_argument("--dump-decomposition", metavar="PATH", default=None)
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("diverse", parents=[common], help="diverse ranking set")
-    p.add_argument("votes")
+    p = sub.add_parser("diverse", parents=[voting], help="diverse ranking set")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--delta", type=int, default=0)
     p.add_argument("--d", type=int, default=0)
@@ -541,24 +483,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_diverse)
 
-    p = sub.add_parser("optima", parents=[common], help="r distinct optimal rankings?")
-    p.add_argument("votes")
+    p = sub.add_parser("optima", parents=[voting], help="r distinct optimal rankings?")
     p.add_argument("--r", type=int, required=True)
     p.set_defaults(func=_cmd_optima)
 
-    p = sub.add_parser("maxdiv", parents=[common], help="maximum-diversity selection")
-    p.add_argument("votes")
+    p = sub.add_parser("maxdiv", parents=[voting], help="maximum-diversity selection")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--delta", type=int, default=0)
     p.set_defaults(func=_cmd_maxdiv)
 
-    p = sub.add_parser("pco", parents=[common], help="budgeted completion decision")
-    p.add_argument("votes")
+    p = sub.add_parser("pco", parents=[voting], help="budgeted completion decision")
     p.add_argument("--k", type=int, required=True)
     p.set_defaults(func=_cmd_pco)
 
-    p = sub.add_parser("oracle", parents=[common], help="brute-force reference")
-    p.add_argument("votes")
+    p = sub.add_parser("oracle", parents=[voting], help="brute-force reference")
     p.add_argument(
         "--task", choices=["optimum", "extensions", "count", "diverse"],
         default="optimum",
@@ -578,31 +516,29 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--noise", type=int, default=0)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", default=None)
-    g.set_defaults(func=_cmd_gen, kind="buckets")
     g = gen_sub.add_parser("random", parents=[common])
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--m", type=int, required=True)
     g.add_argument("--density", type=float, default=0.5)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", default=None)
-    g.set_defaults(func=_cmd_gen, kind="random")
     g = gen_sub.add_parser("fixture", parents=[common])
     g.add_argument("--name", choices=["five-type", "fifty-fifty"], required=True)
     g.add_argument("--out", default=None)
-    g.set_defaults(func=_cmd_gen, kind="fixture")
 
     p = sub.add_parser(
-        "validate-decomposition", parents=[common],
+        "validate-decomposition", parents=[voting],
         help="check a decomposition dump against a vote file's unanimity order",
     )
-    p.add_argument("votes")
     p.add_argument("--decomposition", required=True, metavar="PATH")
     p.set_defaults(func=_cmd_validate_decomposition)
     return parser
 
 
 def run(argv: Sequence[str], out: IO[str] | None = None, err: IO[str] | None = None) -> int:
-    """Parse argv and execute; returns the exit code."""
+    """Parse argv, read the vote file, set the deadline, run the subcommand,
+    append ``--timing``, render its document and write it; returns the exit
+    code."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     parser = _build_parser()
@@ -610,9 +546,17 @@ def run(argv: Sequence[str], out: IO[str] | None = None, err: IO[str] | None = N
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits on usage errors and --help
         return int(exc.code or 0)
-    args._start = time.monotonic()
+    start = time.monotonic()
     try:
-        return args.func(args, out)
+        if args.command == "gen":
+            return _cmd_gen(args, out)
+        profile = parse_votes(_read(args.votes))
+        deadline = None if args.timeout is None else time.monotonic() + args.timeout
+        code, doc = args.func(args, profile, deadline)
+        if args.timing:
+            doc.add("timing-ms", round((time.monotonic() - start) * 1000.0, 1))
+        out.write(doc.render(args.json))
+        return code
     except InputError as exc:
         err.write(f"error: {exc}\n")
         return EXIT_INPUT

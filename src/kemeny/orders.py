@@ -166,9 +166,6 @@ class PartialOrder:
             for y in _bits(self.strict_up(x)):
                 yield (x, y)
 
-    def strict_pair_count(self) -> int:
-        return sum(self.strict_up(x).bit_count() for x in range(self.n))
-
     def contains(self, other: "PartialOrder") -> bool:
         """True iff every pair of ``other`` is also a pair of this order."""
         if other.n != self.n:

@@ -49,7 +49,7 @@ from .solver_single import (
     reconstruct_extension,
     tail_successors,
 )
-from .width import ConsistentPathDecomposition, PathDecomposition
+from .width import PathDecomposition
 
 MODES = ("decide", "max-diversity")
 
@@ -83,11 +83,17 @@ class DiverseState(NamedTuple):
 
 @dataclass(frozen=True)
 class DiverseOutcome:
+    """A decision with, on YES, the witnesses sorted by permutation and each
+    listed once with its cost, the diversity of the whole selection and the
+    witnesses' pairwise distances. Only a max-diversity selection can repeat
+    a ranking: its ``diversity`` still counts every pair of the r selected
+    rankings, so repeats add 0 to it."""
+
     feasible: bool
     witnesses: tuple[LinearOrder, ...] | None
     costs: tuple[int, ...] | None
     diversity: int | None
-    pairwise: tuple[int, ...] | None  # distances, pairs in lexicographic order
+    pairwise: tuple[int, ...] | None  # pairs of witnesses, lexicographic
     optimum: int
     width: int
     failed_constraint: str | None = None
@@ -242,7 +248,6 @@ def _backtrack(
 def solve_diverse(
     instance: CostInstance,
     query: DiverseQuery,
-    decomposition: ConsistentPathDecomposition | None = None,
     deadline: float | None = None,
 ) -> DiverseOutcome:
     """Decide whether r linear extensions exist with every cost within
@@ -253,7 +258,7 @@ def solve_diverse(
     (an upper bound on any achievable diversity at this scale), so final
     registers carry exact diversities and the best one is returned.
     """
-    decomposition, dec = prepare_decomposition(instance, decomposition, deadline=deadline)
+    decomposition, dec = prepare_decomposition(instance, deadline=deadline)
     width = decomposition.width
     singles = forward_tables(instance, dec, width, deadline)
     opt = singles[-1][(0, ())]
@@ -353,53 +358,38 @@ def solve_diverse(
         if chosen.dist[k] != min(exact, s_cap):
             raise InternalError("distance register disagrees with witnesses")
 
-    order = sorted(range(r), key=lambda j: witnesses[j].perm)
-    witnesses = tuple(witnesses[j] for j in order)
-    costs = tuple(costs[j] for j in order)
-    exact_pairs = [
-        kt_distance(witnesses[i], witnesses[j]) for i, j in _pairs(r)
-    ]
+    # Sorted, each ranking once (a no-op in decide mode, where every pair is
+    # at distance >= 1); the diversity above still counts all r.
+    kept = dict(sorted(zip(witnesses, costs), key=lambda wc: wc[0].perm))
+    witnesses = tuple(kept)
+    pairwise = tuple(kt_distance(a, b) for a, b in itertools.combinations(witnesses, 2))
     return DiverseOutcome(
-        True, witnesses, costs, exact_div, tuple(exact_pairs), opt, width
+        True, witnesses, tuple(kept.values()), exact_div, pairwise, opt, width
     )
-
-
-@dataclass(frozen=True)
-class MaxDiversityResult:
-    witnesses: tuple[LinearOrder, ...]  # deduplicated, sorted
-    diversity: int  # exact, over the selected multiset
-    optimum: int
-    outcome: DiverseOutcome
 
 
 def solve_max_diversity(
     instance: CostInstance,
     r: int,
     delta: int = 0,
-    decomposition: ConsistentPathDecomposition | None = None,
     deadline: float | None = None,
-) -> MaxDiversityResult:
+) -> DiverseOutcome:
     """Selection of r within-delta extensions maximizing total diversity.
 
-    Repeats are allowed (a base order with a single extension yields
-    diversity 0); the reported witness list is deduplicated.
+    Repeats are allowed: a base order with a single extension yields
+    diversity 0. The ``diversity`` counts the pairs of all r selected
+    rankings, repeats included; the witnesses are each listed once.
     """
     query = DiverseQuery(r=r, delta=delta, d=0, s=0, mode="max-diversity")
-    outcome = solve_diverse(instance, query, decomposition, deadline)
-    if not outcome.feasible or outcome.witnesses is None:
+    outcome = solve_diverse(instance, query, deadline)
+    if not outcome.feasible:
         raise InternalError("maximization always has a feasible selection")
-    seen = []
-    for w in outcome.witnesses:
-        if w not in seen:
-            seen.append(w)
-    assert outcome.diversity is not None
-    return MaxDiversityResult(tuple(seen), outcome.diversity, outcome.optimum, outcome)
+    return outcome
 
 
 def find_distinct_optima(
     instance: CostInstance,
     r: int,
-    decomposition: ConsistentPathDecomposition | None = None,
     deadline: float | None = None,
 ) -> DiverseOutcome:
     """Are there at least r distinct optimal extensions? On YES the
@@ -407,7 +397,7 @@ def find_distinct_optima(
     ideal lattice rather than the lockstep."""
     if r < 1:
         raise InputError("need at least one solution")
-    opt, decomposition, rankings = optimal_rankings(instance, decomposition, deadline)
+    opt, decomposition, rankings = optimal_rankings(instance, deadline)
     witnesses = tuple(itertools.islice(rankings, r))
     width = decomposition.width
     if len(witnesses) < r:

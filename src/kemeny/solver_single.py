@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import InputError, InternalError, check_deadline
+from .errors import InternalError, check_deadline
 from .orders import CostInstance, LinearOrder, PartialOrder, _bits
 from .width import (
     ConsistentPathDecomposition,
@@ -65,7 +65,6 @@ class BoundMonitor:
     assert that no bound ever fired."""
 
     def __init__(self) -> None:
-        self.enabled = True
         self.checks = 0
         self.violations = 0
 
@@ -73,8 +72,6 @@ class BoundMonitor:
         """At most sum 2^|bag| ideals: an ideal is fixed by its antichain of
         maximal elements, which is a clique of the cocomparability graph
         and so lies in some bag."""
-        if not self.enabled:
-            return
         self.checks += 1
         bound = sum(1 << bag.bit_count() for bag in bags)
         if count > bound:
@@ -82,8 +79,6 @@ class BoundMonitor:
             raise InternalError(f"ideal count {count} exceeds sum of 2^|bag| = {bound}")
 
     def check_triples(self, count: int, delta: int, width: int) -> None:
-        if not self.enabled:
-            return
         self.checks += 1
         bound = math.e * (delta + 1) * math.factorial(width + 1)
         if count > bound:
@@ -95,8 +90,6 @@ class BoundMonitor:
     def check_tuples(
         self, count: int, delta: int, width: int, r: int, s_cap: int, d_cap: int
     ) -> None:
-        if not self.enabled:
-            return
         self.checks += 1
         per_solution = math.e * (delta + 1) * math.factorial(width + 1)
         bound = per_solution**r * (s_cap + 1) ** (r * (r - 1) // 2) * (d_cap + 1)
@@ -164,25 +157,16 @@ def _introduce_successors(
 
 def prepare_decomposition(
     instance: CostInstance,
-    decomposition: ConsistentPathDecomposition | None = None,
     lattice: IdealLattice | None = None,
     deadline: float | None = None,
 ) -> tuple[ConsistentPathDecomposition, PathDecomposition]:
-    """The one place a decomposition is built or validated: returns it with
-    its bags padded to an empty bag at both ends. One built here, from the
-    base order's ideal lattice if the caller has it, was validated by its
-    builder; a supplied one that is for another base order or fails
-    ``validate()`` (niceness included) raises InputError."""
-    if decomposition is None:
-        decomposition = consistent_path_decomposition(
-            instance.base, lattice=lattice, deadline=deadline
-        )
-    elif decomposition.order != instance.base:
-        raise InputError("decomposition built for a different base order")
-    else:
-        problems = decomposition.validate()
-        if problems:
-            raise InputError("invalid decomposition: " + "; ".join(problems))
+    """The one place a decomposition is built: returns it with its bags
+    padded to an empty bag at both ends. It is built from the base order's
+    ideal lattice if the caller has it; ``consistent_path_decomposition``
+    validates what it returns."""
+    decomposition = consistent_path_decomposition(
+        instance.base, lattice=lattice, deadline=deadline
+    )
     return decomposition, pad_to_empty(decomposition.decomposition)
 
 
@@ -280,7 +264,6 @@ def reconstruct_extension(
 
 def optimal_rankings(
     instance: CostInstance,
-    decomposition: ConsistentPathDecomposition | None = None,
     deadline: float | None = None,
 ) -> tuple[int, ConsistentPathDecomposition, Iterator[LinearOrder]]:
     """The optimum, the decomposition, and every optimal linear extension of
@@ -289,7 +272,7 @@ def optimal_rankings(
     checked to cost the optimum before it is yielded."""
     base = instance.base
     lattice = ideal_lattice(base, deadline)
-    decomposition, dec = prepare_decomposition(instance, decomposition, lattice, deadline)
+    decomposition, dec = prepare_decomposition(instance, lattice, deadline)
     layers, moves = lattice
     BOUNDS.check_ideals(sum(len(layer) for layer in layers), dec.bags)
     n = instance.n
@@ -337,10 +320,9 @@ def optimal_rankings(
 
 def solve_single(
     instance: CostInstance,
-    decomposition: ConsistentPathDecomposition | None = None,
     deadline: float | None = None,
 ) -> SingleSolution:
     """Optimal linear extension of the instance's base order and its cost;
     of several optima, the lexicographically smallest by vertex index."""
-    opt, decomposition, rankings = optimal_rankings(instance, decomposition, deadline)
+    opt, decomposition, rankings = optimal_rankings(instance, deadline)
     return SingleSolution(next(rankings), opt, decomposition)

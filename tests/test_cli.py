@@ -1,9 +1,12 @@
 """Vote-file grammar, result documents, subcommands, and exit codes."""
 
+import importlib.util
 import io
 import json
 import pathlib
 import random
+import re
+import sys
 import time
 
 import pytest
@@ -92,6 +95,57 @@ class TestRoundTrip:
             profile = random_profile(rng.randint(2, 6), rng.randint(1, 4), rng)
             text = serialize_profile(profile)
             assert parse_votes(text).votes == profile.votes
+
+
+FIFTY_HEAD = "n: 5\nm: 100\n"
+ORACLE_GOLDENS = [
+    (["oracle", FIVE, "--task", "optimum"], 0, (
+        "result: oracle-optimum\n"
+        "n: 5\n"
+        "m: 90\n"
+        "optimum: 10\n"
+        "minimizers: 2\n"
+        "witness-1: A<B<C<D<E\n"
+        "witness-2: A<B<D<C<E\n"
+    )),
+    (["oracle", FIFTY, "--task", "optimum"], 0, "result: oracle-optimum\n" + FIFTY_HEAD + (
+        "optimum: 50\n"
+        "minimizers: 2\n"
+        "witness-1: A<B<C<D<E\n"
+        "witness-2: A<B<D<C<E\n"
+    )),
+    (["oracle", FIFTY, "--task", "count"], 0, "result: oracle-count\n" + FIFTY_HEAD + (
+        "extensions: 2\n"
+    )),
+    (["oracle", FIFTY, "--task", "extensions"], 0, "result: oracle-extensions\n" + FIFTY_HEAD + (
+        "extensions: 2\n"
+        "extension-1: A<B<C<D<E\n"
+        "extension-2: A<B<D<C<E\n"
+    )),
+    (["oracle", FIFTY, "--task", "diverse", "--r", "2", "--d", "1"], 0,
+     "result: oracle-diverse\n" + FIFTY_HEAD + (
+        "optimum: 50\n"
+        "decision: yes\n"
+        "diversity: 1\n"
+        "witness-1: A<B<C<D<E\n"
+        "witness-2: A<B<D<C<E\n"
+     )),
+    (["oracle", FIFTY, "--task", "diverse", "--r", "3"], 1,
+     "result: oracle-diverse\n" + FIFTY_HEAD + (
+        "optimum: 50\n"
+        "decision: no\n"
+     )),
+    # maximizing allows repeats, and the oracle prints all r rankings
+    (["oracle", FIFTY, "--task", "diverse", "--r", "3", "--max"], 0,
+     "result: oracle-diverse\n" + FIFTY_HEAD + (
+        "optimum: 50\n"
+        "decision: yes\n"
+        "diversity: 2\n"
+        "witness-1: A<B<C<D<E\n"
+        "witness-2: A<B<C<D<E\n"
+        "witness-3: A<B<D<C<E\n"
+     )),
+]
 
 
 class TestSubcommands:
@@ -249,6 +303,24 @@ class TestSubcommands:
         assert "diversity: 0\n" in out
         assert out.count("witness-") == 1 and "witness-1: A<B<C\n" in out
         assert "distance-" not in out
+        # three rankings from two optima repeat one: the diversity counts
+        # all three pairs, the witness and distance lines each ranking once
+        assert invoke(["maxdiv", FIFTY, "--r", "3"]) == (0, (
+            "result: maxdiv\n"
+            "n: 5\n"
+            "m: 100\n"
+            "unanimity-width: 1\n"
+            "r: 3\n"
+            "delta: 0\n"
+            "optimum: 50\n"
+            "decision: yes\n"
+            "diversity: 2\n"
+            "witness-1: A<B<C<D<E\n"
+            "score-1: 50\n"
+            "witness-2: A<B<D<C<E\n"
+            "score-2: 50\n"
+            "distance-1-2: 1\n"
+        ), "")
 
     def test_pco_decisions(self):
         header = (
@@ -282,11 +354,8 @@ class TestSubcommands:
         assert code == 2 and "positive" in err
 
     def test_oracle_tasks(self):
-        code, out, _ = invoke(["oracle", FIVE, "--task", "optimum"])
-        assert code == 0
-        assert "optimum: 10\n" in out and "minimizers: 2\n" in out
-        code, out, _ = invoke(["oracle", FIFTY, "--task", "count"])
-        assert "extensions: 2\n" in out
+        for argv, code, text in ORACLE_GOLDENS:
+            assert invoke(argv) == (code, text, ""), argv
 
     def test_gen_round_trips_and_solves(self, tmp_path):
         target = tmp_path / "g.votes"
@@ -592,20 +661,96 @@ class TestValidateDecomposition:
         dump = tmp_path / "five.dec"
         code, _, _ = invoke(["solve", FIVE, "--dump-decomposition", str(dump)])
         assert code == 0
-        code, out, _ = invoke(
+        assert dump.read_text() == "A\nA B\nA B C\nA B C D\nB C D\nC D\nC D E\n"
+        assert invoke(
             ["validate-decomposition", FIVE, "--decomposition", str(dump)]
-        )
-        assert code == 0
-        assert "valid: yes" in out
+        ) == (0, (
+            "result: validate-decomposition\n"
+            "bags: 7\n"
+            "width: 3\n"
+            "nice: yes\n"
+            "valid: yes\n"
+        ), "")
 
     def test_broken_dump_rejected(self, tmp_path):
         dump = tmp_path / "broken.dec"
         dump.write_text("A B\nD E\n")  # misses vertices and edges
-        code, out, _ = invoke(
+        assert invoke(
+            ["validate-decomposition", FIVE, "--decomposition", str(dump)]
+        ) == (1, (
+            "result: validate-decomposition\n"
+            "bags: 2\n"
+            "width: 1\n"
+            "nice: no\n"
+            "valid: no\n"
+            "problem-1: bags do not cover every vertex\n"
+            "problem-2: edge (0,2) not covered by any bag\n"
+            "problem-3: edge (0,3) not covered by any bag\n"
+            "problem-4: edge (1,2) not covered by any bag\n"
+            "problem-5: edge (1,3) not covered by any bag\n"
+            "problem-6: edge (2,3) not covered by any bag\n"
+            "problem-7: edge (2,4) not covered by any bag\n"
+        ), "")
+
+    def test_unknown_candidate_reports_its_line(self, tmp_path):
+        dump = tmp_path / "typo.dec"
+        dump.write_text("A B\nA Q\n")
+        code, out, err = invoke(
             ["validate-decomposition", FIVE, "--decomposition", str(dump)]
         )
-        assert code == 1
-        assert "valid: no" in out and "problem-1" in out
+        assert (code, out) == (2, "")
+        assert err == "error: line 2: unknown candidate 'Q'\n"
+
+
+class TestTiming:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", FIVE],
+            ["diverse", FIFTY, "--r", "3", "--d", "1"],
+            ["maxdiv", FIFTY, "--r", "3"],
+            ["pco", FIFTY, "--k", "0"],
+            ["oracle", FIFTY, "--task", "count"],
+        ],
+        ids=lambda a: " ".join(a[:1] + a[2:]),
+    )
+    def test_timed_document_adds_one_last_line(self, argv):
+        code, plain, _ = invoke(argv)
+        timed = invoke(argv + ["--timing"])
+        *lines, last = timed[1].splitlines(keepends=True)
+        assert (timed[0], "".join(lines), timed[2]) == (code, plain, "")
+        assert re.fullmatch(r"timing-ms: \d+\.\d\n", last)
+        _, plain_json, _ = invoke(argv + ["--json"])
+        timed_json = json.loads(invoke(argv + ["--json", "--timing"])[1])
+        assert isinstance(timed_json.pop("timing-ms"), float)
+        assert timed_json == json.loads(plain_json)
+
+
+class TestTraceGuard:
+    """The benchmark's tracer wraps layer functions by name; a refactor
+    that drops one of those names, or the fields its spans read, would
+    leave the traced run measuring less than it claims."""
+
+    def test_tracer_targets_resolve_and_spans_carry_info(self, monkeypatch):
+        path = pathlib.Path(__file__).parent.parent / "bench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("bench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, spans)  # for its dataclasses
+        spec.loader.exec_module(spans)
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            assert invoke(["diverse", FIFTY, "--r", "2", "--d", "1"])[0] == 0
+            assert invoke(["pco", FIFTY, "--k", "0"])[0] == 1
+        finally:
+            tracer.uninstall()
+        assert set(tracer.absent) <= {
+            "kemeny.solver_diverse.consistent_path_decomposition",
+            "kemeny.pco.consistent_path_decomposition",
+        }
+        info = {s.name: s.info for s in tracer.spans if s.info}
+        assert info["solver_diverse.entry"] == {"yes": 1}
+        assert info["pco.solve"] == {"rejected": 1}
 
 
 class TestDeterminism:

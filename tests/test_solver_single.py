@@ -5,7 +5,7 @@ import random
 import pytest
 
 from kemeny.cli import parse_votes
-from kemeny.errors import InputError, InternalError
+from kemeny.errors import InternalError
 from kemeny.instances import (
     BucketSpec,
     candidate_labels,
@@ -20,7 +20,6 @@ from kemeny.instances import (
 )
 from kemeny.oracle import oracle_optimum
 from kemeny.orders import CostInstance, LinearOrder, PartialOrder, reduce_to_co
-from kemeny.solver_diverse import DiverseQuery, solve_diverse
 from kemeny.solver_single import (
     BoundMonitor,
     _forget_successor,
@@ -30,12 +29,7 @@ from kemeny.solver_single import (
     reconstruct_extension,
     solve_single,
 )
-from kemeny.width import (
-    ConsistentPathDecomposition,
-    PathDecomposition,
-    consistent_path_decomposition,
-    pad_to_empty,
-)
+from kemeny.width import PathDecomposition, pad_to_empty
 
 
 def chain(n):
@@ -45,20 +39,6 @@ def chain(n):
 def instance_2(cost_ab, cost_ba, base=None):
     base = base if base is not None else PartialOrder.antichain(2)
     return CostInstance(2, ((0, cost_ab), (cost_ba, 0)), base)
-
-
-# Both solvers share prepare_decomposition and must refuse the same inputs.
-SOLVERS = (
-    solve_single,
-    lambda inst, cpd: solve_diverse(inst, DiverseQuery(r=2), cpd),
-)
-
-
-def assert_supplied_rejected(inst, dec, reason):
-    cpd = ConsistentPathDecomposition(dec, inst.base)
-    for solve in SOLVERS:
-        with pytest.raises(InputError, match=reason):
-            solve(inst, cpd)
 
 
 def first_bag_states(inst, bag):
@@ -120,33 +100,6 @@ class TestTripleSuccessors:
             (0b110, (1, 2), 2 + 3),  # 2 after 1: pay c(1,2); plus c(0,2)
             (0b110, (2, 1), 2 + 7),  # 2 before 1: pay c(2,1); plus c(0,2)
         }
-
-    def test_non_nice_transition_rejected(self):
-        # valid for the chain 0 < 1, but one step forgets 0 and introduces 1
-        dec = PathDecomposition(2, (0b01, 0b10))
-        assert_supplied_rejected(instance_2(1, 1, base=chain(2)), dec, "not nice")
-
-
-class TestSuppliedDecomposition:
-    def test_other_base_order_rejected(self):
-        inst = instance_2(1, 1)
-        cpd = consistent_path_decomposition(chain(2))
-        for solve in SOLVERS:
-            with pytest.raises(InputError, match="different base order"):
-                solve(inst, cpd)
-
-    def test_invalid_decomposition_rejected(self):
-        # the incomparable pair (0, 1) never shares a bag
-        dec = PathDecomposition(2, (0b01, 0b00, 0b10))
-        assert_supplied_rejected(instance_2(1, 1), dec, "not covered")
-
-    def test_valid_supplied_decomposition_is_used(self):
-        inst = instance_2(2, 3)
-        cpd = ConsistentPathDecomposition(PathDecomposition(2, (0b11,)), inst.base)
-        solution = solve_single(inst, cpd)
-        assert solution.decomposition is cpd
-        assert solution.cost == 2
-
 
 class TestSolve:
     def test_five_type_election(self):
@@ -256,7 +209,7 @@ class TestIdealEngine:
                 continue
             widths.append(cpd.width)
             tail_opt = forward_tables(inst, dec, cpd.width)[-1][(0, ())]
-            assert solve_single(inst, cpd).cost == tail_opt
+            assert solve_single(inst).cost == tail_opt
         assert max(widths) == 5
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
