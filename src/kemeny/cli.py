@@ -14,9 +14,10 @@ Vote files look like::
     pairs: A<B, C<D         # arbitrary partial vote via its pair closure
     A<B<C<D<E               # multiplicity defaults to 1
 
-Exit codes: 0 solved / YES, 1 NO, 2 input error, 3 capability limit or
-timeout. Output is deterministic for fixed input and seed; the optional
---timing line is the one exception and is off by default.
+Exit codes: 0 solved / YES, 1 NO, 2 input error (unreadable input or
+unwritable output), 3 capability limit or timeout. Output is deterministic
+for fixed input and seed; the optional --timing line is the one exception
+and is off by default.
 """
 
 from __future__ import annotations
@@ -303,13 +304,23 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
+
+
 def _cmd_solve(args, profile: Profile, deadline: float | None) -> Answer:
     solution = solve_single(reduce_to_co(profile), deadline=deadline)
     names = profile.candidates.names
     if args.dump_decomposition:
-        with open(args.dump_decomposition, "w", encoding="utf-8") as handle:
-            for bag in solution.decomposition.decomposition.bags:
-                handle.write(" ".join(names[v] for v in _bits(bag)) + "\n")
+        bags = solution.decomposition.decomposition.bags
+        _write(
+            args.dump_decomposition,
+            "".join(" ".join(names[v] for v in _bits(bag)) + "\n" for bag in bags),
+        )
     doc = _head("solve", profile, solution.decomposition.width)
     doc.add("decision", "yes")
     doc.add("optimum", solution.cost)
@@ -318,14 +329,13 @@ def _cmd_solve(args, profile: Profile, deadline: float | None) -> Answer:
 
 
 def _cmd_diverse(args, profile: Profile, deadline: float | None) -> Answer:
-    s = 1 if args.no_scatter else args.s
-    query = DiverseQuery(r=args.r, delta=args.delta, d=args.d, s=s, mode="decide")
+    query = DiverseQuery(r=args.r, delta=args.delta, d=args.d, s=args.s, mode="decide")
     result = solve_diverse_kra(profile, query, deadline=deadline)
     doc = _head("diverse", profile, result.outcome.width)
     doc.add("r", args.r)
     doc.add("delta", args.delta)
     doc.add("d", args.d)
-    doc.add("s", max(s, 1))
+    doc.add("s", max(args.s, 1))
     # solve_diverse_kra has checked each witness cost against its Kemeny score
     return _selection(doc, profile, result.outcome, spread=True, checked=True)
 
@@ -368,20 +378,21 @@ def _cmd_oracle(args, profile: Profile, deadline: float | None) -> Answer:
     instance = reduce_to_co(profile)
     doc = _head(f"oracle-{args.task}", profile)
     if args.task == "count":
-        doc.add("extensions", count_extensions(instance.base))
+        doc.add("extensions", count_extensions(instance.base, deadline))
     elif args.task == "extensions":
-        exts = list(enumerate_extensions(instance.base))
+        exts = list(enumerate_extensions(instance.base, deadline))
         doc.add("extensions", len(exts))
         for i, ext in enumerate(exts, start=1):
             doc.add(f"extension-{i}", _ranking_str(ext, profile.candidates.names))
     elif args.task == "optimum":
-        opt, winners = oracle_optimum(instance)
+        opt, winners = oracle_optimum(instance, deadline)
         doc.add("optimum", opt)
         doc.add("minimizers", len(winners))
         _witness_lines(doc, profile, winners)
     else:  # diverse
         result = oracle_diverse(
-            instance, args.r, args.delta, args.d, args.s, maximize=args.max
+            instance, args.r, args.delta, args.d, args.s, maximize=args.max,
+            deadline=deadline,
         )
         doc.add("optimum", result.optimum)
         doc.add("decision", "yes" if result.feasible else "no")
@@ -437,8 +448,7 @@ def _cmd_gen(args, out: IO[str]) -> int:
     if parse_votes(text).votes != profile.votes:
         raise InternalError("generated file does not round-trip")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write(args.out, text)
     else:
         out.write(text)
     return EXIT_YES
@@ -477,10 +487,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=int, default=0)
     p.add_argument("--d", type=int, default=0)
     p.add_argument("--s", type=int, default=0)
-    p.add_argument(
-        "--no-scatter", action="store_true",
-        help="drop the pairwise-distance requirement (sets become distinct only)",
-    )
     p.set_defaults(func=_cmd_diverse)
 
     p = sub.add_parser("optima", parents=[voting], help="r distinct optimal rankings?")

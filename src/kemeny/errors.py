@@ -1,5 +1,5 @@
-"""Exception hierarchy shared by all modules, and the deadline check
-that raises one."""
+"""Exception hierarchy shared by all modules, and the deadline and bound
+checks that raise them."""
 
 import time
 
@@ -24,3 +24,10 @@ def check_deadline(deadline: float | None) -> None:
     """Raise CapabilityError once the monotonic clock passes the deadline."""
     if deadline is not None and time.monotonic() > deadline:
         raise CapabilityError("solve aborted: wall-clock timeout")
+
+
+def check_bound(what: str, count: int, bound: int) -> None:
+    """Raise InternalError if a solver keeps more states than its proven
+    bound allows; ``what`` names the kind of state counted."""
+    if count > bound:
+        raise InternalError(f"{what} count {count} exceeds its bound {bound}")

@@ -2,18 +2,18 @@
 
 Everything here enumerates exhaustively and exists to generate expected
 values and to back equivalence tests for the dynamic programs. Hard size
-caps keep accidental misuse loud; the environment variables
-KEMENY_ORACLE_CAP and KEMENY_DIVERSE_CAP override them for test rigs only.
+caps keep accidental misuse loud; a test rig that needs larger instances
+raises the module constants. The deadline is checked once per recursion
+node, per row of the diverse oracle's distance table and per r-combination.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import CapabilityError, InputError
+from .errors import CapabilityError, InputError, check_deadline
 from .orders import CostInstance, LinearOrder, PartialOrder, _bits, kt_distance
 
 ORACLE_CAP = 10
@@ -21,22 +21,20 @@ DIVERSE_CAP = 6
 DIVERSE_R_CAP = 3
 
 
-def _cap(name: str, default: int) -> int:
-    value = os.environ.get(name)
-    return int(value) if value else default
-
-
 def _require(n: int, cap: int, what: str) -> None:
     if n > cap:
         raise CapabilityError(f"{what} capped at {cap}, got {n}")
 
 
-def enumerate_extensions(order: PartialOrder) -> Iterator[LinearOrder]:
+def enumerate_extensions(
+    order: PartialOrder, deadline: float | None = None
+) -> Iterator[LinearOrder]:
     """Every linear extension exactly once, lexicographic by vertex index."""
-    _require(order.n, _cap("KEMENY_ORACLE_CAP", ORACLE_CAP), "oracle universe size")
+    _require(order.n, ORACLE_CAP, "oracle universe size")
     full = (1 << order.n) - 1
 
     def rec(remaining: int, prefix: list[int]) -> Iterator[LinearOrder]:
+        check_deadline(deadline)
         if not remaining:
             yield LinearOrder(tuple(prefix))
             return
@@ -50,14 +48,15 @@ def enumerate_extensions(order: PartialOrder) -> Iterator[LinearOrder]:
     yield from rec(full, [])
 
 
-def count_extensions(order: PartialOrder) -> int:
+def count_extensions(order: PartialOrder, deadline: float | None = None) -> int:
     """Number of linear extensions, by recursion over the remaining set."""
-    _require(order.n, _cap("KEMENY_ORACLE_CAP", ORACLE_CAP), "oracle universe size")
+    _require(order.n, ORACLE_CAP, "oracle universe size")
     memo: dict[int, int] = {0: 1}
 
     def rec(remaining: int) -> int:
         if remaining in memo:
             return memo[remaining]
+        check_deadline(deadline)
         total = 0
         for v in _bits(remaining):
             if not order.strict_down(v) & remaining:
@@ -68,9 +67,11 @@ def count_extensions(order: PartialOrder) -> int:
     return rec((1 << order.n) - 1)
 
 
-def oracle_optimum(instance: CostInstance) -> tuple[int, tuple[LinearOrder, ...]]:
+def oracle_optimum(
+    instance: CostInstance, deadline: float | None = None
+) -> tuple[int, tuple[LinearOrder, ...]]:
     """Exact minimum charged cost and the complete set of minimizers."""
-    _require(instance.n, _cap("KEMENY_ORACLE_CAP", ORACLE_CAP), "oracle universe size")
+    _require(instance.n, ORACLE_CAP, "oracle universe size")
     charge = instance.charge
     base = instance.base
     best = None
@@ -78,6 +79,7 @@ def oracle_optimum(instance: CostInstance) -> tuple[int, tuple[LinearOrder, ...]
 
     def rec(remaining: int, prefix: list[int], cost: int) -> None:
         nonlocal best, winners
+        check_deadline(deadline)
         if not remaining:
             if best is None or cost < best:
                 best = cost
@@ -107,12 +109,12 @@ class OracleDiverseResult:
 
 
 def _within_budget(
-    instance: CostInstance, delta: int
+    instance: CostInstance, delta: int, deadline: float | None
 ) -> tuple[int, list[LinearOrder]]:
-    opt, _ = oracle_optimum(instance)
+    opt, _ = oracle_optimum(instance, deadline)
     kept = [
         ext
-        for ext in enumerate_extensions(instance.base)
+        for ext in enumerate_extensions(instance.base, deadline)
         if instance.extension_cost(ext) <= opt + delta
     ]
     kept.sort(key=lambda e: e.perm)
@@ -126,6 +128,7 @@ def oracle_diverse(
     d: int,
     s: int,
     maximize: bool = False,
+    deadline: float | None = None,
 ) -> OracleDiverseResult:
     """Exhaustive search over r-subsets of within-budget extensions.
 
@@ -134,18 +137,20 @@ def oracle_diverse(
     under the unordered-pair convention. Maximize mode allows repeats and
     returns a maximum-diversity selection.
     """
-    _require(instance.n, _cap("KEMENY_DIVERSE_CAP", DIVERSE_CAP), "diverse oracle size")
+    _require(instance.n, DIVERSE_CAP, "diverse oracle size")
     _require(r, DIVERSE_R_CAP, "diverse oracle solution count")
     if r < 1:
         raise InputError("need at least one solution")
-    opt, pool = _within_budget(instance, delta)
-    dist = [
-        [kt_distance(a, b) for b in pool] for a in pool
-    ]
+    opt, pool = _within_budget(instance, delta, deadline)
+    dist = []
+    for a in pool:
+        check_deadline(deadline)
+        dist.append([kt_distance(a, b) for b in pool])
     if maximize:
         best_div = None
         best: tuple[int, ...] | None = None
         for combo in itertools.combinations_with_replacement(range(len(pool)), r):
+            check_deadline(deadline)
             if s >= 1 and any(
                 dist[i][j] < s for i, j in itertools.combinations(combo, 2)
             ):
@@ -161,6 +166,7 @@ def oracle_diverse(
         )
     s_req = max(s, 1)
     for combo in itertools.combinations(range(len(pool)), r):
+        check_deadline(deadline)
         pairs = list(itertools.combinations(combo, 2))
         if any(dist[i][j] < s_req for i, j in pairs):
             continue

@@ -172,20 +172,6 @@ class PartialOrder:
             raise InputError("orders over different universes")
         return all(other.rows[x] & ~self.rows[x] == 0 for x in range(self.n))
 
-    @property
-    def is_linear(self) -> bool:
-        full = _full_mask(self.n)
-        return all(
-            self.rows[x] | self._cols[x] == full  # type: ignore[attr-defined]
-            for x in range(self.n)
-        )
-
-    def to_linear(self) -> "LinearOrder":
-        if not self.is_linear:
-            raise InputError("order is not linear")
-        perm = sorted(range(self.n), key=lambda x: self.rows[x].bit_count(), reverse=True)
-        return LinearOrder(tuple(perm))
-
 
 @dataclass(frozen=True)
 class LinearOrder:
@@ -222,9 +208,6 @@ class LinearOrder:
             raise InputError("orders over different universes")
         pos = self._pos  # type: ignore[attr-defined]
         return all(pos[x] < pos[y] for x, y in order.strict_pairs())
-
-    def reverse(self) -> "LinearOrder":
-        return LinearOrder(tuple(reversed(self.perm)))
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .errors import InputError, InternalError, check_deadline
+from .errors import InputError, InternalError, check_bound, check_deadline
 from .orders import (
     CostInstance,
     LinearOrder,
@@ -40,13 +40,13 @@ from .orders import (
     reduce_to_co,
 )
 from .solver_single import (
-    BOUNDS,
     TailState,
     backward_tables,
     forward_tables,
     optimal_rankings,
     prepare_decomposition,
     reconstruct_extension,
+    tail_bound,
     tail_successors,
 )
 from .width import PathDecomposition
@@ -277,6 +277,11 @@ def solve_diverse(
     s_cap = s_req
     cost_bound = opt + delta
     pair_index = {pair: k for k, pair in enumerate(_pairs(r))}
+    # A kept triple's cost lies in the window, at most delta above its key's
+    # least forward cost; a state is r triples, a distance register in
+    # 0..s_cap per pair and the diversity register in 0..d_cap.
+    triple_bound = tail_bound(delta, width)
+    tuple_bound = triple_bound**r * (s_cap + 1) ** len(pair_index) * (d_cap + 1)
 
     root = DiverseState(((0, (), 0),) * r, 0, (0,) * len(pair_index))
     frontier: dict = {root: (None, None)}
@@ -303,8 +308,8 @@ def solve_diverse(
                 if canon not in nxt:
                     nxt[canon] = (key, perm)
         distinct = {t for state in nxt for t in state.triples}
-        BOUNDS.check_triples(len(distinct), delta, width)
-        BOUNDS.check_tuples(len(nxt), delta, width, r, s_cap, d_cap)
+        check_bound("triple", len(distinct), triple_bound)
+        check_bound("tuple", len(nxt), tuple_bound)
         tables.append(nxt)
         frontier = nxt
 

@@ -32,6 +32,10 @@ pairs it forms with vertices already placed. The register keeps each
 the final empty tail's. A ranking is read back off a chain of tails, as the
 prefixes its forget steps commit. ``backward_tables`` runs the same moves
 right to left over the forward keys and gives each key its exact cost to go.
+
+Both programs check their state counts against these fixed-parameter bounds
+as they build them (``errors.check_bound``): the ideals against the bag
+sum, each forward register against ``tail_bound``.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import InternalError, check_deadline
+from .errors import InternalError, check_bound, check_deadline
 from .orders import CostInstance, LinearOrder, PartialOrder, _bits
 from .width import (
     ConsistentPathDecomposition,
@@ -57,48 +61,14 @@ from .width import (
 TailState = tuple[int, tuple[int, ...], int]
 
 
-class BoundMonitor:
-    """Counts state-count checks against the solvers' proven bounds: the
-    factorial bound e * (delta + 1) * (width + 1)! per position of the
-    tail-order programs, and the bag bound on the ideals of the single
-    solver. Violations raise immediately; the counters let test suites
-    assert that no bound ever fired."""
-
-    def __init__(self) -> None:
-        self.checks = 0
-        self.violations = 0
-
-    def check_ideals(self, count: int, bags: Sequence[int]) -> None:
-        """At most sum 2^|bag| ideals: an ideal is fixed by its antichain of
-        maximal elements, which is a clique of the cocomparability graph
-        and so lies in some bag."""
-        self.checks += 1
-        bound = sum(1 << bag.bit_count() for bag in bags)
-        if count > bound:
-            self.violations += 1
-            raise InternalError(f"ideal count {count} exceeds sum of 2^|bag| = {bound}")
-
-    def check_triples(self, count: int, delta: int, width: int) -> None:
-        self.checks += 1
-        bound = math.e * (delta + 1) * math.factorial(width + 1)
-        if count > bound:
-            self.violations += 1
-            raise InternalError(
-                f"triple count {count} exceeds e*(delta+1)*(w+1)! = {bound:.1f}"
-            )
-
-    def check_tuples(
-        self, count: int, delta: int, width: int, r: int, s_cap: int, d_cap: int
-    ) -> None:
-        self.checks += 1
-        per_solution = math.e * (delta + 1) * math.factorial(width + 1)
-        bound = per_solution**r * (s_cap + 1) ** (r * (r - 1) // 2) * (d_cap + 1)
-        if count > bound:
-            self.violations += 1
-            raise InternalError(f"tuple count {count} exceeds register bound {bound:.1f}")
-
-
-BOUNDS = BoundMonitor()
+def tail_bound(delta: int, width: int) -> int:
+    """The bound e * (delta + 1) * (width + 1)! on the distinct triples at
+    one position of a tail-order program over a decomposition of width
+    ``width``. A tail is an ordered subset of a bag of at most width + 1
+    vertices, and there are sum_k (width + 1)! / k! <= e * (width + 1)! of
+    those. Within a cost window of delta, a tail's cost runs from its least
+    forward cost to delta above it: at most delta + 1 values."""
+    return int(math.e * (delta + 1) * math.factorial(width + 1))
 
 
 @dataclass(frozen=True)
@@ -207,7 +177,8 @@ def forward_tables(
                 old = nxt.get(key)
                 if old is None or new_cost < old:
                     nxt[key] = new_cost
-        BOUNDS.check_triples(len(nxt), 0, width)
+        # one least cost per (tail, order) key: a window of delta 0
+        check_bound("triple", len(nxt), tail_bound(0, width))
         tables.append(nxt)
     return tables
 
@@ -274,7 +245,10 @@ def optimal_rankings(
     lattice = ideal_lattice(base, deadline)
     decomposition, dec = prepare_decomposition(instance, lattice, deadline)
     layers, moves = lattice
-    BOUNDS.check_ideals(sum(len(layer) for layer in layers), dec.bags)
+    # An ideal is fixed by its antichain of maximal elements, a clique of the
+    # cocomparability graph and so a subset of some bag.
+    ideals = sum(len(layer) for layer in layers)
+    check_bound("ideal", ideals, sum(1 << bag.bit_count() for bag in dec.bags))
     n = instance.n
     full = (1 << n) - 1
     # (bit of u, charge[v][u]) over the incomparable u that v pays for when

@@ -13,7 +13,7 @@ tail-order dynamic programs need.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InputError, InternalError, check_deadline
 from .orders import PartialOrder, _bits, _full_mask
@@ -40,19 +40,6 @@ class Graph:
             for u in _bits(row):
                 if not self.adj[u] & (1 << v):
                     raise InputError(f"adjacency not symmetric on ({v},{u})")
-
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        adj = [0] * n
-        for u, v in edges:
-            if u == v or not (0 <= u < n and 0 <= v < n):
-                raise InputError(f"bad edge ({u},{v})")
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        return cls(n, tuple(adj))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] & (1 << v))
 
     def edges(self) -> list[tuple[int, int]]:
         return [

@@ -7,6 +7,7 @@ optimum (10, respectively 50), optimum count (2) and pairwise distance (1)
 the fixtures reproduce.
 """
 
+import collections
 import io
 import itertools
 import math
@@ -28,12 +29,13 @@ from kemeny.instances import (
 from kemeny.oracle import enumerate_extensions, oracle_diverse, oracle_optimum
 from kemeny.orders import LinearOrder, reduce_to_co
 from kemeny.pco import PcoInstance, solve_pco
+from kemeny import solver_diverse, solver_single
 from kemeny.solver_diverse import (
     DiverseQuery,
     scatteredness_increase,
     solve_diverse,
 )
-from kemeny.solver_single import BOUNDS, solve_single
+from kemeny.solver_single import solve_single
 from kemeny.width import cocomparability_graph, consistent_path_decomposition
 
 from graph_oracles import exact_pathwidth, has_long_induced_cycle
@@ -199,8 +201,18 @@ def test_criterion_06_no_long_induced_cycles(order_corpus):
     _verdict(6, "no induced cycle of length >= 5 in 500 incomparability graphs")
 
 
-def test_criterion_07_state_count_bounds_never_fire():
-    checks_before = BOUNDS.checks
+def test_criterion_07_state_count_bounds_never_fire(monkeypatch):
+    # Count every bound check the solvers make, by kind, and every count
+    # that exceeds its bound.
+    checks = collections.Counter()
+    violations = collections.Counter()
+
+    def counting_check(what, count, bound):
+        checks[what] += 1
+        violations[what] += count > bound
+
+    for module in (solver_single, solver_diverse):
+        monkeypatch.setattr(module, "check_bound", counting_check)
     rng = random.Random(1007)
     for _ in range(30):
         inst = random_cost_instance(rng.randint(2, 6), rng, rng.random())
@@ -211,11 +223,12 @@ def test_criterion_07_state_count_bounds_never_fire():
             reduce_to_co(profile),
             DiverseQuery(r=2, delta=rng.randint(0, 2), d=3, s=1),
         )
-    assert BOUNDS.checks > checks_before
-    assert BOUNDS.violations == 0
+    assert set(checks) == {"ideal", "triple", "tuple"}  # each kind ran
+    assert sum(violations.values()) == 0
     _verdict(
         7,
-        f"{BOUNDS.checks} factorial-bound checks across the suites, 0 violations",
+        f"{checks['ideal']} ideal, {checks['triple']} triple and "
+        f"{checks['tuple']} tuple bound checks, 0 violations",
     )
 
 

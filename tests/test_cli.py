@@ -244,13 +244,6 @@ class TestSubcommands:
             assert kemeny_score(profile, w) == doc[f"score-{i}"] <= doc["optimum"] + 2
         assert diversity(witnesses) == doc["diversity"] >= 3
 
-    def test_no_scatter_flag_fixes_s_to_one(self):
-        code, out, _ = invoke(
-            ["diverse", FIFTY, "--r", "2", "--d", "1", "--no-scatter", "--s", "2"]
-        )
-        assert code == 0
-        assert "s: 1\n" in out
-
     def test_optima_counts(self):
         header = (
             "result: optima\n"
@@ -406,9 +399,37 @@ class TestSubcommands:
         code, _, err = invoke(["solve", "/nonexistent/file.votes"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve", FIVE, "--dump-decomposition"],
+         ["gen", "fixture", "--name", "five-type", "--out"]],
+        ids=["solve", "gen"],
+    )
+    def test_unwritable_output_exit_code(self, tmp_path, argv):
+        target = tmp_path / "missing" / "out.txt"
+        code, out, err = invoke(argv + [str(target)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {target}: ")
+
     def test_timeout_exit_code(self):
         code, _, err = invoke(["solve", FIVE, "--timeout", "0"])
         assert code == 3 and "timeout" in err
+
+    @pytest.mark.parametrize("task", ["optimum", "extensions", "count", "diverse"])
+    def test_oracle_timeout_exit_code(self, task):
+        code, out, err = invoke(["oracle", FIFTY, "--task", task, "--timeout", "0"])
+        assert (code, out) == (3, "") and "timeout" in err
+
+    def test_oracle_extensions_abort_promptly(self, tmp_path):
+        # 181 440 extensions: the full listing runs well past the deadline
+        votes = str(tmp_path / "nine.votes")
+        invoke(["gen", "buckets", "--sizes", "9", "--m", "4", "--seed", "1", "--out", votes])
+        start = time.monotonic()
+        code, out, err = invoke(
+            ["oracle", votes, "--task", "extensions", "--timeout", "0.1"]
+        )
+        assert (code, out) == (3, "") and "timeout" in err
+        assert time.monotonic() - start < 1.0
 
     def test_solve_reaches_width_eleven(self, tmp_path):
         # two buckets of 12: 12! tail orders per position, 2 * 2^12 ideals

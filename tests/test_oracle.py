@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from kemeny import oracle
 from kemeny.errors import CapabilityError
 from kemeny.instances import fifty_fifty_profile, five_type_profile, random_partial_order
 from kemeny.oracle import (
@@ -52,7 +53,7 @@ class TestEnumeration:
             list(enumerate_extensions(PartialOrder.antichain(11)))
 
     def test_cap_override(self, monkeypatch):
-        monkeypatch.setenv("KEMENY_ORACLE_CAP", "11")
+        monkeypatch.setattr(oracle, "ORACLE_CAP", 11)
         assert count_extensions(chain(11)) == 1
 
 

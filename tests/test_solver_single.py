@@ -1,11 +1,12 @@
 """The single-optimum solver (ideal lattice) and the tail-order register."""
 
+import math
 import random
 
 import pytest
 
 from kemeny.cli import parse_votes
-from kemeny.errors import InternalError
+from kemeny.errors import InternalError, check_bound
 from kemeny.instances import (
     BucketSpec,
     candidate_labels,
@@ -21,13 +22,13 @@ from kemeny.instances import (
 from kemeny.oracle import oracle_optimum
 from kemeny.orders import CostInstance, LinearOrder, PartialOrder, reduce_to_co
 from kemeny.solver_single import (
-    BoundMonitor,
     _forget_successor,
     _introduce_successors,
     forward_tables,
     prepare_decomposition,
     reconstruct_extension,
     solve_single,
+    tail_bound,
 )
 from kemeny.width import PathDecomposition, pad_to_empty
 
@@ -223,11 +224,17 @@ class TestIdealEngine:
 
     def test_ideal_bound_fires_past_the_bag_sum(self):
         # one bag of two vertices admits at most 2^2 ideals
-        monitor = BoundMonitor()
-        monitor.check_ideals(4, [0b11])
+        check_bound("ideal", 4, 1 << 2)
         with pytest.raises(InternalError, match="ideal count 5"):
-            monitor.check_ideals(5, [0b11])
-        assert (monitor.checks, monitor.violations) == (2, 1)
+            check_bound("ideal", 5, 1 << 2)
+
+    def test_tail_bound_counts_ordered_subsets_of_a_bag(self):
+        # at delta 0 the bound is exact: a bag of w + 1 vertices has
+        # sum_k (w + 1)! / k! ordered subsets, 5 for two vertices
+        for w in range(8):
+            ordered = sum(math.factorial(w + 1) // math.factorial(k) for k in range(w + 2))
+            assert tail_bound(0, w) == ordered
+        assert tail_bound(2, 1) == 16  # e * 3 * 2! = 16.3
 
 
 class TestReconstruction:
