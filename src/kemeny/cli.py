@@ -23,6 +23,7 @@ and is off by default.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import random
@@ -176,15 +177,13 @@ def _transitive_reduction(order: PartialOrder) -> list[tuple[int, int]]:
 
 
 def serialize_vote(order: PartialOrder, names: Sequence[str]) -> str:
+    """A bucket line for a weak order (an antichain is one bucket), else a
+    ``pairs:`` line of the transitive reduction."""
     buckets = _as_buckets(order)
-    if buckets is not None and sum(len(b) for b in buckets) == order.n:
+    if buckets is not None:
         return "<".join("=".join(names[v] for v in sorted(b)) for b in buckets)
-    reduction = _transitive_reduction(order)
-    if not reduction:
-        # an antichain has no pairs; a full bucket line says the same thing
-        return "=".join(names[v] for v in range(order.n))
     return "pairs: " + ", ".join(
-        f"{names[x]}<{names[y]}" for x, y in sorted(reduction)
+        f"{names[x]}<{names[y]}" for x, y in sorted(_transitive_reduction(order))
     )
 
 
@@ -437,7 +436,12 @@ def _cmd_gen(args, out: IO[str]) -> int:
     if args.kind == "fixture":
         profile = five_type_profile() if args.name == "five-type" else fifty_fifty_profile()
     elif args.kind == "buckets":
-        sizes = tuple(int(s) for s in args.sizes.split(","))
+        try:
+            sizes = tuple(int(s) for s in args.sizes.split(","))
+        except ValueError:
+            raise InputError(
+                f"--sizes: expected comma-separated integers, got {args.sizes!r}"
+            ) from None
         base = generate_bucket_order(BucketSpec(sizes, args.seed))
         profile = generate_profile(base, args.m, args.noise, args.seed).profile
     else:  # random
@@ -459,7 +463,10 @@ def _cmd_gen(args, out: IO[str]) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="kemeny",
         description="Exact and diverse Kemeny rank aggregation over partial votes.",

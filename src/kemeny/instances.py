@@ -1,6 +1,6 @@
-"""Instance generation: bucket orders, noisy vote ensembles, random orders
-and cost matrices for the equivalence suites, plus the two small worked
-elections used as golden fixtures throughout the tests."""
+"""Instance generation: bucket orders, noisy vote ensembles and random
+orders for the equivalence suites, plus the two small worked elections used
+as golden fixtures throughout the tests."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from .errors import InputError
 from .orders import (
     CandidateSet,
-    CostInstance,
     LinearOrder,
     PartialOrder,
     Profile,
@@ -85,27 +84,6 @@ def random_partial_order(
             if rng.random() < density:
                 pairs.append((backbone[i], backbone[j]))
     return PartialOrder.from_pairs(n, pairs)
-
-
-def random_cost_instance(
-    n: int,
-    rng: random.Random,
-    density: float = 0.4,
-    max_cost: int = 4,
-    positive: bool = False,
-) -> CostInstance:
-    """Random completion instance over a random base order. With
-    ``positive`` every incomparable pair costs at least 1 both ways."""
-    base = random_partial_order(n, rng, density)
-    low = 1 if positive else 0
-    cost = [
-        [
-            0 if x == y or not base.incomparable(x, y) else rng.randint(low, max_cost)
-            for y in range(n)
-        ]
-        for x in range(n)
-    ]
-    return CostInstance(n, tuple(tuple(row) for row in cost), base)
 
 
 def random_profile(

@@ -18,6 +18,10 @@ exceeds opt + delta can never finish within it. A dropped state is never an
 ancestor of a final state, so the final states and the backtrack are those
 of the unpruned program.
 
+Each solution slot of a state is a tail key with its cost. The slots' moves
+are the ones ``forward_tables`` made for the single-solution register: the
+lockstep reads them and adds each step to the slot's own cost.
+
 The modes are ``decide`` and ``max-diversity``. Asking for r distinct
 optima (``find_distinct_optima``) needs no lockstep: it lists the first r
 optima off the ideal lattice (``solver_single.optimal_rankings``).
@@ -40,14 +44,14 @@ from .orders import (
     reduce_to_co,
 )
 from .solver_single import (
-    TailState,
+    Moves,
+    TailKey,
     backward_tables,
     forward_tables,
     optimal_rankings,
     prepare_decomposition,
     reconstruct_extension,
     tail_bound,
-    tail_successors,
 )
 from .width import PathDecomposition
 
@@ -75,8 +79,12 @@ class DiverseQuery:
             raise InputError(f"unknown mode {self.mode!r}")
 
 
+# One solution of a lockstep state: its tail key and accumulated cost.
+Slot = tuple[TailKey, int]
+
+
 class DiverseState(NamedTuple):
-    triples: tuple[TailState, ...]
+    slots: tuple[Slot, ...]
     div: int
     dist: tuple[int, ...]  # one entry per pair (i, j), i < j, lexicographic
 
@@ -141,11 +149,13 @@ def scatteredness_increase(
     return total
 
 
-def _triple_allowed(triple: TailState, to_go: dict, cost_bound: int) -> bool:
-    """Whether the tail can still finish within the cost window: its cost
-    plus its exact cost to go stays within ``cost_bound`` (opt + delta)."""
-    tail, order, cost = triple
-    rest = to_go.get((tail, order))
+def _slot_allowed(
+    key: TailKey, cost: int, to_go: dict[TailKey, int], cost_bound: int
+) -> bool:
+    """Whether a slot can still finish within the cost window: its cost
+    plus its key's exact cost to go stays within ``cost_bound`` (opt +
+    delta)."""
+    rest = to_go.get(key)
     if rest is None:
         raise InternalError("successor tail missing from the cost-to-go register")
     return cost + rest <= cost_bound
@@ -153,13 +163,13 @@ def _triple_allowed(triple: TailState, to_go: dict, cost_bound: int) -> bool:
 
 def tuple_successors(
     state: DiverseState,
-    instance: CostInstance,
     dec: PathDecomposition,
     p: int,
     *,
+    moves: Moves,
     d_cap: int,
     s_cap: int,
-    to_go: dict,
+    to_go: dict[TailKey, int],
     cost_bound: int,
     succ_cache: dict,
     pair_cache: dict,
@@ -167,21 +177,24 @@ def tuple_successors(
     """All register-updated successor states across the transition p -> p+1
     of a nice decomposition.
 
-    Each solution advances by its own tail transition; on an introduce step
+    Each solution advances by its key's ``moves`` at p; on an introduce step
     the registers grow by the pairwise increases and saturate at their caps.
-    ``to_go`` is the cost-to-go register at p+1; a solution whose tail cannot
-    finish within ``cost_bound`` (``_triple_allowed``) kills the whole
-    state. ``succ_cache`` and ``pair_cache`` memoise per-solution
-    successors and pairwise increases within one transition.
+    ``to_go`` is the cost-to-go register at p+1; a solution that cannot
+    finish within ``cost_bound`` (``_slot_allowed``) kills the whole state.
+    ``succ_cache`` and ``pair_cache`` memoise per-slot successors and
+    pairwise increases within one transition.
     """
-    options: list[list[TailState]] = []
-    for t in state.triples:
-        opts = succ_cache.get(t)
+    options: list[list[Slot]] = []
+    for slot in state.slots:
+        opts = succ_cache.get(slot)
         if opts is None:
-            opts = succ_cache[t] = [
-                s
-                for s in tail_successors(t, dec, p, instance)
-                if _triple_allowed(s, to_go, cost_bound)
+            key, cost = slot
+            if key not in moves:
+                raise InternalError("lockstep tail missing from the forward moves")
+            opts = succ_cache[slot] = [
+                (k, cost + step)
+                for k, step in moves[key]
+                if _slot_allowed(k, cost + step, to_go, cost_bound)
             ]
         if not opts:
             return []
@@ -191,15 +204,15 @@ def tuple_successors(
 
     v = dec.introduced(p + 1).bit_length() - 1
     bag = dec.bags[p]
-    pairs = _pairs(len(state.triples))
+    pairs = _pairs(len(state.slots))
     out = []
     for combo in itertools.product(*options):
         incs = []
         for i, j in pairs:
-            key = (combo[i][1], combo[j][1])
-            inc = pair_cache.get(key)
+            orders = (combo[i][0][1], combo[j][0][1])
+            inc = pair_cache.get(orders)
             if inc is None:
-                inc = pair_cache[key] = scatteredness_increase(bag, *key, (v,))
+                inc = pair_cache[orders] = scatteredness_increase(bag, *orders, (v,))
             incs.append(inc)
         new_dist = tuple(
             min(state.dist[k] + incs[k], s_cap) for k in range(len(pairs))
@@ -214,32 +227,33 @@ def _canonical(
 ) -> tuple[DiverseState, tuple[int, ...]]:
     """Sort the solution slots (states are multisets of solutions); returns
     the representative and the slot map canonical -> original."""
-    r = len(state.triples)
-    order = sorted(range(r), key=lambda i: state.triples[i])
+    r = len(state.slots)
+    order = sorted(range(r), key=lambda i: state.slots[i])
     if order == list(range(r)):
         return state, tuple(range(r))
-    triples = tuple(state.triples[i] for i in order)
+    slots = tuple(state.slots[i] for i in order)
     dist = tuple(
         state.dist[pair_index[tuple(sorted((order[i], order[j])))]]
         for i, j in _pairs(r)
     )
-    return DiverseState(triples, state.div, dist), tuple(order)
+    return DiverseState(slots, state.div, dist), tuple(order)
 
 
 def _backtrack(
     tables: list[dict], final: DiverseState, r: int
-) -> list[list[TailState]]:
-    chains: list[list[TailState]] = [[] for _ in range(r)]
-    slots = list(range(r))
-    key = final
+) -> list[list[TailKey]]:
+    """Each final slot's chain of tail keys, from the root to ``final``."""
+    chains: list[list[TailKey]] = [[] for _ in range(r)]
+    where = list(range(r))  # final slot j sits at index where[j] of state
+    state = final
     for p in range(len(tables) - 1, -1, -1):
         for j in range(r):
-            chains[j].append(key.triples[slots[j]])
-        parent, perm = tables[p][key]
+            chains[j].append(state.slots[where[j]][0])
+        parent, perm = tables[p][state]
         if parent is None:
             break
-        slots = [perm[slots[j]] for j in range(r)]
-        key = parent
+        where = [perm[where[j]] for j in range(r)]
+        state = parent
     for chain in chains:
         chain.reverse()
     return chains
@@ -260,9 +274,9 @@ def solve_diverse(
     """
     decomposition, dec = prepare_decomposition(instance, deadline=deadline)
     width = decomposition.width
-    singles = forward_tables(instance, dec, width, deadline)
+    singles, moves = forward_tables(instance, dec, width, deadline)
     opt = singles[-1][(0, ())]
-    to_go = backward_tables(instance, dec, singles, deadline)
+    to_go = backward_tables(singles, moves, deadline)
 
     r = query.r
     delta = query.delta
@@ -277,26 +291,26 @@ def solve_diverse(
     s_cap = s_req
     cost_bound = opt + delta
     pair_index = {pair: k for k, pair in enumerate(_pairs(r))}
-    # A kept triple's cost lies in the window, at most delta above its key's
-    # least forward cost; a state is r triples, a distance register in
+    # A kept slot's cost lies in the window, at most delta above its key's
+    # least forward cost; a state is r slots, a distance register in
     # 0..s_cap per pair and the diversity register in 0..d_cap.
-    triple_bound = tail_bound(delta, width)
-    tuple_bound = triple_bound**r * (s_cap + 1) ** len(pair_index) * (d_cap + 1)
+    slot_bound = tail_bound(delta, width)
+    tuple_bound = slot_bound**r * (s_cap + 1) ** len(pair_index) * (d_cap + 1)
 
-    root = DiverseState(((0, (), 0),) * r, 0, (0,) * len(pair_index))
+    root = DiverseState((((0, ()), 0),) * r, 0, (0,) * len(pair_index))
     frontier: dict = {root: (None, None)}
     tables = [frontier]
     for p in range(len(dec.bags) - 1):
         succ_cache: dict = {}
         pair_cache: dict = {}
         nxt: dict = {}
-        for key in sorted(frontier):
+        for state in sorted(frontier):
             check_deadline(deadline)
             for raw in tuple_successors(
-                key,
-                instance,
+                state,
                 dec,
                 p,
+                moves=moves[p],
                 d_cap=d_cap,
                 s_cap=s_cap,
                 to_go=to_go[p + 1],
@@ -306,23 +320,23 @@ def solve_diverse(
             ):
                 canon, perm = _canonical(raw, pair_index)
                 if canon not in nxt:
-                    nxt[canon] = (key, perm)
-        distinct = {t for state in nxt for t in state.triples}
-        check_bound("triple", len(distinct), triple_bound)
+                    nxt[canon] = (state, perm)
+        distinct = {slot for canon in nxt for slot in canon.slots}
+        check_bound("triple", len(distinct), slot_bound)
         check_bound("tuple", len(nxt), tuple_bound)
         tables.append(nxt)
         frontier = nxt
 
-    final_keys = sorted(frontier)
-    for key in final_keys:
-        if any(tail or order for tail, order, _ in key.triples):
+    finals = sorted(frontier)
+    for state in finals:
+        if any(tail or order for (tail, order), _ in state.slots):
             raise InternalError("final state still carries a non-empty tail")
-        if any(cost > cost_bound for _, _, cost in key.triples):
+        if any(cost > cost_bound for _, cost in state.slots):
             raise InternalError("final state escaped the cost window")
 
-    meeting = [k for k in final_keys if not k.dist or min(k.dist) >= s_req]
+    meeting = [f for f in finals if not f.dist or min(f.dist) >= s_req]
     if not meeting:
-        scatter_best = max((min(k.dist) for k in final_keys), default=0)
+        scatter_best = max((min(f.dist) for f in finals), default=0)
         return DiverseOutcome(
             False, None, None, None, None, opt, width,
             failed_constraint="scatteredness",
@@ -331,7 +345,7 @@ def solve_diverse(
                 f"cost window is {scatter_best}, required {s_req}"
             ),
         )
-    best_div = max(k.div for k in meeting)
+    best_div = max(f.div for f in meeting)
     if best_div < d_req:
         return DiverseOutcome(
             False, None, None, None, None, opt, width,
@@ -342,34 +356,32 @@ def solve_diverse(
             ),
         )
     # In decide mode the diversity register is capped at d = d_req, so the
-    # smallest key of the best diversity is the first one that meets it.
-    chosen = min(k for k in meeting if k.div == best_div)
+    # smallest state of the best diversity is the first one that meets it.
+    chosen = min(f for f in meeting if f.div == best_div)
 
     chains = _backtrack(tables, chosen, r)
     witnesses = tuple(
         reconstruct_extension(chain, instance.base) for chain in chains
     )
-    costs = tuple(chain[-1][2] for chain in chains)
+    costs = tuple(cost for _, cost in chosen.slots)
     for w, c in zip(witnesses, costs):
         if instance.extension_cost(w) != c:
             raise InternalError("witness cost does not match its register")
-    exact_pairs = [
-        kt_distance(witnesses[i], witnesses[j]) for i, j in _pairs(r)
-    ]
-    exact_div = sum(exact_pairs)
+    exact = {(i, j): kt_distance(witnesses[i], witnesses[j]) for i, j in _pairs(r)}
+    exact_div = sum(exact.values())
     if chosen.div != min(exact_div, d_cap):
         raise InternalError("diversity register disagrees with witnesses")
-    for k, exact in enumerate(exact_pairs):
-        if chosen.dist[k] != min(exact, s_cap):
+    for k, pair in enumerate(_pairs(r)):
+        if chosen.dist[k] != min(exact[pair], s_cap):
             raise InternalError("distance register disagrees with witnesses")
 
     # Sorted, each ranking once (a no-op in decide mode, where every pair is
     # at distance >= 1); the diversity above still counts all r.
-    kept = dict(sorted(zip(witnesses, costs), key=lambda wc: wc[0].perm))
-    witnesses = tuple(kept)
-    pairwise = tuple(kt_distance(a, b) for a, b in itertools.combinations(witnesses, 2))
+    kept = sorted(dict(zip(witnesses, range(r))).values(), key=lambda i: witnesses[i].perm)
+    pairwise = tuple(exact[min(ij), max(ij)] for ij in itertools.combinations(kept, 2))
     return DiverseOutcome(
-        True, witnesses, tuple(kept.values()), exact_div, pairwise, opt, width
+        True, tuple(witnesses[i] for i in kept), tuple(costs[i] for i in kept),
+        exact_div, pairwise, opt, width,
     )
 
 

@@ -20,18 +20,19 @@ fixed-parameter in the unanimity width.
 
 ``forward_tables`` is the left-to-right tail-order program over a nice
 order-consistent path decomposition padded to start and end with an empty
-bag. A state ("triple") is the tail of a partial solution, held as the
-plain tuple ``(tail mask, tail order, cost)``: the subset S of the current
-bag that sits after every forgotten vertex, the tail's linear order, and
-the charged cost accumulated so far. From the empty tail at cost 0,
-``tail_successors`` makes every move: a forget step commits the dropped
-vertex and everything tail-smaller than it; an introduce step inserts the
-new vertex at every tail position the base order allows, paying for the
-pairs it forms with vertices already placed. The register keeps each
-(subset, tail order) key's least cost, which is lossless for the optimum:
-the final empty tail's. A ranking is read back off a chain of tails, as the
-prefixes its forget steps commit. ``backward_tables`` runs the same moves
-right to left over the forward keys and gives each key its exact cost to go.
+bag. A tail is held as its key ``(tail mask, tail order)``: the subset S of
+the current bag that sits after every forgotten vertex, and the tail's
+linear order. A key's moves depend on the key alone: ``tail_successors``
+gives each next key with the step, the charged cost the move adds. A
+forget step commits the dropped vertex and everything tail-smaller than it,
+at step 0; an introduce step inserts the new vertex at every tail position
+the base order allows, paying for the pairs it forms with vertices already
+placed. From the empty tail at cost 0 the program keeps each reachable
+key's least cost, which is lossless for the optimum: the final empty
+tail's. It computes each key's moves once and returns them with the
+tables, so ``backward_tables`` (each key's exact cost to go) and the
+diverse lockstep read them instead of making them again. A ranking is read
+back off a chain of keys, as the prefixes its forget steps commit.
 
 Both programs check their state counts against these fixed-parameter bounds
 as they build them (``errors.check_bound``): the ideals against the bag
@@ -56,14 +57,15 @@ from .width import (
 )
 
 
-# Tail subset (bitmask), tail order (vertex tuple, first = smallest),
-# accumulated charged cost.
-TailState = tuple[int, tuple[int, ...], int]
+# Tail subset (bitmask) and tail order (vertex tuple, first = smallest).
+TailKey = tuple[int, tuple[int, ...]]
+# Each key of one position mapped to its moves: (next key, step) pairs.
+Moves = dict[TailKey, list[tuple[TailKey, int]]]
 
 
 def tail_bound(delta: int, width: int) -> int:
-    """The bound e * (delta + 1) * (width + 1)! on the distinct triples at
-    one position of a tail-order program over a decomposition of width
+    """The bound e * (delta + 1) * (width + 1)! on the distinct (key, cost)
+    pairs at one position of a tail-order program over a decomposition of width
     ``width``. A tail is an ordered subset of a bag of at most width + 1
     vertices, and there are sum_k (width + 1)! / k! <= e * (width + 1)! of
     those. Within a cost window of delta, a tail's cost runs from its least
@@ -78,32 +80,32 @@ class SingleSolution:
     decomposition: ConsistentPathDecomposition
 
 
-def _forget_successor(triple: TailState, gone: int) -> TailState:
+def _forget_successor(key: TailKey, gone: int) -> TailKey:
     """Drop the forgotten vertex (a nice step forgets exactly one) and
     everything tail-smaller than it."""
-    tail, order, cost = triple
+    tail, order = key
     if not tail & gone:
-        return triple
+        return key
     cut = order.index(gone.bit_length() - 1) + 1
     for v in order[:cut]:
         tail ^= 1 << v
-    return (tail, order[cut:], cost)
+    return (tail, order[cut:])
 
 
 def _introduce_successors(
-    triple: TailState, v: int, next_bag: int, instance: CostInstance
-) -> list[TailState]:
-    """Insert v at every tail position the base order allows and charge the
-    pairs it forms: tail vertices on either side, plus the bag vertices
-    already committed before the whole tail."""
-    tail, order, cost = triple
+    key: TailKey, v: int, next_bag: int, instance: CostInstance
+) -> list[tuple[TailKey, int]]:
+    """Insert v at every tail position the base order allows, each with the
+    cost of the pairs it forms: tail vertices on either side, plus the bag
+    vertices already committed before the whole tail."""
+    tail, order = key
     charge = instance.charge
     base = instance.base
     up = base.strict_up(v)
     down = base.strict_down(v)
     new_tail = tail | (1 << v)
     committed = next_bag & ~new_tail
-    base_cost = cost + sum(charge[u][v] for u in _bits(committed))
+    base_cost = sum(charge[u][v] for u in _bits(committed))
     row_v = charge[v]
 
     # v must sit after every tail vertex below it and before every one above.
@@ -119,7 +121,7 @@ def _introduce_successors(
     for slot in range(lo, hi + 1):
         extra = before_cost + sum(row_v[u] for u in order[slot:])
         new_order = order[:slot] + (v,) + order[slot:]
-        out.append((new_tail, new_order, base_cost + extra))
+        out.append(((new_tail, new_order), base_cost + extra))
         if slot < len(order):
             before_cost += charge[order[slot]][v]
     return out
@@ -141,16 +143,16 @@ def prepare_decomposition(
 
 
 def tail_successors(
-    triple: TailState, dec: PathDecomposition, p: int, instance: CostInstance
-) -> list[TailState]:
-    """The tail's successors across the transition p -> p+1 of a nice
-    decomposition: one on a forget step, one per allowed slot of the new
-    vertex on an introduce step."""
+    key: TailKey, dec: PathDecomposition, p: int, instance: CostInstance
+) -> list[tuple[TailKey, int]]:
+    """The key's moves across the transition p -> p+1 of a nice
+    decomposition, as (next key, step) pairs: one on a forget step, one per
+    allowed slot of the new vertex on an introduce step."""
     gone = dec.forgotten(p + 1)
     if gone:
-        return [_forget_successor(triple, gone)]
+        return [(_forget_successor(key, gone), 0)]
     v = dec.introduced(p + 1).bit_length() - 1
-    return _introduce_successors(triple, v, dec.bags[p + 1], instance)
+    return _introduce_successors(key, v, dec.bags[p + 1], instance)
 
 
 def forward_tables(
@@ -158,73 +160,70 @@ def forward_tables(
     dec: PathDecomposition,
     width: int,
     deadline: float | None = None,
-) -> list[dict[tuple[int, tuple[int, ...]], int]]:
-    """The diverse solver's per-position register: each reachable (tail,
-    order) pair mapped to its least accumulated cost.
+) -> tuple[list[dict[TailKey, int]], list[Moves]]:
+    """The diverse solver's per-position registers: each reachable key
+    mapped to its least accumulated cost; and per transition p -> p+1, each
+    key at p mapped to its moves.
 
     ``dec`` must start and end with an empty bag (``pad_to_empty``): the
     first register is the empty tail alone, the last one holds the optimum.
     """
-    tables: list[dict] = [{(0, ()): 0}]
+    tables: list[dict[TailKey, int]] = [{(0, ()): 0}]
+    moves: list[Moves] = []
     for p in range(len(dec.bags) - 1):
         check_deadline(deadline)
-        nxt: dict = {}
-        for (tail, order), cost in tables[-1].items():
-            for new_tail, new_order, new_cost in tail_successors(
-                (tail, order, cost), dec, p, instance
-            ):
-                key = (new_tail, new_order)
-                old = nxt.get(key)
-                if old is None or new_cost < old:
-                    nxt[key] = new_cost
-        # one least cost per (tail, order) key: a window of delta 0
+        here: Moves = {}
+        nxt: dict[TailKey, int] = {}
+        for key, cost in tables[-1].items():
+            here[key] = tail_successors(key, dec, p, instance)
+            for new_key, step in here[key]:
+                old = nxt.get(new_key)
+                if old is None or cost + step < old:
+                    nxt[new_key] = cost + step
+        # one least cost per key: a window of delta 0
         check_bound("triple", len(nxt), tail_bound(0, width))
         tables.append(nxt)
-    return tables
+        moves.append(here)
+    return tables, moves
 
 
 def backward_tables(
-    instance: CostInstance,
-    dec: PathDecomposition,
-    singles: Sequence[dict],
+    singles: Sequence[dict[TailKey, int]],
+    moves: Sequence[Moves],
     deadline: float | None = None,
-) -> list[dict[tuple[int, tuple[int, ...]], int]]:
-    """The mirror of ``forward_tables``: each (tail, order) key of the
-    forward registers ``singles`` mapped to its exact cost to go, the least
-    cost its completions add on the way to the final empty tail.
+) -> list[dict[TailKey, int]]:
+    """The mirror of ``forward_tables``: each key of the forward registers
+    ``singles`` mapped to its exact cost to go, the least cost its
+    completions add on the way to the final empty tail, read off the
+    forward ``moves``.
 
-    One backward sweep makes the same moves from each key at cost 0, so a
-    move's cost is its successor's cost. So forward + to-go of a key is the
-    cheapest full solution through it, never below the optimum, which is
-    the to-go of the empty tail at position 0.
+    So forward + to-go of a key is the cheapest full solution through it,
+    never below the optimum, which is the to-go of the empty tail at
+    position 0.
     """
-    last = len(dec.bags) - 1
-    tables: list[dict] = [{} for _ in dec.bags]
+    last = len(singles) - 1
+    tables: list[dict[TailKey, int]] = [{} for _ in singles]
     tables[last] = dict.fromkeys(singles[last], 0)
     for p in range(last - 1, -1, -1):
         check_deadline(deadline)
         nxt = tables[p + 1]
         here = tables[p]
-        for tail, order in singles[p]:
-            succs = tail_successors((tail, order, 0), dec, p, instance)
+        for key in singles[p]:
             try:
-                here[(tail, order)] = min(step + nxt[(t, o)] for t, o, step in succs)
+                here[key] = min(step + nxt[k] for k, step in moves[p][key])
             except (KeyError, ValueError):
                 raise InternalError("reachable tail has no completion") from None
     return tables
 
 
-def reconstruct_extension(
-    chain: Sequence[TailState | tuple[int, tuple[int, ...]]], base: PartialOrder
-) -> LinearOrder:
-    """The ranking a chain of tails commits, from a tail with nothing
+def reconstruct_extension(chain: Sequence[TailKey], base: PartialOrder) -> LinearOrder:
+    """The ranking a chain of tail keys commits, from a tail with nothing
     committed before it to the final empty tail: each step that shortens the
     tail commits the prefix it drops. A ranking that misses or repeats a
     vertex, or breaks the base order, is a solver bug."""
     perm: list[int] = []
-    for entry, following in zip(chain, chain[1:]):
-        order = entry[1]
-        perm += order[: max(0, len(order) - len(following[1]))]
+    for (_, order), (_, following) in zip(chain, chain[1:]):
+        perm += order[: max(0, len(order) - len(following))]
     if sorted(perm) != list(range(base.n)):
         raise InternalError("chain does not commit every vertex exactly once")
     extension = LinearOrder(tuple(perm))

@@ -22,7 +22,6 @@ from kemeny.instances import (
     fifty_fifty_profile,
     five_type_profile,
     generate_bucket_order,
-    random_cost_instance,
     random_partial_order,
     random_profile,
 )
@@ -38,6 +37,7 @@ from kemeny.solver_diverse import (
 from kemeny.solver_single import solve_single
 from kemeny.width import cocomparability_graph, consistent_path_decomposition
 
+from cost_instances import random_cost_instance
 from graph_oracles import exact_pathwidth, has_long_induced_cycle
 
 import pathlib

@@ -89,6 +89,13 @@ class TestRoundTrip:
             assert again.votes == profile.votes
             assert serialize_profile(again) == text
 
+    def test_all_tied_vote_round_trips(self):
+        # an antichain vote is the one-bucket weak order
+        text = "candidates: A,B,C\nA=B=C\n"
+        profile = parse_votes(text)
+        assert list(profile.votes[0][0].strict_pairs()) == []
+        assert serialize_profile(profile) == text
+
     def test_random_profiles_round_trip(self):
         rng = random.Random(71)
         for _ in range(25):
@@ -399,6 +406,12 @@ class TestSubcommands:
         code, _, err = invoke(["solve", "/nonexistent/file.votes"])
         assert code == 2
 
+    @pytest.mark.parametrize("sizes", ["3,x", "", "3,,2"])
+    def test_bad_bucket_sizes_exit_code(self, sizes):
+        code, out, err = invoke(["gen", "buckets", "--sizes", sizes])
+        assert (code, out) == (2, "")
+        assert err == f"error: --sizes: expected comma-separated integers, got {sizes!r}\n"
+
     @pytest.mark.parametrize(
         "argv",
         [["solve", FIVE, "--dump-decomposition"],
@@ -456,7 +469,9 @@ class TestSubcommands:
 # on the decomposition the diverse lockstep walks and on how it breaks ties,
 # so any change to either shows up here. The 3,3,3 maxdiv pair has the
 # oracle's maximum diversity (`oracle --task diverse --max`: 5) with both
-# scores at the optimum.
+# scores at the optimum. The r = 3 rows run three lockstep slots through
+# the canonical slot order and the backtrack; the 3,3,3 maxdiv triple
+# repeats a ranking, so it lists two witnesses and counts 5 + 5 + 0.
 TIE_GOLDENS = [
     ("3,3,3", "solve", 0, (
         "result: solve\n"
@@ -627,6 +642,120 @@ TIE_GOLDENS = [
         "failed-constraint: diversity\n"
         "detail: best achievable diversity within the cost window is 3, required 4\n"
     )),
+    ("3,3,3", "maxdiv --r 3 --delta 1", 0, (
+        "result: maxdiv\n"
+        "n: 9\n"
+        "m: 6\n"
+        "unanimity-width: 2\n"
+        "r: 3\n"
+        "delta: 1\n"
+        "optimum: 24\n"
+        "decision: yes\n"
+        "diversity: 10\n"
+        "witness-1: A<C<B<F<E<D<H<I<G\n"
+        "score-1: 24\n"
+        "witness-2: B<A<C<F<D<E<G<H<I\n"
+        "score-2: 24\n"
+        "distance-1-2: 5\n"
+    )),
+    ("3,3,3", "diverse --r 3 --delta 1 --d 8", 0, (
+        "result: diverse\n"
+        "n: 9\n"
+        "m: 6\n"
+        "unanimity-width: 2\n"
+        "r: 3\n"
+        "delta: 1\n"
+        "d: 8\n"
+        "s: 1\n"
+        "optimum: 24\n"
+        "decision: yes\n"
+        "diversity: 8\n"
+        "witness-1: A<C<B<F<E<D<H<G<I\n"
+        "score-1: 24\n"
+        "witness-2: A<C<B<F<E<D<H<I<G\n"
+        "score-2: 24\n"
+        "witness-3: B<A<C<F<D<E<H<I<G\n"
+        "score-3: 24\n"
+        "distance-1-2: 1\n"
+        "distance-1-3: 4\n"
+        "distance-2-3: 3\n"
+    )),
+    ("4,3,2", "maxdiv --r 3 --delta 1", 0, (
+        "result: maxdiv\n"
+        "n: 9\n"
+        "m: 6\n"
+        "unanimity-width: 3\n"
+        "r: 3\n"
+        "delta: 1\n"
+        "optimum: 26\n"
+        "decision: yes\n"
+        "diversity: 4\n"
+        "witness-1: C<B<D<A<E<G<F<I<H\n"
+        "score-1: 26\n"
+        "witness-2: C<B<D<A<G<F<E<I<H\n"
+        "score-2: 26\n"
+        "distance-1-2: 2\n"
+    )),
+    ("4,3,2", "diverse --r 3 --delta 0 --d 2", 0, (
+        "result: diverse\n"
+        "n: 9\n"
+        "m: 6\n"
+        "unanimity-width: 3\n"
+        "r: 3\n"
+        "delta: 0\n"
+        "d: 2\n"
+        "s: 1\n"
+        "optimum: 26\n"
+        "decision: yes\n"
+        "diversity: 4\n"
+        "witness-1: C<B<D<A<E<G<F<I<H\n"
+        "score-1: 26\n"
+        "witness-2: C<B<D<A<G<E<F<I<H\n"
+        "score-2: 26\n"
+        "witness-3: C<B<D<A<G<F<E<I<H\n"
+        "score-3: 26\n"
+        "distance-1-2: 1\n"
+        "distance-1-3: 2\n"
+        "distance-2-3: 1\n"
+    )),
+    ("4,4", "maxdiv --r 3 --delta 1", 0, (
+        "result: maxdiv\n"
+        "n: 8\n"
+        "m: 6\n"
+        "unanimity-width: 3\n"
+        "r: 3\n"
+        "delta: 1\n"
+        "optimum: 27\n"
+        "decision: yes\n"
+        "diversity: 6\n"
+        "witness-1: A<B<C<D<E<H<G<F\n"
+        "score-1: 27\n"
+        "witness-2: B<D<A<C<E<H<G<F\n"
+        "score-2: 27\n"
+        "distance-1-2: 3\n"
+    )),
+    ("4,4", "diverse --r 3 --delta 1 --d 6", 0, (
+        "result: diverse\n"
+        "n: 8\n"
+        "m: 6\n"
+        "unanimity-width: 3\n"
+        "r: 3\n"
+        "delta: 1\n"
+        "d: 6\n"
+        "s: 1\n"
+        "optimum: 27\n"
+        "decision: yes\n"
+        "diversity: 6\n"
+        "witness-1: A<B<D<C<E<H<G<F\n"
+        "score-1: 27\n"
+        "witness-2: B<A<C<D<E<H<G<F\n"
+        "score-2: 27\n"
+        "witness-3: B<D<A<C<E<H<G<F\n"
+        "score-3: 27\n"
+        "distance-1-2: 2\n"
+        "distance-1-3: 2\n"
+        "distance-2-3: 2\n"
+    )),
 ]
 
 
@@ -762,6 +891,8 @@ class TestTraceGuard:
         tracer.install()
         try:
             assert invoke(["diverse", FIFTY, "--r", "2", "--d", "1"])[0] == 0
+            assert invoke(["maxdiv", FIFTY, "--r", "3", "--delta", "1"])[0] == 0
+            assert invoke(["optima", FIFTY, "--r", "2"])[0] == 0
             assert invoke(["pco", FIFTY, "--k", "0"])[0] == 1
         finally:
             tracer.uninstall()
@@ -769,6 +900,9 @@ class TestTraceGuard:
             "kemeny.solver_diverse.consistent_path_decomposition",
             "kemeny.pco.consistent_path_decomposition",
         }
+        assert [(s.name, s.error) for s in tracer.spans if s.error] == []
+        names = {s.name for s in tracer.spans}
+        assert {"solver_diverse.register", "width.decompose"} <= names
         info = {s.name: s.info for s in tracer.spans if s.info}
         assert info["solver_diverse.entry"] == {"yes": 1}
         assert info["pco.solve"] == {"rejected": 1}

@@ -5,10 +5,11 @@ import random
 import pytest
 
 from kemeny.errors import InputError
-from kemeny.instances import random_cost_instance
 from kemeny.oracle import oracle_optimum
 from kemeny.orders import CostInstance, PartialOrder
 from kemeny.pco import PcoInstance, solve_pco
+
+from cost_instances import random_cost_instance
 
 
 def chain(n):

@@ -10,7 +10,6 @@ from kemeny.errors import InternalError
 from kemeny.instances import (
     fifty_fifty_profile,
     five_type_profile,
-    random_cost_instance,
     random_profile,
 )
 from kemeny.oracle import enumerate_extensions, oracle_diverse, oracle_optimum
@@ -40,6 +39,8 @@ from kemeny.solver_single import (
     prepare_decomposition,
 )
 from kemeny.width import PathDecomposition
+
+from cost_instances import random_cost_instance
 
 
 class TestScatterednessIncrease:
@@ -80,10 +81,10 @@ def _two_vertex_setup():
 
 def _successors(state, inst, dec, d_cap=0, s_cap=0, cost_bound=99):
     # the transition 1 -> 2 introduces vertex 1 next to the tail (0,)
-    singles = forward_tables(inst, dec, dec.width)
-    to_go = backward_tables(inst, dec, singles)[2]
+    singles, moves = forward_tables(inst, dec, dec.width)
+    to_go = backward_tables(singles, moves)[2]
     return tuple_successors(
-        state, inst, dec, 1, d_cap=d_cap, s_cap=s_cap,
+        state, dec, 1, moves=moves[1], d_cap=d_cap, s_cap=s_cap,
         to_go=to_go, cost_bound=cost_bound, succ_cache={}, pair_cache={},
     )
 
@@ -91,20 +92,21 @@ def _successors(state, inst, dec, d_cap=0, s_cap=0, cost_bound=99):
 class TestTupleSuccessors:
     def test_r1_matches_introduce_successors(self):
         inst, dec = _two_vertex_setup()
-        triple = (0b01, (0,), 0)
-        got = _successors(DiverseState((triple,), 0, ()), inst, dec)
-        expected = _introduce_successors(triple, 1, 0b11, inst)
-        assert [s.triples[0] for s in got] == expected
+        key = (0b01, (0,))
+        got = _successors(DiverseState(((key, 0),), 0, ()), inst, dec)
+        # from cost 0, each successor slot's cost is its move's step
+        expected = _introduce_successors(key, 1, 0b11, inst)
+        assert [s.slots[0] for s in got] == expected
         assert all(s.div == 0 and s.dist == () for s in got)
 
     def test_r2_product_with_registers(self):
         inst, dec = _two_vertex_setup()
-        triple = (0b01, (0,), 0)
-        state = DiverseState((triple, triple), 0, (0,))
+        slot = ((0b01, (0,)), 0)
+        state = DiverseState((slot, slot), 0, (0,))
         got = _successors(state, inst, dec, d_cap=9, s_cap=9)
         assert len(got) == 4
         by_tails = {
-            (s.triples[0][1], s.triples[1][1]): (s.div, s.dist) for s in got
+            (s.slots[0][0][1], s.slots[1][0][1]): (s.div, s.dist) for s in got
         }
         assert by_tails[((0, 1), (0, 1))] == (0, (0,))
         assert by_tails[((1, 0), (1, 0))] == (0, (0,))
@@ -113,8 +115,8 @@ class TestTupleSuccessors:
 
     def test_register_caps_saturate(self):
         inst, dec = _two_vertex_setup()
-        triple = (0b01, (0,), 0)
-        state = DiverseState((triple, triple), 3, (1,))
+        slot = ((0b01, (0,)), 0)
+        state = DiverseState((slot, slot), 3, (1,))
         got = _successors(state, inst, dec, d_cap=3, s_cap=1)
         for s in got:
             assert s.div == 3  # already at the cap, stays there
@@ -122,24 +124,36 @@ class TestTupleSuccessors:
 
     def test_cost_window_prunes_states(self):
         inst, dec = _two_vertex_setup()
-        state = DiverseState(((0b01, (0,), 0),), 0, ())
+        state = DiverseState((((0b01, (0,)), 0),), 0, ())
         got = _successors(state, inst, dec, cost_bound=1)
-        assert [s.triples[0][2] for s in got] == [1]
+        assert [s.slots[0][1] for s in got] == [1]
 
     def test_window_prunes_from_expensive_start(self):
         # from cost 3 the successors cost 4 and 7 with nothing left to pay
         inst, dec = _two_vertex_setup()
-        state = DiverseState(((0b01, (0,), 3),), 0, ())
+        state = DiverseState((((0b01, (0,)), 3),), 0, ())
         assert _successors(state, inst, dec, cost_bound=3) == []
-        assert [s.triples[0][2] for s in _successors(state, inst, dec, cost_bound=4)] == [4]
+        assert [s.slots[0][1] for s in _successors(state, inst, dec, cost_bound=4)] == [4]
         assert len(_successors(state, inst, dec, cost_bound=7)) == 2
 
     def test_missing_successor_raises(self):
         inst, dec = _two_vertex_setup()
-        state = DiverseState(((0b01, (0,), 0),), 0, ())
+        _, moves = forward_tables(inst, dec, dec.width)
+        state = DiverseState((((0b01, (0,)), 0),), 0, ())
         with pytest.raises(InternalError):
             tuple_successors(
-                state, inst, dec, 1, d_cap=0, s_cap=0, to_go={},
+                state, dec, 1, moves=moves[1], d_cap=0, s_cap=0, to_go={},
+                cost_bound=99, succ_cache={}, pair_cache={},
+            )
+
+    def test_key_missing_from_moves_raises(self):
+        inst, dec = _two_vertex_setup()
+        singles, moves = forward_tables(inst, dec, dec.width)
+        state = DiverseState((((0b10, (1,)), 0),), 0, ())
+        with pytest.raises(InternalError, match="forward moves"):
+            tuple_successors(
+                state, dec, 1, moves=moves[1], d_cap=0, s_cap=0,
+                to_go=backward_tables(singles, moves)[2],
                 cost_bound=99, succ_cache={}, pair_cache={},
             )
 
@@ -147,7 +161,7 @@ class TestTupleSuccessors:
 class TestBackwardTables:
     def test_two_vertex_costs_to_go(self):
         inst, dec = _two_vertex_setup()
-        to_go = backward_tables(inst, dec, forward_tables(inst, dec, dec.width))
+        to_go = backward_tables(*forward_tables(inst, dec, dec.width))
         assert to_go[0] == {(0, ()): 1}
         assert to_go[1] == {(0b01, (0,)): 1}
         assert to_go[2] == {(0b11, (0, 1)): 0, (0b11, (1, 0)): 0}
@@ -159,8 +173,9 @@ class TestBackwardTables:
             inst = random_cost_instance(rng.randint(1, 6), rng, 0.5, max_cost=4)
             opt, _ = oracle_optimum(inst)
             decomposition, dec = prepare_decomposition(inst)
-            singles = forward_tables(inst, dec, decomposition.width)
-            to_go = backward_tables(inst, dec, singles)
+            singles, moves = forward_tables(inst, dec, decomposition.width)
+            to_go = backward_tables(singles, moves)
+            assert [m.keys() for m in moves] == [t.keys() for t in singles[:-1]]
             assert to_go[0][(0, ())] == opt
             for forward, rest in zip(singles, to_go):
                 assert forward.keys() == rest.keys()
@@ -170,10 +185,17 @@ class TestBackwardTables:
 
     def test_key_without_completion_raises(self):
         inst, dec = _two_vertex_setup()
-        singles = forward_tables(inst, dec, dec.width)
+        singles, moves = forward_tables(inst, dec, dec.width)
         singles[3] = {}
         with pytest.raises(InternalError):
-            backward_tables(inst, dec, singles)
+            backward_tables(singles, moves)
+
+    def test_key_without_moves_raises(self):
+        inst, dec = _two_vertex_setup()
+        singles, moves = forward_tables(inst, dec, dec.width)
+        moves[2] = {}
+        with pytest.raises(InternalError):
+            backward_tables(singles, moves)
 
 
 class TestSolveDiverse:

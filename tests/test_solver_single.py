@@ -14,7 +14,6 @@ from kemeny.instances import (
     five_type_profile,
     generate_bucket_order,
     generate_profile,
-    random_cost_instance,
     random_linear_extension,
     random_partial_order,
     random_profile,
@@ -32,6 +31,8 @@ from kemeny.solver_single import (
 )
 from kemeny.width import PathDecomposition, pad_to_empty
 
+from cost_instances import random_cost_instance
+
 
 def chain(n):
     return PartialOrder.from_pairs(n, [(i, i + 1) for i in range(n - 1)])
@@ -43,52 +44,53 @@ def instance_2(cost_ab, cost_ba, base=None):
 
 
 def first_bag_states(inst, bag):
-    """The states of the register at the first full bag: every extension of
-    the base order on the bag, costed over the pairs inside it."""
+    """The (key, cost) pairs of the register at the first full bag: every
+    extension of the base order on the bag, costed over the pairs inside
+    it."""
     dec = pad_to_empty(PathDecomposition(inst.n, (bag,)))
-    table = forward_tables(inst, dec, dec.width)[bag.bit_count()]
-    return {(tail, order, cost) for (tail, order), cost in table.items()}
+    tables, _ = forward_tables(inst, dec, dec.width)
+    return set(tables[bag.bit_count()].items())
 
 
 class TestInitialTriples:
     def test_single_vertex_bag(self):
         inst = instance_2(2, 3)
-        assert first_bag_states(inst, 0b01) == {(0b01, (0,), 0)}
+        assert first_bag_states(inst, 0b01) == {((0b01, (0,)), 0)}
 
     def test_incomparable_pair_both_orders(self):
         inst = instance_2(2, 3)
-        triples = first_bag_states(inst, 0b11)
-        assert triples == {(0b11, (0, 1), 2), (0b11, (1, 0), 3)}
+        states = first_bag_states(inst, 0b11)
+        assert states == {((0b11, (0, 1)), 2), ((0b11, (1, 0)), 3)}
 
     def test_forced_pair_single_extension_zero_cost(self):
         inst = instance_2(9, 9, base=chain(2))
-        assert first_bag_states(inst, 0b11) == {(0b11, (0, 1), 0)}
+        assert first_bag_states(inst, 0b11) == {((0b11, (0, 1)), 0)}
 
 
 class TestTripleSuccessors:
     def test_forget_keeps_suffix(self):
         # forget vertex 1 from tail (1, 0): survivor 0 sits after it
-        assert _forget_successor((0b11, (1, 0), 3), 0b10) == (0b01, (0,), 3)
+        assert _forget_successor((0b11, (1, 0)), 0b10) == (0b01, (0,))
 
     def test_forget_drops_smaller_survivors(self):
         # forget vertex 1 from tail (0, 1): 0 precedes it and commits too
-        assert _forget_successor((0b11, (0, 1), 2), 0b10) == (0, (), 2)
+        assert _forget_successor((0b11, (0, 1)), 0b10) == (0, ())
 
     def test_forget_outside_tail_changes_nothing(self):
         # forget vertex 0, which is committed rather than in the tail
-        state = (0b110, (1, 2), 5)
-        assert _forget_successor(state, 0b001) == state
+        key = (0b110, (1, 2))
+        assert _forget_successor(key, 0b001) == key
 
     def test_introduce_charges_both_slots(self):
         base = PartialOrder.antichain(2)
         inst = CostInstance(2, ((0, 1), (4, 0)), base)
-        succ = set(_introduce_successors((0b01, (0,), 7), 1, 0b11, inst))
-        assert succ == {(0b11, (0, 1), 8), (0b11, (1, 0), 11)}
+        succ = set(_introduce_successors((0b01, (0,)), 1, 0b11, inst))
+        assert succ == {((0b11, (0, 1)), 1), ((0b11, (1, 0)), 4)}
 
     def test_introduce_respects_base_order(self):
         inst = instance_2(9, 9, base=chain(2))
-        succ = _introduce_successors((0b01, (0,), 0), 1, 0b11, inst)
-        assert succ == [(0b11, (0, 1), 0)]
+        succ = _introduce_successors((0b01, (0,)), 1, 0b11, inst)
+        assert succ == [((0b11, (0, 1)), 0)]
 
     def test_introduce_charges_committed_bag_vertices(self):
         # vertex 0 is in the bag but not in the tail: it is committed before
@@ -96,10 +98,10 @@ class TestTripleSuccessors:
         base = PartialOrder.antichain(3)
         cost = ((0, 0, 2), (0, 0, 3), (5, 7, 0))
         inst = CostInstance(3, cost, base)
-        succ = set(_introduce_successors((0b010, (1,), 0), 2, 0b111, inst))
+        succ = set(_introduce_successors((0b010, (1,)), 2, 0b111, inst))
         assert succ == {
-            (0b110, (1, 2), 2 + 3),  # 2 after 1: pay c(1,2); plus c(0,2)
-            (0b110, (2, 1), 2 + 7),  # 2 before 1: pay c(2,1); plus c(0,2)
+            ((0b110, (1, 2)), 2 + 3),  # 2 after 1: pay c(1,2); plus c(0,2)
+            ((0b110, (2, 1)), 2 + 7),  # 2 before 1: pay c(2,1); plus c(0,2)
         }
 
 class TestSolve:
@@ -209,7 +211,8 @@ class TestIdealEngine:
             if cpd.width > 5:
                 continue
             widths.append(cpd.width)
-            tail_opt = forward_tables(inst, dec, cpd.width)[-1][(0, ())]
+            tables, _ = forward_tables(inst, dec, cpd.width)
+            tail_opt = tables[-1][(0, ())]
             assert solve_single(inst).cost == tail_opt
         assert max(widths) == 5
 
@@ -279,7 +282,7 @@ class TestProjectionRoundTrip:
         for _ in range(25):
             inst = random_cost_instance(rng.randint(2, 6), rng, rng.random())
             cpd, dec = prepare_decomposition(inst)
-            tables = forward_tables(inst, dec, cpd.width)
+            tables, _ = forward_tables(inst, dec, cpd.width)
             opt, winners = oracle_optimum(inst)
             charge = inst.charge
             for ext in winners:
