@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Look inside the decomposition on a random partial order: incomparability
 graph, the ideal lattice of the order, the width-optimal linear extension
-chosen over it, and the padded nice bag sequence the solvers walk.
+chosen over it, and the nice bag sequence, from an empty bag to an empty
+bag, that the solvers walk.
 
 Run: python3 demos/width_pipeline.py
 """
@@ -12,9 +13,7 @@ from kemeny.instances import random_partial_order
 from kemeny.width import (
     cocomparability_graph,
     consistent_path_decomposition,
-    decomposition_from_layout,
     ideal_lattice,
-    pad_to_empty,
     width_optimal_extension,
 )
 
@@ -44,13 +43,11 @@ def main():
 
     layout = width_optimal_extension(g, lattice)
     print("width-optimal linear extension:", " < ".join(map(str, layout)))
-    raw = decomposition_from_layout(g, layout)
-    print(f"layout bags (width {raw.width}):", " ".join(bag_str(b) for b in raw.bags))
 
     cpd = consistent_path_decomposition(order, lattice=lattice)
-    padded = pad_to_empty(cpd.decomposition)
-    print(f"padded nice sequence ({len(padded.bags)} bags, width {padded.width}):")
-    print("  " + " ".join(bag_str(b) for b in padded.bags))
+    dec = cpd.decomposition
+    print(f"padded nice sequence ({len(dec.bags)} bags, width {dec.width}):")
+    print("  " + " ".join(bag_str(b) for b in dec.bags))
 
     problems = cpd.validate()
     print("validator:", "all checks pass" if not problems else problems)

@@ -34,7 +34,6 @@ from .width import (
     PathDecomposition,
     cocomparability_graph,
     consistent_path_decomposition,
-    make_nice,
 )
 
 __all__ = [
@@ -63,7 +62,6 @@ __all__ = [
     "find_distinct_optima",
     "kemeny_score",
     "kt_distance",
-    "make_nice",
     "reduce_to_co",
     "solve_diverse",
     "solve_diverse_kra",

@@ -26,6 +26,7 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import random
 import re
 import sys
@@ -315,11 +316,11 @@ def _cmd_solve(args, profile: Profile, deadline: float | None) -> Answer:
     solution = solve_single(reduce_to_co(profile), deadline=deadline)
     names = profile.candidates.names
     if args.dump_decomposition:
-        bags = solution.decomposition.decomposition.bags
-        _write(
-            args.dump_decomposition,
-            "".join(" ".join(names[v] for v in _bits(bag)) + "\n" for bag in bags),
-        )
+        # the bags after the leading empty one, through the last introduce
+        dec = solution.decomposition.decomposition
+        last = max(p for p in range(len(dec.bags)) if dec.introduced(p))
+        lines = (" ".join(names[v] for v in _bits(bag)) + "\n" for bag in dec.bags[1 : last + 1])
+        _write(args.dump_decomposition, "".join(lines))
     doc = _head("solve", profile, solution.decomposition.width)
     doc.add("decision", "yes")
     doc.add("optimum", solution.cost)
@@ -463,6 +464,17 @@ def _cmd_gen(args, out: IO[str]) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _seconds(text: str) -> float:
+    """A ``--timeout`` value: any float but NaN, which no deadline passes."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(f"not a number of seconds: {text!r}")
+    return value
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it
@@ -478,7 +490,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="append a wall-clock line (non-deterministic; off by default)",
     )
     common.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
+        "--timeout", type=_seconds, default=None, metavar="SECONDS",
         help="abort with exit code 3 after this much wall-clock time",
     )
     voting = argparse.ArgumentParser(add_help=False, parents=[common])

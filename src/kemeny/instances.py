@@ -95,6 +95,8 @@ def random_profile(
 ) -> Profile:
     """Random partial-vote profile: each vote is a random partial order, a
     share of them full linear orders."""
+    if not 0 <= density <= 1:
+        raise InputError(f"density must lie in [0, 1], got {density}")
     candidates = CandidateSet(candidate_labels(n))
     votes = []
     for _ in range(m):

@@ -191,9 +191,6 @@ class LinearOrder:
     def n(self) -> int:
         return len(self.perm)
 
-    def position(self, x: int) -> int:
-        return self._pos[x]  # type: ignore[attr-defined]
-
     def as_partial_order(self) -> PartialOrder:
         n = self.n
         rows = [0] * n

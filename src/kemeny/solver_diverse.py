@@ -19,7 +19,7 @@ ancestor of a final state, so the final states and the backtrack are those
 of the unpruned program.
 
 Each solution slot of a state is a tail key with its cost. The slots' moves
-are the ones ``forward_tables`` made for the single-solution register: the
+are the ones ``forward_tables`` made for the cost-to-go register: the
 lockstep reads them and adds each step to the slot's own cost.
 
 The modes are ``decide`` and ``max-diversity``. Asking for r distinct
@@ -49,11 +49,10 @@ from .solver_single import (
     backward_tables,
     forward_tables,
     optimal_rankings,
-    prepare_decomposition,
     reconstruct_extension,
     tail_bound,
 )
-from .width import PathDecomposition
+from .width import PathDecomposition, consistent_path_decomposition
 
 MODES = ("decide", "max-diversity")
 
@@ -272,11 +271,12 @@ def solve_diverse(
     (an upper bound on any achievable diversity at this scale), so final
     registers carry exact diversities and the best one is returned.
     """
-    decomposition, dec = prepare_decomposition(instance, deadline=deadline)
+    decomposition = consistent_path_decomposition(instance.base, deadline=deadline)
+    dec = decomposition.decomposition
     width = decomposition.width
-    singles, moves = forward_tables(instance, dec, width, deadline)
-    opt = singles[-1][(0, ())]
-    to_go = backward_tables(singles, moves, deadline)
+    moves = forward_tables(instance, dec, width, deadline)
+    to_go = backward_tables(moves, deadline)
+    opt = to_go[0][(0, ())]
 
     r = query.r
     delta = query.delta
@@ -291,8 +291,8 @@ def solve_diverse(
     s_cap = s_req
     cost_bound = opt + delta
     pair_index = {pair: k for k, pair in enumerate(_pairs(r))}
-    # A kept slot's cost lies in the window, at most delta above its key's
-    # least forward cost; a state is r slots, a distance register in
+    # A kept slot's cost lies in the window, at most delta above the least
+    # cost of reaching its key; a state is r slots, a distance register in
     # 0..s_cap per pair and the diversity register in 0..d_cap.
     slot_bound = tail_bound(delta, width)
     tuple_bound = slot_bound**r * (s_cap + 1) ** len(pair_index) * (d_cap + 1)

@@ -18,8 +18,8 @@ of maximal elements, so their number stays within the sum of 2^|bag| over
 the bags of any path decomposition of the cocomparability graph:
 fixed-parameter in the unanimity width.
 
-``forward_tables`` is the left-to-right tail-order program over a nice
-order-consistent path decomposition padded to start and end with an empty
+``forward_tables`` is the left-to-right tail-order program over the nice
+order-consistent path decomposition, which starts and ends with an empty
 bag. A tail is held as its key ``(tail mask, tail order)``: the subset S of
 the current bag that sits after every forgotten vertex, and the tail's
 linear order. A key's moves depend on the key alone: ``tail_successors``
@@ -27,16 +27,16 @@ gives each next key with the step, the charged cost the move adds. A
 forget step commits the dropped vertex and everything tail-smaller than it,
 at step 0; an introduce step inserts the new vertex at every tail position
 the base order allows, paying for the pairs it forms with vertices already
-placed. From the empty tail at cost 0 the program keeps each reachable
-key's least cost, which is lossless for the optimum: the final empty
-tail's. It computes each key's moves once and returns them with the
-tables, so ``backward_tables`` (each key's exact cost to go) and the
-diverse lockstep read them instead of making them again. A ranking is read
-back off a chain of keys, as the prefixes its forget steps commit.
+placed. From the empty tail the program computes the moves of every
+reachable key once; ``backward_tables`` reads them for each key's exact
+cost to go, whose value at the empty tail of the first bag is the
+optimum, and the diverse lockstep reads them instead of making them
+again. A ranking is read back off a chain of keys, as the prefixes its
+forget steps commit.
 
 Both programs check their state counts against these fixed-parameter bounds
 as they build them (``errors.check_bound``): the ideals against the bag
-sum, each forward register against ``tail_bound``.
+sum, the reachable keys of each position against ``tail_bound``.
 """
 
 from __future__ import annotations
@@ -49,11 +49,9 @@ from .errors import InternalError, check_bound, check_deadline
 from .orders import CostInstance, LinearOrder, PartialOrder, _bits
 from .width import (
     ConsistentPathDecomposition,
-    IdealLattice,
     PathDecomposition,
     consistent_path_decomposition,
     ideal_lattice,
-    pad_to_empty,
 )
 
 
@@ -68,8 +66,8 @@ def tail_bound(delta: int, width: int) -> int:
     pairs at one position of a tail-order program over a decomposition of width
     ``width``. A tail is an ordered subset of a bag of at most width + 1
     vertices, and there are sum_k (width + 1)! / k! <= e * (width + 1)! of
-    those. Within a cost window of delta, a tail's cost runs from its least
-    forward cost to delta above it: at most delta + 1 values."""
+    those. Within a cost window of delta, a tail's cost runs from the least
+    cost of reaching it to delta above that: at most delta + 1 values."""
     return int(math.e * (delta + 1) * math.factorial(width + 1))
 
 
@@ -127,21 +125,6 @@ def _introduce_successors(
     return out
 
 
-def prepare_decomposition(
-    instance: CostInstance,
-    lattice: IdealLattice | None = None,
-    deadline: float | None = None,
-) -> tuple[ConsistentPathDecomposition, PathDecomposition]:
-    """The one place a decomposition is built: returns it with its bags
-    padded to an empty bag at both ends. It is built from the base order's
-    ideal lattice if the caller has it; ``consistent_path_decomposition``
-    validates what it returns."""
-    decomposition = consistent_path_decomposition(
-        instance.base, lattice=lattice, deadline=deadline
-    )
-    return decomposition, pad_to_empty(decomposition.decomposition)
-
-
 def tail_successors(
     key: TailKey, dec: PathDecomposition, p: int, instance: CostInstance
 ) -> list[tuple[TailKey, int]]:
@@ -160,57 +143,39 @@ def forward_tables(
     dec: PathDecomposition,
     width: int,
     deadline: float | None = None,
-) -> tuple[list[dict[TailKey, int]], list[Moves]]:
-    """The diverse solver's per-position registers: each reachable key
-    mapped to its least accumulated cost; and per transition p -> p+1, each
-    key at p mapped to its moves.
-
-    ``dec`` must start and end with an empty bag (``pad_to_empty``): the
-    first register is the empty tail alone, the last one holds the optimum.
-    """
-    tables: list[dict[TailKey, int]] = [{(0, ()): 0}]
+) -> list[Moves]:
+    """Per transition p -> p+1, each key reachable at p from the empty tail
+    mapped to its moves. ``dec`` must start and end with an empty bag."""
     moves: list[Moves] = []
+    keys: dict[TailKey, None] = {(0, ()): None}
     for p in range(len(dec.bags) - 1):
         check_deadline(deadline)
-        here: Moves = {}
-        nxt: dict[TailKey, int] = {}
-        for key, cost in tables[-1].items():
-            here[key] = tail_successors(key, dec, p, instance)
-            for new_key, step in here[key]:
-                old = nxt.get(new_key)
-                if old is None or cost + step < old:
-                    nxt[new_key] = cost + step
-        # one least cost per key: a window of delta 0
-        check_bound("triple", len(nxt), tail_bound(0, width))
-        tables.append(nxt)
+        here: Moves = {key: tail_successors(key, dec, p, instance) for key in keys}
+        keys = dict.fromkeys(k for succ in here.values() for k, _ in succ)
+        # distinct keys only: the count of a window of delta 0
+        check_bound("triple", len(keys), tail_bound(0, width))
         moves.append(here)
-    return tables, moves
+    return moves
 
 
 def backward_tables(
-    singles: Sequence[dict[TailKey, int]],
-    moves: Sequence[Moves],
-    deadline: float | None = None,
+    moves: Sequence[Moves], deadline: float | None = None
 ) -> list[dict[TailKey, int]]:
-    """The mirror of ``forward_tables``: each key of the forward registers
-    ``singles`` mapped to its exact cost to go, the least cost its
-    completions add on the way to the final empty tail, read off the
-    forward ``moves``.
-
-    So forward + to-go of a key is the cheapest full solution through it,
-    never below the optimum, which is the to-go of the empty tail at
-    position 0.
-    """
-    last = len(singles) - 1
-    tables: list[dict[TailKey, int]] = [{} for _ in singles]
-    tables[last] = dict.fromkeys(singles[last], 0)
+    """Each reachable key of ``forward_tables`` mapped to its exact cost to
+    go, the least cost its completions add on the way to the final empty
+    tail, read off the ``moves``. The to-go of the empty tail at position 0
+    is the optimum, and a key's least cost to reach plus its to-go is the
+    cheapest full solution through it, never below the optimum."""
+    last = len(moves)
+    tables: list[dict[TailKey, int]] = [{} for _ in range(last)]
+    tables.append({(0, ()): 0})
     for p in range(last - 1, -1, -1):
         check_deadline(deadline)
         nxt = tables[p + 1]
         here = tables[p]
-        for key in singles[p]:
+        for key, succ in moves[p].items():
             try:
-                here[key] = min(step + nxt[k] for k, step in moves[p][key])
+                here[key] = min(step + nxt[k] for k, step in succ)
             except (KeyError, ValueError):
                 raise InternalError("reachable tail has no completion") from None
     return tables
@@ -242,12 +207,13 @@ def optimal_rankings(
     checked to cost the optimum before it is yielded."""
     base = instance.base
     lattice = ideal_lattice(base, deadline)
-    decomposition, dec = prepare_decomposition(instance, lattice, deadline)
+    decomposition = consistent_path_decomposition(base, lattice, deadline)
     layers, moves = lattice
     # An ideal is fixed by its antichain of maximal elements, a clique of the
     # cocomparability graph and so a subset of some bag.
     ideals = sum(len(layer) for layer in layers)
-    check_bound("ideal", ideals, sum(1 << bag.bit_count() for bag in dec.bags))
+    bags = decomposition.decomposition.bags
+    check_bound("ideal", ideals, sum(1 << bag.bit_count() for bag in bags))
     n = instance.n
     full = (1 << n) - 1
     # (bit of u, charge[v][u]) over the incomparable u that v pays for when

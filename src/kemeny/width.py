@@ -4,10 +4,10 @@ The decomposition comes from one program over the ideal lattice of the
 order, the lattice the single solver also walks: a backward pass over the
 ideals finds a linear extension of least vertex separation in the
 cocomparability graph, which is its pathwidth (Habib and Möhring, Order
-1994). That layout's decomposition, refined to a nice one, introduces every
-element before any larger one, so it never forgets an element while a
-smaller one is still waiting to be introduced, which is exactly what the
-tail-order dynamic programs need.
+1994). That layout's nice decomposition, built in one pass from an empty
+bag to an empty bag, introduces every element before any larger one, so it
+never forgets an element while a smaller one is still waiting to be
+introduced, which is exactly what the tail-order dynamic programs need.
 """
 
 from __future__ import annotations
@@ -124,22 +124,23 @@ def width_optimal_extension(
     return layout
 
 
-def decomposition_from_layout(g: Graph, layout: Sequence[int]) -> "PathDecomposition":
-    """Path decomposition whose width equals the layout's vertex separation:
-    bag i holds the i-th vertex and every earlier one with a neighbour
-    among the i-th and later ones."""
-    n = g.n
-    bags = []
-    placed = 0
-    for v in layout:
-        boundary = 0
-        outside = _full_mask(n) & ~placed
-        for u in _bits(placed):
-            if g.adj[u] & outside:
-                boundary |= 1 << u
-        bags.append(boundary | (1 << v))
-        placed |= 1 << v
-    return PathDecomposition(n, tuple(bags))
+def nice_decomposition(g: Graph, layout: Sequence[int]) -> "PathDecomposition":
+    """The nice path decomposition of a layout, from an empty bag to an
+    empty bag: before each vertex is introduced, and once after the last,
+    every bag vertex with no neighbour left to place is forgotten, in
+    ascending index. Its width is the layout's vertex separation: the bag
+    that introduces a vertex holds it and every earlier vertex with a
+    neighbour among it and the later ones."""
+    bags = [0]
+    left = _full_mask(g.n)
+    for v in (*layout, None):
+        for u in _bits(bags[-1]):
+            if not g.adj[u] & left:
+                bags.append(bags[-1] & ~(1 << u))
+        if v is not None:
+            left &= ~(1 << v)
+            bags.append(bags[-1] | 1 << v)
+    return PathDecomposition(g.n, tuple(bags))
 
 
 # ---------------------------------------------------------------------------
@@ -228,42 +229,11 @@ class PathDecomposition:
         )
 
 
-def make_nice(dec: PathDecomposition) -> PathDecomposition:
-    """Equivalent decomposition whose consecutive bags differ by exactly one
-    forgotten or one introduced vertex; width unchanged. Between two original
-    bags all forgets come first, then all introduces, each in ascending
-    vertex index, so the output is deterministic."""
-    bags = [dec.bags[0]]
-    for bag in dec.bags[1:]:
-        if bag == bags[-1]:
-            continue
-        cur = bags[-1]
-        for v in _bits(cur & ~bag):
-            cur &= ~(1 << v)
-            bags.append(cur)
-        for v in _bits(bag & ~cur):
-            cur |= 1 << v
-            bags.append(cur)
-    return PathDecomposition(dec.n, tuple(bags))
-
-
-def pad_to_empty(dec: PathDecomposition) -> PathDecomposition:
-    """Start from an empty bag and introduce the first bag's vertices one at
-    a time; after the last bag, forget one vertex at a time until the bag is
-    empty. Both runs go in ascending vertex index."""
-    bags = [0]
-    for v in _bits(dec.bags[0]):
-        bags.append(bags[-1] | 1 << v)
-    bags += dec.bags[1:]
-    for v in _bits(bags[-1]):
-        bags.append(bags[-1] & ~(1 << v))
-    return PathDecomposition(dec.n, tuple(bags))
-
-
 @dataclass(frozen=True)
 class ConsistentPathDecomposition:
-    """A path decomposition that never forgets an element of the order while
-    a smaller element is still waiting to be introduced."""
+    """A nice path decomposition, starting and ending with an empty bag,
+    that never forgets an element of the order while a smaller element is
+    still waiting to be introduced."""
 
     decomposition: PathDecomposition
     order: PartialOrder
@@ -286,17 +256,15 @@ def consistent_path_decomposition(
     deadline: float | None = None,
 ) -> ConsistentPathDecomposition:
     """Nice order-consistent path decomposition of the cocomparability
-    graph, of optimal width: the layout decomposition of a width-optimal
-    linear extension, made nice. A linear extension introduces x before y
-    whenever x < y, so the result is consistent by construction. Pass the
-    order's ``ideal_lattice`` when the caller has already built it."""
+    graph, of optimal width: the nice decomposition of a width-optimal
+    linear extension. A linear extension introduces x before y whenever
+    x < y, so the result is consistent by construction. Pass the order's
+    ``ideal_lattice`` when the caller has already built it."""
     g = cocomparability_graph(order)
     if lattice is None:
         lattice = ideal_lattice(order, deadline)
     layout = width_optimal_extension(g, lattice, deadline)
-    result = ConsistentPathDecomposition(
-        make_nice(decomposition_from_layout(g, layout)), order
-    )
+    result = ConsistentPathDecomposition(nice_decomposition(g, layout), order)
     problems = result.validate()
     if problems:
         raise InternalError("decomposition invalid: " + "; ".join(problems))

@@ -1,6 +1,7 @@
 """Random completion instances: a random base order with random costs on
 its incomparable pairs, for the suites that check the solvers against the
-brute-force oracle."""
+brute-force oracle; and the least cost of reaching each tail key, summed
+along the solver's forward moves."""
 
 import random
 
@@ -27,3 +28,16 @@ def random_cost_instance(
         for x in range(n)
     ]
     return CostInstance(n, tuple(tuple(row) for row in cost), base)
+
+
+def least_costs(moves):
+    """Per position, each key reachable from the empty tail mapped to the
+    least sum of steps along the ``forward_tables`` moves that reach it."""
+    tables = [{(0, ()): 0}]
+    for here in moves:
+        nxt = {}
+        for key, cost in tables[-1].items():
+            for new_key, step in here[key]:
+                nxt[new_key] = min(cost + step, nxt.get(new_key, cost + step))
+        tables.append(nxt)
+    return tables

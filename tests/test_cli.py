@@ -424,9 +424,21 @@ class TestSubcommands:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: cannot write {target}: ")
 
+    @pytest.mark.parametrize("density", ["2", "-1", "nan"])
+    def test_density_outside_unit_interval_exit_code(self, density):
+        argv = ["gen", "random", "--n", "4", "--m", "3", "--density", density]
+        code, out, err = invoke(argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: density must lie in [0, 1], got {float(density)}\n"
+
     def test_timeout_exit_code(self):
         code, _, err = invoke(["solve", FIVE, "--timeout", "0"])
         assert code == 3 and "timeout" in err
+
+    def test_nan_timeout_is_a_usage_error(self, capsys):
+        # no deadline compares past NaN, so it would never abort
+        assert invoke(["solve", FIVE, "--timeout", "nan"]) == (2, "", "")
+        assert "argument --timeout: not a number of seconds: 'nan'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("task", ["optimum", "extensions", "count", "diverse"])
     def test_oracle_timeout_exit_code(self, task):
@@ -818,6 +830,23 @@ class TestValidateDecomposition:
             "result: validate-decomposition\n"
             "bags: 7\n"
             "width: 3\n"
+            "nice: yes\n"
+            "valid: yes\n"
+        ), "")
+
+    def test_one_candidate_dump(self, tmp_path):
+        votes = tmp_path / "one.votes"
+        votes.write_text("candidates: A\nA\n")
+        dump = tmp_path / "one.dec"
+        code, _, _ = invoke(["solve", str(votes), "--dump-decomposition", str(dump)])
+        assert code == 0
+        assert dump.read_text() == "A\n"
+        assert invoke(
+            ["validate-decomposition", str(votes), "--decomposition", str(dump)]
+        ) == (0, (
+            "result: validate-decomposition\n"
+            "bags: 1\n"
+            "width: 0\n"
             "nice: yes\n"
             "valid: yes\n"
         ), "")

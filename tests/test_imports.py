@@ -1,13 +1,18 @@
 """Every name a library module imports is read somewhere in that module,
-and no library module reads the process environment."""
+every function, class and method the library defines is used outside the
+tests, and no library module reads the process environment."""
 
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).parent.parent / "src" / "kemeny"
+ROOT = pathlib.Path(__file__).parent.parent
+SRC = ROOT / "src" / "kemeny"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# The code that may use a library definition: the library itself, bar the
+# re-exports of __init__.py, the benchmark and the demos.
+USERS = MODULES + sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
 ENVIRONMENT_READS = {"environ", "getenv"}
 
 
@@ -37,6 +42,62 @@ def test_every_import_is_read(path):
 def test_detects_an_unused_import():
     source = "import os\nfrom typing import Sequence, IO\n\nx: IO = os.sep\n"
     assert unused_imports(source) == [(2, "Sequence")]
+
+
+def definitions(source):
+    """(line, name) of each top-level function and class, and of each
+    method but the dunders."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, defs):
+            out.append((node.lineno, node.name))
+        if isinstance(node, ast.ClassDef):
+            out += [
+                (item.lineno, item.name)
+                for item in node.body
+                if isinstance(item, defs[:2])
+                and not (item.name.startswith("__") and item.name.endswith("__"))
+            ]
+    return out
+
+
+def references(source):
+    """Every name the source mentions as a variable or an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+@pytest.fixture(scope="module")
+def used_names():
+    names = set()
+    for path in USERS:
+        names |= references(path.read_text(encoding="utf-8"))
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_definition_is_used(path, used_names):
+    defined = definitions(path.read_text(encoding="utf-8"))
+    assert [(line, name) for line, name in defined if name not in used_names] == []
+
+
+def test_detects_an_unused_definition():
+    source = (
+        "class A:\n"
+        "    def __init__(self): self.x = helper()\n"
+        "    def spare(self): pass\n"
+        "def helper(): return 1\n"
+        "def orphan(): pass\n"
+        "A()\n"
+    )
+    unused = [d for d in definitions(source) if d[1] not in references(source)]
+    assert unused == [(3, "spare"), (5, "orphan")]
 
 
 def environment_reads(source):

@@ -149,7 +149,7 @@ class TestKtDistance:
             rng.shuffle(perm_b)
             a, b = LinearOrder(tuple(perm_a)), LinearOrder(tuple(perm_b))
             # positions of b's elements in a-order, inversions of that word
-            word = [a.position(x) for x in perm_b]
+            word = [perm_a.index(x) for x in perm_b]
             _, inv = merge_sort_inversions(word)
             assert kt_distance(a, b) == inv
 
@@ -243,7 +243,7 @@ class TestReduction:
             for y in range(3):
                 if x == y:
                     continue
-                expected = 0 if vote.position(x) < vote.position(y) else 7
+                expected = 0 if vote.perm.index(x) < vote.perm.index(y) else 7
                 assert inst.cost[x][y] == expected
 
     def test_positive_iff_linear_votes_here(self):

@@ -36,11 +36,10 @@ from kemeny.solver_single import (
     _introduce_successors,
     backward_tables,
     forward_tables,
-    prepare_decomposition,
 )
-from kemeny.width import PathDecomposition
+from kemeny.width import PathDecomposition, consistent_path_decomposition
 
-from cost_instances import random_cost_instance
+from cost_instances import least_costs, random_cost_instance
 
 
 class TestScatterednessIncrease:
@@ -81,8 +80,8 @@ def _two_vertex_setup():
 
 def _successors(state, inst, dec, d_cap=0, s_cap=0, cost_bound=99):
     # the transition 1 -> 2 introduces vertex 1 next to the tail (0,)
-    singles, moves = forward_tables(inst, dec, dec.width)
-    to_go = backward_tables(singles, moves)[2]
+    moves = forward_tables(inst, dec, dec.width)
+    to_go = backward_tables(moves)[2]
     return tuple_successors(
         state, dec, 1, moves=moves[1], d_cap=d_cap, s_cap=s_cap,
         to_go=to_go, cost_bound=cost_bound, succ_cache={}, pair_cache={},
@@ -138,7 +137,7 @@ class TestTupleSuccessors:
 
     def test_missing_successor_raises(self):
         inst, dec = _two_vertex_setup()
-        _, moves = forward_tables(inst, dec, dec.width)
+        moves = forward_tables(inst, dec, dec.width)
         state = DiverseState((((0b01, (0,)), 0),), 0, ())
         with pytest.raises(InternalError):
             tuple_successors(
@@ -148,12 +147,12 @@ class TestTupleSuccessors:
 
     def test_key_missing_from_moves_raises(self):
         inst, dec = _two_vertex_setup()
-        singles, moves = forward_tables(inst, dec, dec.width)
+        moves = forward_tables(inst, dec, dec.width)
         state = DiverseState((((0b10, (1,)), 0),), 0, ())
         with pytest.raises(InternalError, match="forward moves"):
             tuple_successors(
                 state, dec, 1, moves=moves[1], d_cap=0, s_cap=0,
-                to_go=backward_tables(singles, moves)[2],
+                to_go=backward_tables(moves)[2],
                 cost_bound=99, succ_cache={}, pair_cache={},
             )
 
@@ -161,7 +160,7 @@ class TestTupleSuccessors:
 class TestBackwardTables:
     def test_two_vertex_costs_to_go(self):
         inst, dec = _two_vertex_setup()
-        to_go = backward_tables(*forward_tables(inst, dec, dec.width))
+        to_go = backward_tables(forward_tables(inst, dec, dec.width))
         assert to_go[0] == {(0, ()): 1}
         assert to_go[1] == {(0b01, (0,)): 1}
         assert to_go[2] == {(0b11, (0, 1)): 0, (0b11, (1, 0)): 0}
@@ -172,30 +171,33 @@ class TestBackwardTables:
         for _ in range(25):
             inst = random_cost_instance(rng.randint(1, 6), rng, 0.5, max_cost=4)
             opt, _ = oracle_optimum(inst)
-            decomposition, dec = prepare_decomposition(inst)
-            singles, moves = forward_tables(inst, dec, decomposition.width)
-            to_go = backward_tables(singles, moves)
-            assert [m.keys() for m in moves] == [t.keys() for t in singles[:-1]]
+            decomposition = consistent_path_decomposition(inst.base)
+            dec = decomposition.decomposition
+            moves = forward_tables(inst, dec, decomposition.width)
+            reach = least_costs(moves)
+            to_go = backward_tables(moves)
+            assert [m.keys() for m in moves] == [t.keys() for t in reach[:-1]]
             assert to_go[0][(0, ())] == opt
-            for forward, rest in zip(singles, to_go):
+            for forward, rest in zip(reach, to_go):
                 assert forward.keys() == rest.keys()
                 sums = [forward[key] + rest[key] for key in forward]
                 assert min(sums) == opt
                 assert all(total >= opt for total in sums)
 
     def test_key_without_completion_raises(self):
+        # the keys at 2 lead to keys that have no entry at 3
         inst, dec = _two_vertex_setup()
-        singles, moves = forward_tables(inst, dec, dec.width)
-        singles[3] = {}
+        moves = forward_tables(inst, dec, dec.width)
+        moves[3] = {}
         with pytest.raises(InternalError):
-            backward_tables(singles, moves)
+            backward_tables(moves)
 
     def test_key_without_moves_raises(self):
         inst, dec = _two_vertex_setup()
-        singles, moves = forward_tables(inst, dec, dec.width)
-        moves[2] = {}
+        moves = forward_tables(inst, dec, dec.width)
+        moves[2] = dict.fromkeys(moves[2], [])
         with pytest.raises(InternalError):
-            backward_tables(singles, moves)
+            backward_tables(moves)
 
 
 class TestSolveDiverse:

@@ -23,15 +23,15 @@ from kemeny.orders import CostInstance, LinearOrder, PartialOrder, reduce_to_co
 from kemeny.solver_single import (
     _forget_successor,
     _introduce_successors,
+    backward_tables,
     forward_tables,
-    prepare_decomposition,
     reconstruct_extension,
     solve_single,
     tail_bound,
 )
-from kemeny.width import PathDecomposition, pad_to_empty
+from kemeny.width import PathDecomposition, consistent_path_decomposition
 
-from cost_instances import random_cost_instance
+from cost_instances import least_costs, random_cost_instance
 
 
 def chain(n):
@@ -44,12 +44,17 @@ def instance_2(cost_ab, cost_ba, base=None):
 
 
 def first_bag_states(inst, bag):
-    """The (key, cost) pairs of the register at the first full bag: every
+    """The (key, least cost) pairs reachable at the first full bag: every
     extension of the base order on the bag, costed over the pairs inside
-    it."""
-    dec = pad_to_empty(PathDecomposition(inst.n, (bag,)))
-    tables, _ = forward_tables(inst, dec, dec.width)
-    return set(tables[bag.bit_count()].items())
+    it. The bag alone is introduced and then forgotten one vertex at a
+    time, ascending."""
+    bags = [0]
+    for v in bits(bag):
+        bags.append(bags[-1] | 1 << v)
+    for v in bits(bag):
+        bags.append(bags[-1] & ~(1 << v))
+    dec = PathDecomposition(inst.n, tuple(bags))
+    return set(least_costs(forward_tables(inst, dec, dec.width))[bag.bit_count()].items())
 
 
 class TestInitialTriples:
@@ -207,12 +212,12 @@ class TestIdealEngine:
         widths = []
         while len(widths) < 40:
             inst = random_cost_instance(rng.randint(11, 16), rng, rng.uniform(0.4, 0.6))
-            cpd, dec = prepare_decomposition(inst)
+            cpd = consistent_path_decomposition(inst.base)
             if cpd.width > 5:
                 continue
             widths.append(cpd.width)
-            tables, _ = forward_tables(inst, dec, cpd.width)
-            tail_opt = tables[-1][(0, ())]
+            moves = forward_tables(inst, cpd.decomposition, cpd.width)
+            tail_opt = backward_tables(moves)[0][(0, ())]
             assert solve_single(inst).cost == tail_opt
         assert max(widths) == 5
 
@@ -276,13 +281,16 @@ class TestReconstruction:
 
 class TestProjectionRoundTrip:
     def test_optimal_solutions_project_onto_dp_states(self):
-        # the tail of any oracle optimum at any position is a generated state
-        # whose register equals the projected partial cost
+        # the tail of any oracle optimum at any position is a reachable key
+        # whose least cost to reach is the projected partial cost, and whose
+        # cost to go is the optimum less that
         rng = random.Random(24)
         for _ in range(25):
             inst = random_cost_instance(rng.randint(2, 6), rng, rng.random())
-            cpd, dec = prepare_decomposition(inst)
-            tables, _ = forward_tables(inst, dec, cpd.width)
+            cpd = consistent_path_decomposition(inst.base)
+            dec = cpd.decomposition
+            moves = forward_tables(inst, dec, cpd.width)
+            reach, to_go = least_costs(moves), backward_tables(moves)
             opt, winners = oracle_optimum(inst)
             charge = inst.charge
             for ext in winners:
@@ -306,8 +314,9 @@ class TestProjectionRoundTrip:
                     for v in tail:
                         mask |= 1 << v
                     key = (mask, tuple(tail))
-                    assert key in tables[p]
-                    assert tables[p][key] == cost
+                    assert key in to_go[p]
+                    assert reach[p][key] == cost
+                    assert to_go[p][key] == opt - cost
 
 
 def bits(mask):

@@ -16,10 +16,8 @@ from kemeny.width import (
     PathDecomposition,
     cocomparability_graph,
     consistent_path_decomposition,
-    decomposition_from_layout,
     ideal_lattice,
-    make_nice,
-    pad_to_empty,
+    nice_decomposition,
     width_optimal_extension,
 )
 
@@ -117,36 +115,32 @@ class TestExactPathwidth:
             g, layout = layout_of(order)
             assert LinearOrder(tuple(layout)).extends(order)
             pw = exact_pathwidth(g)
-            dec = decomposition_from_layout(g, layout)
+            dec = nice_decomposition(g, layout)
             assert dec.validate(g) == []
             assert dec.width == pw
 
 
-class TestMakeNice:
-    def test_already_nice_untouched_modulo_duplicates(self):
-        dec = PathDecomposition(3, (0b001, 0b011, 0b011, 0b010, 0b110))
-        nice = make_nice(dec)
-        assert nice.bags == (0b001, 0b011, 0b010, 0b110)
-        assert nice.is_nice
+class TestNiceDecomposition:
+    def test_forgets_precede_each_introduce(self):
+        # path 0 - 1 - 2: vertex 0 has no neighbour left once 1 is placed,
+        # so it goes before 2 comes in; 1 and 2 go at the end, ascending
+        dec = nice_decomposition(path_graph(3), [0, 1, 2])
+        assert dec.bags == (0, 0b001, 0b011, 0b010, 0b110, 0b100, 0)
 
-    def test_forget_then_introduce(self):
-        dec = PathDecomposition(3, (0b011, 0b110))  # {a,b}, {b,c}
-        nice = make_nice(dec)
-        assert nice.bags == (0b011, 0b010, 0b110)
+    def test_single_vertex(self):
+        assert nice_decomposition(Graph(1, (0,)), [0]).bags == (0, 0b1, 0)
 
     def test_random_decompositions_stay_valid_same_width(self):
         rng = random.Random(15)
         for _ in range(40):
             order = random_partial_order(rng.randint(2, 8), rng, rng.random())
             g, layout = layout_of(order)
-            raw = decomposition_from_layout(g, layout)
-            nice = make_nice(raw)
-            assert nice.is_nice
-            assert nice.width == raw.width
-            assert nice.validate(g) == []
-            padded = pad_to_empty(nice)
-            assert padded.is_nice
-            assert padded.bags[0] == 0 and padded.bags[-1] == 0
+            dec = nice_decomposition(g, layout)
+            assert dec.is_nice
+            assert dec.bags[0] == 0 and dec.bags[-1] == 0
+            assert dec.validate(g) == []
+            assert dec.consistency_violations(order) == []
+            assert dec.width == exact_pathwidth(g)
 
 
 class TestLongInducedCycle:
