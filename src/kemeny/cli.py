@@ -51,7 +51,6 @@ from .orders import (
     Profile,
     _bits,
     kemeny_score,
-    kt_distance,
     reduce_to_co,
     unanimity_order,
 )
@@ -100,7 +99,10 @@ def parse_votes(text: str) -> Profile:
     names = [name.strip() for name in header[len("candidates:"):].split(",")]
     if any(not name for name in names):
         raise InputError(f"line {lineno}: empty candidate name")
-    candidates = CandidateSet(tuple(names))
+    try:
+        candidates = CandidateSet(tuple(names))
+    except InputError as exc:
+        raise InputError(f"line {lineno}: {exc}") from None
     votes = []
     for lineno, line in lines[1:]:
         mult = 1
@@ -242,12 +244,10 @@ def _witness_lines(
     costs: Sequence[int] | None = None,
     *,
     checked: bool = False,
-    pairwise: bool = False,
 ) -> None:
     """A ``witness-i`` line per ranking; given the solver's costs, a
     ``score-i`` line after each, checked to be the ranking's Kemeny score
-    over the profile unless the solver has ``checked`` that already; with
-    ``pairwise``, a ``distance-i-j`` line per pair."""
+    over the profile unless the solver has ``checked`` that already."""
     names = profile.candidates.names
     for i, w in enumerate(witnesses, start=1):
         doc.add(f"witness-{i}", _ranking_str(w, names))
@@ -255,9 +255,6 @@ def _witness_lines(
             if not checked and kemeny_score(profile, w) != costs[i - 1]:
                 raise InternalError("document self-check failed: score mismatch")
             doc.add(f"score-{i}", costs[i - 1])
-    if pairwise:
-        for (i, a), (j, b) in itertools.combinations(enumerate(witnesses, start=1), 2):
-            doc.add(f"distance-{i}-{j}", kt_distance(a, b))
 
 
 def _selection(
@@ -270,9 +267,9 @@ def _selection(
 ) -> Answer:
     """The tail of a ``diverse``, ``optima`` or ``maxdiv`` document: the
     optimum, the decision and, on YES, the witness lines. ``spread`` adds
-    the diversity and the distances on YES and the failed constraint on
-    NO (``diverse`` and ``maxdiv``); ``checked`` says the solver has
-    already checked the witness scores."""
+    the diversity and the solver's pairwise distances on YES and the failed
+    constraint on NO (``diverse`` and ``maxdiv``); ``checked`` says the
+    solver has already checked the witness scores."""
     doc.add("optimum", outcome.optimum)
     if not outcome.feasible:
         doc.add("decision", "no")
@@ -284,9 +281,12 @@ def _selection(
     doc.add("decision", "yes")
     if spread:
         doc.add("diversity", outcome.diversity)
-    _witness_lines(
-        doc, profile, outcome.witnesses, outcome.costs, checked=checked, pairwise=spread
-    )
+    _witness_lines(doc, profile, outcome.witnesses, outcome.costs, checked=checked)
+    if spread:
+        assert outcome.pairwise is not None
+        pairs = itertools.combinations(range(1, len(outcome.witnesses) + 1), 2)
+        for (i, j), distance in zip(pairs, outcome.pairwise):
+            doc.add(f"distance-{i}-{j}", distance)
     return EXIT_YES, doc
 
 
@@ -300,7 +300,7 @@ def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 

@@ -1,7 +1,23 @@
 """Diverse-solution solver: r tail-order programs advanced in lockstep over
-one nice consistent path decomposition, from r empty tails at the first
-(empty) bag to r empty tails at the last, with two kinds of saturating
-registers riding along every state:
+one nice consistent path decomposition, which starts and ends with an empty
+bag.
+
+A tail is held as its key ``(tail mask, tail order)``: the subset S of the
+current bag that sits after every forgotten vertex, and the tail's linear
+order. A key's moves depend on the key alone: ``tail_successors`` gives each
+next key with the step, the charged cost the move adds. A forget step
+commits the dropped vertex and everything tail-smaller than it, at step 0;
+an introduce step inserts the new vertex at every tail position the base
+order allows, paying for the pairs it forms with vertices already placed.
+From the empty tail ``forward_tables`` computes the moves of every reachable
+key once; ``backward_tables`` reads them for each key's exact cost to go,
+whose value at the empty tail of the first bag is the optimum. A ranking is
+read back off a chain of keys, as the prefixes its forget steps commit.
+
+The lockstep runs from r empty tails at the first bag to r empty tails at
+the last. Each solution slot of a state is a tail key with its cost,
+advanced by the same moves, with two kinds of saturating registers riding
+along every state:
 
 * one register per unordered solution pair holding min(distance so far, s),
 * one register holding min(total diversity so far, d).
@@ -11,16 +27,14 @@ introduced; vertices forgotten before a new vertex arrives are below it in
 the base order, so both solutions agree on those pairs and nothing is
 missed. Since increments are non-negative, saturating addition makes every
 final register exactly min(true value, cap), which is all the acceptance
-checks need. Per-solution states are pruned by an exact cost window: the
-single-solution cost-to-go register (``backward_tables``) gives every tail
-the least cost its completions add, and a tail whose cost plus that
-exceeds opt + delta can never finish within it. A dropped state is never an
-ancestor of a final state, so the final states and the backtrack are those
-of the unpruned program.
+checks need. Slots are pruned by an exact cost window: a slot whose cost
+plus its key's cost to go exceeds opt + delta can never finish within it. A
+dropped state is never an ancestor of a final state, so the final states
+and the backtrack are those of the unpruned program.
 
-Each solution slot of a state is a tail key with its cost. The slots' moves
-are the ones ``forward_tables`` made for the cost-to-go register: the
-lockstep reads them and adds each step to the slot's own cost.
+The forward sweep and the lockstep check their state counts against the
+fixed-parameter bound ``tail_bound`` as they build them
+(``errors.check_bound``).
 
 The modes are ``decide`` and ``max-diversity``. Asking for r distinct
 optima (``find_distinct_optima``) needs no lockstep: it lists the first r
@@ -30,6 +44,7 @@ optima off the ideal lattice (``solver_single.optimal_rankings``).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -37,22 +52,159 @@ from .errors import InputError, InternalError, check_bound, check_deadline
 from .orders import (
     CostInstance,
     LinearOrder,
+    PartialOrder,
     Profile,
     _bits,
     kemeny_score,
     kt_distance,
     reduce_to_co,
 )
-from .solver_single import (
-    Moves,
-    TailKey,
-    backward_tables,
-    forward_tables,
-    optimal_rankings,
-    reconstruct_extension,
-    tail_bound,
-)
+from .solver_single import optimal_rankings
 from .width import PathDecomposition, consistent_path_decomposition
+
+
+# ---------------------------------------------------------------------------
+# One tail-order program: keys, moves, cost to go, and ranking read-back
+# ---------------------------------------------------------------------------
+
+# Tail subset (bitmask) and tail order (vertex tuple, first = smallest).
+TailKey = tuple[int, tuple[int, ...]]
+# Each key of one position mapped to its moves: (next key, step) pairs.
+Moves = dict[TailKey, list[tuple[TailKey, int]]]
+
+
+def tail_bound(delta: int, width: int) -> int:
+    """The bound e * (delta + 1) * (width + 1)! on the distinct (key, cost)
+    pairs at one position of a tail-order program over a decomposition of width
+    ``width``. A tail is an ordered subset of a bag of at most width + 1
+    vertices, and there are sum_k (width + 1)! / k! <= e * (width + 1)! of
+    those. Within a cost window of delta, a tail's cost runs from the least
+    cost of reaching it to delta above that: at most delta + 1 values."""
+    return int(math.e * (delta + 1) * math.factorial(width + 1))
+
+
+def _forget_successor(key: TailKey, gone: int) -> TailKey:
+    """Drop the forgotten vertex (a nice step forgets exactly one) and
+    everything tail-smaller than it."""
+    tail, order = key
+    if not tail & gone:
+        return key
+    cut = order.index(gone.bit_length() - 1) + 1
+    for v in order[:cut]:
+        tail ^= 1 << v
+    return (tail, order[cut:])
+
+
+def _introduce_successors(
+    key: TailKey, v: int, next_bag: int, instance: CostInstance
+) -> list[tuple[TailKey, int]]:
+    """Insert v at every tail position the base order allows, each with the
+    cost of the pairs it forms: tail vertices on either side, plus the bag
+    vertices already committed before the whole tail."""
+    tail, order = key
+    charge = instance.charge
+    base = instance.base
+    up = base.strict_up(v)
+    down = base.strict_down(v)
+    new_tail = tail | (1 << v)
+    committed = next_bag & ~new_tail
+    base_cost = sum(charge[u][v] for u in _bits(committed))
+    row_v = charge[v]
+
+    # v must sit after every tail vertex below it and before every one above.
+    lo = 0
+    hi = len(order)
+    for i, u in enumerate(order):
+        if down & (1 << u):
+            lo = i + 1
+        if up & (1 << u) and i < hi:
+            hi = i
+    out = []
+    before_cost = sum(charge[u][v] for u in order[:lo])
+    for slot in range(lo, hi + 1):
+        extra = before_cost + sum(row_v[u] for u in order[slot:])
+        new_order = order[:slot] + (v,) + order[slot:]
+        out.append(((new_tail, new_order), base_cost + extra))
+        if slot < len(order):
+            before_cost += charge[order[slot]][v]
+    return out
+
+
+def tail_successors(
+    key: TailKey, dec: PathDecomposition, p: int, instance: CostInstance
+) -> list[tuple[TailKey, int]]:
+    """The key's moves across the transition p -> p+1 of a nice
+    decomposition, as (next key, step) pairs: one on a forget step, one per
+    allowed slot of the new vertex on an introduce step."""
+    gone = dec.forgotten(p + 1)
+    if gone:
+        return [(_forget_successor(key, gone), 0)]
+    v = dec.introduced(p + 1).bit_length() - 1
+    return _introduce_successors(key, v, dec.bags[p + 1], instance)
+
+
+def forward_tables(
+    instance: CostInstance,
+    dec: PathDecomposition,
+    deadline: float | None = None,
+) -> list[Moves]:
+    """Per transition p -> p+1, each key reachable at p from the empty tail
+    mapped to its moves. ``dec`` must start and end with an empty bag."""
+    bound = tail_bound(0, dec.width)
+    moves: list[Moves] = []
+    keys: dict[TailKey, None] = {(0, ()): None}
+    for p in range(len(dec.bags) - 1):
+        check_deadline(deadline)
+        here: Moves = {key: tail_successors(key, dec, p, instance) for key in keys}
+        keys = dict.fromkeys(k for succ in here.values() for k, _ in succ)
+        # distinct keys only: the count of a window of delta 0
+        check_bound("triple", len(keys), bound)
+        moves.append(here)
+    return moves
+
+
+def backward_tables(
+    moves: Sequence[Moves], deadline: float | None = None
+) -> list[dict[TailKey, int]]:
+    """Each reachable key of ``forward_tables`` mapped to its exact cost to
+    go, the least cost its completions add on the way to the final empty
+    tail, read off the ``moves``. The to-go of the empty tail at position 0
+    is the optimum, and a key's least cost to reach plus its to-go is the
+    cheapest full solution through it, never below the optimum."""
+    last = len(moves)
+    tables: list[dict[TailKey, int]] = [{} for _ in range(last)]
+    tables.append({(0, ()): 0})
+    for p in range(last - 1, -1, -1):
+        check_deadline(deadline)
+        nxt = tables[p + 1]
+        here = tables[p]
+        for key, succ in moves[p].items():
+            try:
+                here[key] = min(step + nxt[k] for k, step in succ)
+            except (KeyError, ValueError):
+                raise InternalError("reachable tail has no completion") from None
+    return tables
+
+
+def reconstruct_extension(chain: Sequence[TailKey], base: PartialOrder) -> LinearOrder:
+    """The ranking a chain of tail keys commits, from a tail with nothing
+    committed before it to the final empty tail: each step that shortens the
+    tail commits the prefix it drops. A ranking that misses or repeats a
+    vertex, or breaks the base order, is a solver bug."""
+    perm: list[int] = []
+    for (_, order), (_, following) in zip(chain, chain[1:]):
+        perm += order[: max(0, len(order) - len(following))]
+    if sorted(perm) != list(range(base.n)):
+        raise InternalError("chain does not commit every vertex exactly once")
+    extension = LinearOrder(tuple(perm))
+    if not extension.extends(base):
+        raise InternalError("chain ranking does not extend the base order")
+    return extension
+
+
+# ---------------------------------------------------------------------------
+# The lockstep of r programs
+# ---------------------------------------------------------------------------
 
 MODES = ("decide", "max-diversity")
 
@@ -274,7 +426,7 @@ def solve_diverse(
     decomposition = consistent_path_decomposition(instance.base, deadline=deadline)
     dec = decomposition.decomposition
     width = decomposition.width
-    moves = forward_tables(instance, dec, width, deadline)
+    moves = forward_tables(instance, dec, deadline)
     to_go = backward_tables(moves, deadline)
     opt = to_go[0][(0, ())]
 

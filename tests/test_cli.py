@@ -1,5 +1,6 @@
 """Vote-file grammar, result documents, subcommands, and exit codes."""
 
+import dataclasses
 import importlib.util
 import io
 import json
@@ -70,6 +71,10 @@ class TestParsing:
     def test_missing_header_rejected(self):
         with pytest.raises(InputError, match="candidates"):
             parse_votes("A<B\n")
+
+    def test_duplicate_label_reports_its_line(self):
+        with pytest.raises(InputError, match="^line 2: candidate labels must be unique$"):
+            parse_votes("# header next\ncandidates: A,A\nA\n")
 
     def test_repeated_candidate_in_vote_rejected(self):
         with pytest.raises(InputError, match="line 2"):
@@ -405,6 +410,47 @@ class TestSubcommands:
     def test_missing_file_exit_code(self):
         code, _, err = invoke(["solve", "/nonexistent/file.votes"])
         assert code == 2
+
+    def test_non_utf8_vote_file_exit_code(self, tmp_path):
+        votes = tmp_path / "latin.votes"
+        votes.write_bytes(b"candidates: A,B\n\xffA<B\n")
+        code, out, err = invoke(["solve", str(votes)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {votes}: ")
+
+    def test_non_utf8_decomposition_exit_code(self, tmp_path):
+        dump = tmp_path / "latin.dec"
+        dump.write_bytes(b"A\nA \xff\n")
+        code, out, err = invoke(["validate-decomposition", FIVE, "--decomposition", str(dump)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {dump}: ")
+
+    @pytest.mark.parametrize(
+        "module, engine, field, argv",
+        [
+            ("kemeny.cli", "solve_single", "cost", ["solve", FIVE]),
+            ("kemeny.cli", "solve_pco", "optimum", ["pco", FIFTY, "--k", "100"]),
+            ("kemeny.cli", "find_distinct_optima", "costs", ["optima", FIFTY, "--r", "2"]),
+            ("kemeny.cli", "solve_max_diversity", "costs", ["maxdiv", FIFTY, "--r", "3"]),
+            ("kemeny.solver_diverse", "solve_diverse", "costs", ["diverse", FIFTY, "--r", "2"]),
+        ],
+        ids=["solve", "pco", "optima", "maxdiv", "diverse"],
+    )
+    def test_wrong_engine_cost_is_an_internal_error(self, monkeypatch, module, engine, field, argv):
+        # each printed score is checked once, in the CLI or in solve_diverse_kra
+        owner = importlib.import_module(module)
+        real = getattr(owner, engine)
+
+        def off_by_one(*args, **kwargs):
+            result = real(*args, **kwargs)
+            value = getattr(result, field)
+            bumped = value + 1 if isinstance(value, int) else tuple(c + 1 for c in value)
+            return dataclasses.replace(result, **{field: bumped})
+
+        monkeypatch.setattr(owner, engine, off_by_one)
+        code, out, err = invoke(argv)
+        assert (code, out) == (70, "")
+        assert err.startswith("internal error: ")
 
     @pytest.mark.parametrize("sizes", ["3,x", "", "3,,2"])
     def test_bad_bucket_sizes_exit_code(self, sizes):
@@ -928,6 +974,11 @@ class TestTraceGuard:
         assert set(tracer.absent) <= {
             "kemeny.solver_diverse.consistent_path_decomposition",
             "kemeny.pco.consistent_path_decomposition",
+            # the tail-order program lives in solver_diverse, where the
+            # solver_diverse.register span wraps it
+            "kemeny.solver_single.forward_tables",
+            # the CLI prints the distances the diverse solver computed
+            "kemeny.cli.kt_distance",
         }
         assert [(s.name, s.error) for s in tracer.spans if s.error] == []
         names = {s.name for s in tracer.spans}

@@ -1,6 +1,7 @@
 """Every name a library module imports is read somewhere in that module,
 every function, class and method the library defines is used outside the
-tests, and no library module reads the process environment."""
+tests, no library module reads the process environment, and the tail-order
+program stays inside the diverse solver."""
 
 import ast
 import pathlib
@@ -14,6 +15,11 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 # re-exports of __init__.py, the benchmark and the demos.
 USERS = MODULES + sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
 ENVIRONMENT_READS = {"environ", "getenv"}
+# The tail-order program's names, which only solver_diverse may define or import.
+TAIL_PROGRAM = {
+    "TailKey", "Moves", "tail_successors", "forward_tables", "backward_tables",
+    "reconstruct_extension",
+}
 
 
 def unused_imports(source):
@@ -126,3 +132,39 @@ def test_no_environment_read(path):
 def test_detects_an_environment_read():
     source = "import os\nfrom os import getenv\n\ncap = os.environ.get('CAP')\n"
     assert environment_reads(source) == [2, 4]
+
+
+def tail_program_names(source):
+    """(line, name) of each tail-order program name the source defines,
+    assigns or imports."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names = [node.id]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.asname or alias.name for alias in node.names]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name in TAIL_PROGRAM]
+    return sorted(found)
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(SRC.glob("*.py")) if p.name != "solver_diverse.py"],
+    ids=lambda p: p.name,
+)
+def test_tail_program_stays_in_solver_diverse(path):
+    assert tail_program_names(path.read_text(encoding="utf-8")) == []
+
+
+def test_detects_a_tail_program_name():
+    source = (
+        "from .solver_diverse import Moves, solve_diverse\n"
+        "TailKey = tuple\n"
+        "def forward_tables(): pass\n"
+        "def tail_bound(): pass\n"
+    )
+    assert tail_program_names(source) == [(1, "Moves"), (2, "TailKey"), (3, "forward_tables")]

@@ -25,17 +25,15 @@ from kemeny.orders import (
 from kemeny.solver_diverse import (
     DiverseQuery,
     DiverseState,
+    _introduce_successors,
+    backward_tables,
     find_distinct_optima,
+    forward_tables,
     scatteredness_increase,
     solve_diverse,
     solve_diverse_kra,
     solve_max_diversity,
     tuple_successors,
-)
-from kemeny.solver_single import (
-    _introduce_successors,
-    backward_tables,
-    forward_tables,
 )
 from kemeny.width import PathDecomposition, consistent_path_decomposition
 
@@ -80,7 +78,7 @@ def _two_vertex_setup():
 
 def _successors(state, inst, dec, d_cap=0, s_cap=0, cost_bound=99):
     # the transition 1 -> 2 introduces vertex 1 next to the tail (0,)
-    moves = forward_tables(inst, dec, dec.width)
+    moves = forward_tables(inst, dec)
     to_go = backward_tables(moves)[2]
     return tuple_successors(
         state, dec, 1, moves=moves[1], d_cap=d_cap, s_cap=s_cap,
@@ -137,7 +135,7 @@ class TestTupleSuccessors:
 
     def test_missing_successor_raises(self):
         inst, dec = _two_vertex_setup()
-        moves = forward_tables(inst, dec, dec.width)
+        moves = forward_tables(inst, dec)
         state = DiverseState((((0b01, (0,)), 0),), 0, ())
         with pytest.raises(InternalError):
             tuple_successors(
@@ -147,7 +145,7 @@ class TestTupleSuccessors:
 
     def test_key_missing_from_moves_raises(self):
         inst, dec = _two_vertex_setup()
-        moves = forward_tables(inst, dec, dec.width)
+        moves = forward_tables(inst, dec)
         state = DiverseState((((0b10, (1,)), 0),), 0, ())
         with pytest.raises(InternalError, match="forward moves"):
             tuple_successors(
@@ -160,7 +158,7 @@ class TestTupleSuccessors:
 class TestBackwardTables:
     def test_two_vertex_costs_to_go(self):
         inst, dec = _two_vertex_setup()
-        to_go = backward_tables(forward_tables(inst, dec, dec.width))
+        to_go = backward_tables(forward_tables(inst, dec))
         assert to_go[0] == {(0, ()): 1}
         assert to_go[1] == {(0b01, (0,)): 1}
         assert to_go[2] == {(0b11, (0, 1)): 0, (0b11, (1, 0)): 0}
@@ -173,7 +171,7 @@ class TestBackwardTables:
             opt, _ = oracle_optimum(inst)
             decomposition = consistent_path_decomposition(inst.base)
             dec = decomposition.decomposition
-            moves = forward_tables(inst, dec, decomposition.width)
+            moves = forward_tables(inst, dec)
             reach = least_costs(moves)
             to_go = backward_tables(moves)
             assert [m.keys() for m in moves] == [t.keys() for t in reach[:-1]]
@@ -187,14 +185,14 @@ class TestBackwardTables:
     def test_key_without_completion_raises(self):
         # the keys at 2 lead to keys that have no entry at 3
         inst, dec = _two_vertex_setup()
-        moves = forward_tables(inst, dec, dec.width)
+        moves = forward_tables(inst, dec)
         moves[3] = {}
         with pytest.raises(InternalError):
             backward_tables(moves)
 
     def test_key_without_moves_raises(self):
         inst, dec = _two_vertex_setup()
-        moves = forward_tables(inst, dec, dec.width)
+        moves = forward_tables(inst, dec)
         moves[2] = dict.fromkeys(moves[2], [])
         with pytest.raises(InternalError):
             backward_tables(moves)

@@ -20,15 +20,15 @@ from kemeny.instances import (
 )
 from kemeny.oracle import oracle_optimum
 from kemeny.orders import CostInstance, LinearOrder, PartialOrder, reduce_to_co
-from kemeny.solver_single import (
+from kemeny.solver_diverse import (
     _forget_successor,
     _introduce_successors,
     backward_tables,
     forward_tables,
     reconstruct_extension,
-    solve_single,
     tail_bound,
 )
+from kemeny.solver_single import solve_single
 from kemeny.width import PathDecomposition, consistent_path_decomposition
 
 from cost_instances import least_costs, random_cost_instance
@@ -54,7 +54,7 @@ def first_bag_states(inst, bag):
     for v in bits(bag):
         bags.append(bags[-1] & ~(1 << v))
     dec = PathDecomposition(inst.n, tuple(bags))
-    return set(least_costs(forward_tables(inst, dec, dec.width))[bag.bit_count()].items())
+    return set(least_costs(forward_tables(inst, dec))[bag.bit_count()].items())
 
 
 class TestInitialTriples:
@@ -216,7 +216,7 @@ class TestIdealEngine:
             if cpd.width > 5:
                 continue
             widths.append(cpd.width)
-            moves = forward_tables(inst, cpd.decomposition, cpd.width)
+            moves = forward_tables(inst, cpd.decomposition)
             tail_opt = backward_tables(moves)[0][(0, ())]
             assert solve_single(inst).cost == tail_opt
         assert max(widths) == 5
@@ -289,7 +289,7 @@ class TestProjectionRoundTrip:
             inst = random_cost_instance(rng.randint(2, 6), rng, rng.random())
             cpd = consistent_path_decomposition(inst.base)
             dec = cpd.decomposition
-            moves = forward_tables(inst, dec, cpd.width)
+            moves = forward_tables(inst, dec)
             reach, to_go = least_costs(moves), backward_tables(moves)
             opt, winners = oracle_optimum(inst)
             charge = inst.charge
