@@ -44,7 +44,7 @@ def main():
     layout = width_optimal_extension(g, lattice)
     print("width-optimal linear extension:", " < ".join(map(str, layout)))
 
-    cpd = consistent_path_decomposition(order, lattice=lattice)
+    cpd = consistent_path_decomposition(order)
     dec = cpd.decomposition
     print(f"padded nice sequence ({len(dec.bags)} bags, width {dec.width}):")
     print("  " + " ".join(bag_str(b) for b in dec.bags))

@@ -63,7 +63,7 @@ from .solver_diverse import (
     solve_max_diversity,
 )
 from .solver_single import solve_single
-from .width import PathDecomposition, cocomparability_graph
+from .width import PathDecomposition, cocomparability_graph, consistent_path_decomposition
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -313,15 +313,16 @@ def _write(path: str, text: str) -> None:
 
 
 def _cmd_solve(args, profile: Profile, deadline: float | None) -> Answer:
-    solution = solve_single(reduce_to_co(profile), deadline=deadline)
+    instance = reduce_to_co(profile)
+    solution = solve_single(instance, deadline=deadline)
     names = profile.candidates.names
     if args.dump_decomposition:
         # the bags after the leading empty one, through the last introduce
-        dec = solution.decomposition.decomposition
+        dec = consistent_path_decomposition(instance.base, deadline).decomposition
         last = max(p for p in range(len(dec.bags)) if dec.introduced(p))
         lines = (" ".join(names[v] for v in _bits(bag)) + "\n" for bag in dec.bags[1 : last + 1])
         _write(args.dump_decomposition, "".join(lines))
-    doc = _head("solve", profile, solution.decomposition.width)
+    doc = _head("solve", profile, solution.width)
     doc.add("decision", "yes")
     doc.add("optimum", solution.cost)
     _witness_lines(doc, profile, [solution.extension], [solution.cost])

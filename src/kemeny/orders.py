@@ -108,12 +108,15 @@ class PartialOrder:
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "PartialOrder":
-        """Reflexive transitive closure of ``pairs``; a cycle fails the
-        antisymmetry check of the constructor."""
+        """Reflexive transitive closure of the strict ``pairs``; a pair
+        (x, x) is a cycle, and a longer cycle fails the antisymmetry check
+        of the constructor."""
         rows = [1 << x for x in range(n)]
         for x, y in pairs:
             if not (0 <= x < n and 0 <= y < n):
                 raise InputError(f"pair ({x},{y}) outside universe of size {n}")
+            if x == y:
+                raise InputError(f"pair ({x},{x}) is a cycle")
             rows[x] |= 1 << y
         close_rows(rows)
         return cls(n, tuple(rows))
@@ -124,10 +127,10 @@ class PartialOrder:
 
     @classmethod
     def from_buckets(cls, n: int, buckets: Sequence[Sequence[int]]) -> "PartialOrder":
-        """Weak order from an ordered bucket chain; ties are incomparability."""
+        """Order from an ordered bucket chain: ties, and elements in no
+        bucket, are incomparable."""
+        masks = []
         seen = 0
-        rows = [1 << x for x in range(n)]
-        later = _full_mask(n)
         for bucket in buckets:
             bucket_mask = 0
             for x in bucket:
@@ -137,9 +140,13 @@ class PartialOrder:
             if bucket_mask & seen:
                 raise InputError("bucket chain repeats an element")
             seen |= bucket_mask
+            masks.append(bucket_mask)
+        rows = [1 << x for x in range(n)]
+        later = seen
+        for bucket_mask in masks:
             later &= ~bucket_mask
             for x in _bits(bucket_mask):
-                rows[x] |= later | (1 << x)
+                rows[x] |= later
         return cls(n, tuple(rows))
 
     # -- queries -----------------------------------------------------------

@@ -65,5 +65,5 @@ def solve_pco(
         edges,
         solution.cost,
         solution.extension if feasible else None,
-        solution.decomposition.width,
+        solution.width,
     )

@@ -456,7 +456,10 @@ def solve_diverse(
         succ_cache: dict = {}
         pair_cache: dict = {}
         nxt: dict = {}
-        for state in sorted(frontier):
+        distinct: set[Slot] = set()
+        # Each canonical state keeps its least parent, with the first perm
+        # that parent generates, whatever order the frontier is walked in.
+        for state in frontier:
             check_deadline(deadline)
             for raw in tuple_successors(
                 state,
@@ -471,9 +474,12 @@ def solve_diverse(
                 pair_cache=pair_cache,
             ):
                 canon, perm = _canonical(raw, pair_index)
-                if canon not in nxt:
+                entry = nxt.get(canon)
+                if entry is None:
                     nxt[canon] = (state, perm)
-        distinct = {slot for canon in nxt for slot in canon.slots}
+                    distinct.update(canon.slots)
+                elif state < entry[0]:
+                    nxt[canon] = (state, perm)
         check_bound("triple", len(distinct), slot_bound)
         check_bound("tuple", len(nxt), tuple_bound)
         tables.append(nxt)
@@ -566,9 +572,8 @@ def find_distinct_optima(
     ideal lattice rather than the lockstep."""
     if r < 1:
         raise InputError("need at least one solution")
-    opt, decomposition, rankings = optimal_rankings(instance, deadline)
+    opt, width, rankings = optimal_rankings(instance, deadline)
     witnesses = tuple(itertools.islice(rankings, r))
-    width = decomposition.width
     if len(witnesses) < r:
         return DiverseOutcome(
             False, None, None, None, None, opt, width,

@@ -5,20 +5,22 @@
 (*Fixed-parameter algorithms for Kemeny rankings*, TCS 2009). A state is
 the bitmask of the vertices already placed; placing a minimal remaining
 vertex v pays charge[v][u] for every u still unplaced after it. The ideals
-are built once, layer by layer by size (``width.ideal_lattice``), and the
-same lattice yields the decomposition; a backward pass gives every ideal's
-exact cost to go. A move is tight when it keeps to that cost, and the
-optimal rankings are exactly the paths of tight moves from the empty ideal
-to the full one (De Loof, De Meyer and De Baets, Fundamenta Informaticae
-2006). Walked depth first in ascending vertex index, they come in
-lexicographic order, a function of the input alone: ``solve`` and ``pco``
-take the first, ``optima`` the first r. An ideal is fixed by its antichain
-of maximal elements, so their number stays within the sum of 2^|bag| over
-the bags of any path decomposition of the cocomparability graph:
-fixed-parameter in the unanimity width.
+are built once, layer by layer by size (``width.ideal_lattice``), and a
+backward pass gives every ideal's exact cost to go. A move is tight when it
+keeps to that cost, and the optimal rankings are exactly the paths of tight
+moves from the empty ideal to the full one (De Loof, De Meyer and De
+Baets, Fundamenta Informaticae 2006). Walked depth first in ascending
+vertex index, they come in lexicographic order, a function of the input
+alone: ``solve`` and ``pco`` take the first, ``optima`` the first r.
 
-``optimal_rankings`` checks the ideal count against that bound
-(``errors.check_bound``).
+The unanimity width w is read off the same lattice: it is the least vertex
+separation of the cocomparability graph over the ideals
+(``width.ideal_widths``), so no path decomposition is built. An ideal is
+fixed by its antichain of maximal elements, a clique of that graph; in a
+layout of vertex separation w a non-empty clique's last vertex has at most
+w earlier neighbours, so there are at most n * 2^w + 1 ideals:
+fixed-parameter in the unanimity width. ``optimal_rankings`` checks the
+ideal count against that bound (``errors.check_bound``).
 """
 
 from __future__ import annotations
@@ -28,34 +30,30 @@ from typing import Iterator
 
 from .errors import InternalError, check_bound, check_deadline
 from .orders import CostInstance, LinearOrder
-from .width import ConsistentPathDecomposition, consistent_path_decomposition, ideal_lattice
+from .width import cocomparability_graph, ideal_lattice, ideal_widths
 
 
 @dataclass(frozen=True)
 class SingleSolution:
     extension: LinearOrder
     cost: int
-    decomposition: ConsistentPathDecomposition
+    width: int
 
 
 def optimal_rankings(
     instance: CostInstance,
     deadline: float | None = None,
-) -> tuple[int, ConsistentPathDecomposition, Iterator[LinearOrder]]:
-    """The optimum, the decomposition, and every optimal linear extension of
+) -> tuple[int, int, Iterator[LinearOrder]]:
+    """The optimum, the unanimity width, and every optimal linear extension of
     the instance's base order, lazily and in lexicographic order by vertex
     index: the tight-move paths of the ideal lattice, depth first. Each is
     checked to cost the optimum before it is yielded."""
     base = instance.base
     lattice = ideal_lattice(base, deadline)
-    decomposition = consistent_path_decomposition(base, lattice, deadline)
+    width = ideal_widths(cocomparability_graph(base), lattice, deadline)[0]
     layers, moves = lattice
-    # An ideal is fixed by its antichain of maximal elements, a clique of the
-    # cocomparability graph and so a subset of some bag.
-    ideals = sum(len(layer) for layer in layers)
-    bags = decomposition.decomposition.bags
-    check_bound("ideal", ideals, sum(1 << bag.bit_count() for bag in bags))
     n = instance.n
+    check_bound("ideal", sum(len(layer) for layer in layers), n * 2**width + 1)
     full = (1 << n) - 1
     # (bit of u, charge[v][u]) over the incomparable u that v pays for when
     # u is placed after it; pairs comparable in the base order never pay.
@@ -95,7 +93,7 @@ def optimal_rankings(
                 if step(ideal, v) + to_go[ideal | 1 << v] == left:
                     stack.append((ideal | 1 << v, prefix + (v,)))
 
-    return to_go[0], decomposition, walk()
+    return to_go[0], width, walk()
 
 
 def solve_single(
@@ -104,5 +102,5 @@ def solve_single(
 ) -> SingleSolution:
     """Optimal linear extension of the instance's base order and its cost;
     of several optima, the lexicographically smallest by vertex index."""
-    opt, decomposition, rankings = optimal_rankings(instance, deadline)
-    return SingleSolution(next(rankings), opt, decomposition)
+    opt, width, rankings = optimal_rankings(instance, deadline)
+    return SingleSolution(next(rankings), opt, width)

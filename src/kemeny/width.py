@@ -1,13 +1,13 @@
 """Cocomparability graphs and order-consistent path decompositions.
 
-The decomposition comes from one program over the ideal lattice of the
-order, the lattice the single solver also walks: a backward pass over the
-ideals finds a linear extension of least vertex separation in the
-cocomparability graph, which is its pathwidth (Habib and Möhring, Order
-1994). That layout's nice decomposition, built in one pass from an empty
-bag to an empty bag, introduces every element before any larger one, so it
-never forgets an element while a smaller one is still waiting to be
-introduced, which is exactly what the tail-order dynamic programs need.
+A backward pass over the order's ideal lattice gives each ideal the least
+vertex separation in the cocomparability graph of a layout continuing it
+(``ideal_widths``): at the empty ideal, the pathwidth (Habib and Möhring,
+Order 1994), which the single solver reads without building bags. A greedy
+walk over those widths picks a width-optimal linear extension, whose nice
+decomposition introduces every element before any larger one, so it never
+forgets an element while a smaller one is still waiting to be introduced,
+which is exactly what the tail-order dynamic programs need.
 """
 
 from __future__ import annotations
@@ -92,20 +92,17 @@ def ideal_lattice(order: PartialOrder, deadline: float | None = None) -> IdealLa
     return IdealLattice(layers, moves)
 
 
-def width_optimal_extension(
+def ideal_widths(
     g: Graph, lattice: IdealLattice, deadline: float | None = None
-) -> list[int]:
-    """A linear extension of the order whose vertex separation in g, the
-    order's cocomparability graph, is g's pathwidth: some linear extension
-    always reaches it (Habib and Möhring, *Treewidth of cocomparability
-    graphs and a new order-theoretic parameter*, Order 1994).
-
-    A backward pass gives every ideal I the least width w[I] of a layout
-    that continues I: w[I] = max(cut(I), min over moves v of w[I | v]),
-    where cut(I) counts the vertices of I with a neighbour outside I. The
-    neighbours of the outside, reach[I], are those of I | v's outside plus
-    those of v, for any move v. A greedy walk from the empty ideal then
-    takes the smallest-index move that keeps to w[empty]."""
+) -> dict[int, int]:
+    """w[I] for every ideal I of the order: the least vertex separation in
+    g, the order's cocomparability graph, of a layout that continues I.
+    w[empty] is g's pathwidth, reached by some linear extension (Habib and
+    Möhring, *Treewidth of cocomparability graphs and a new order-theoretic
+    parameter*, Order 1994). Backwards, w[I] = max(cut(I), min over moves v
+    of w[I | v]), where cut(I) counts the vertices of I with a neighbour
+    outside I; the neighbours of the outside, reach[I], are those of I | v's
+    outside plus those of v, for any move v."""
     full = _full_mask(g.n)
     w = {full: 0}
     reach = {full: 0}
@@ -115,6 +112,16 @@ def width_optimal_extension(
             vs = lattice.moves[ideal]
             near = reach[ideal] = reach[ideal | 1 << vs[0]] | g.adj[vs[0]]
             w[ideal] = max((ideal & near).bit_count(), min(w[ideal | 1 << v] for v in vs))
+    return w
+
+
+def width_optimal_extension(
+    g: Graph, lattice: IdealLattice, deadline: float | None = None
+) -> list[int]:
+    """A linear extension of least vertex separation in g: from the empty
+    ideal, always the smallest-index move that keeps to w[empty]."""
+    w = ideal_widths(g, lattice, deadline)
+    full = _full_mask(g.n)
     layout = []
     ideal = 0
     while ideal != full:
@@ -178,18 +185,6 @@ class PathDecomposition:
     def forgotten(self, p: int) -> int:
         return self._forgotten[p]  # type: ignore[attr-defined]
 
-    def first_bag(self, v: int) -> int:
-        for i, bag in enumerate(self.bags):
-            if bag & (1 << v):
-                return i
-        return -1
-
-    def last_bag(self, v: int) -> int:
-        for i in range(len(self.bags) - 1, -1, -1):
-            if self.bags[i] & (1 << v):
-                return i
-        return -1
-
     def validate(self, g: Graph) -> list[str]:
         """All decomposition axioms against g; empty list means valid."""
         problems = []
@@ -212,10 +207,17 @@ class PathDecomposition:
         return problems
 
     def consistency_violations(self, order: PartialOrder) -> list[str]:
-        """Strict pairs whose larger element leaves before the smaller enters."""
+        """Strict pairs whose larger element leaves before the smaller enters;
+        an element in no bag enters and leaves at -1."""
+        first: dict[int, int] = {}
+        last: dict[int, int] = {}
+        for i, bag in enumerate(self.bags):
+            for v in _bits(bag):
+                first.setdefault(v, i)
+                last[v] = i
         problems = []
         for x, y in order.strict_pairs():
-            if self.last_bag(y) < self.first_bag(x):
+            if last.get(y, -1) < first.get(x, -1):
                 problems.append(
                     f"element {y} is forgotten before smaller element {x} is introduced"
                 )
@@ -251,19 +253,14 @@ class ConsistentPathDecomposition:
 
 
 def consistent_path_decomposition(
-    order: PartialOrder,
-    lattice: IdealLattice | None = None,
-    deadline: float | None = None,
+    order: PartialOrder, deadline: float | None = None
 ) -> ConsistentPathDecomposition:
     """Nice order-consistent path decomposition of the cocomparability
     graph, of optimal width: the nice decomposition of a width-optimal
     linear extension. A linear extension introduces x before y whenever
-    x < y, so the result is consistent by construction. Pass the order's
-    ``ideal_lattice`` when the caller has already built it."""
+    x < y, so the result is consistent by construction."""
     g = cocomparability_graph(order)
-    if lattice is None:
-        lattice = ideal_lattice(order, deadline)
-    layout = width_optimal_extension(g, lattice, deadline)
+    layout = width_optimal_extension(g, ideal_lattice(order, deadline), deadline)
     result = ConsistentPathDecomposition(nice_decomposition(g, layout), order)
     problems = result.validate()
     if problems:

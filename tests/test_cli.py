@@ -80,6 +80,22 @@ class TestParsing:
         with pytest.raises(InputError, match="line 2"):
             parse_votes("candidates: A,B\nA=A<B\n")
 
+    def test_unmentioned_candidates_stay_incomparable(self):
+        # a bucket line that leaves out C is the pair vote over A and B alone
+        buckets = parse_votes("candidates: A,B,C\nA<B\n")
+        pairs = parse_votes("candidates: A,B,C\npairs: A<B\n")
+        assert buckets.votes == pairs.votes
+        vote, _ = buckets.votes[0]
+        assert vote.incomparable(0, 2) and vote.incomparable(1, 2)
+        assert serialize_profile(buckets) == "candidates: A,B,C\npairs: A<B\n"
+
+    def test_self_pair_rejected_as_a_cycle(self, tmp_path):
+        votes = tmp_path / "self.votes"
+        votes.write_text("candidates: A,B\nA<B\npairs: A<A\n")
+        assert invoke(["solve", str(votes)]) == (
+            2, "", "error: line 3: pair set closes to a cycle\n"
+        )
+
     def test_chained_pair_shorthand(self):
         profile = parse_votes("candidates: A,B,C\npairs: A<B<C\n")
         vote, _ = profile.votes[0]
@@ -979,6 +995,8 @@ class TestTraceGuard:
             "kemeny.solver_single.forward_tables",
             # the CLI prints the distances the diverse solver computed
             "kemeny.cli.kt_distance",
+            # the single engine no longer decomposes
+            "kemeny.solver_single.consistent_path_decomposition",
         }
         assert [(s.name, s.error) for s in tracer.spans if s.error] == []
         names = {s.name for s in tracer.spans}

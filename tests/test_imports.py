@@ -1,7 +1,8 @@
 """Every name a library module imports is read somewhere in that module,
 every function, class and method the library defines is used outside the
 tests, no library module reads the process environment, and the tail-order
-program stays inside the diverse solver."""
+program stays inside the diverse solver and the single solver builds no
+path decomposition."""
 
 import ast
 import pathlib
@@ -19,6 +20,12 @@ ENVIRONMENT_READS = {"environ", "getenv"}
 TAIL_PROGRAM = {
     "TailKey", "Moves", "tail_successors", "forward_tables", "backward_tables",
     "reconstruct_extension",
+}
+# The path-decomposition names, which the ideal-lattice engine neither
+# defines nor imports: it reads the width off the lattice.
+DECOMPOSITION = {
+    "PathDecomposition", "ConsistentPathDecomposition",
+    "consistent_path_decomposition", "nice_decomposition",
 }
 
 
@@ -134,9 +141,9 @@ def test_detects_an_environment_read():
     assert environment_reads(source) == [2, 4]
 
 
-def tail_program_names(source):
-    """(line, name) of each tail-order program name the source defines,
-    assigns or imports."""
+def bound_names(source, watched):
+    """(line, name) of each watched name the source defines, assigns,
+    imports (under its own name or an alias) or reads off a module."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -144,10 +151,13 @@ def tail_program_names(source):
         elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
             names = [node.id]
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            names = [alias.asname or alias.name for alias in node.names]
+            names = [alias.name.split(".")[-1] for alias in node.names]
+            names += [alias.asname for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
         else:
             continue
-        found += [(node.lineno, name) for name in names if name in TAIL_PROGRAM]
+        found += [(node.lineno, name) for name in names if name in watched]
     return sorted(found)
 
 
@@ -157,7 +167,7 @@ def tail_program_names(source):
     ids=lambda p: p.name,
 )
 def test_tail_program_stays_in_solver_diverse(path):
-    assert tail_program_names(path.read_text(encoding="utf-8")) == []
+    assert bound_names(path.read_text(encoding="utf-8"), TAIL_PROGRAM) == []
 
 
 def test_detects_a_tail_program_name():
@@ -167,4 +177,24 @@ def test_detects_a_tail_program_name():
         "def forward_tables(): pass\n"
         "def tail_bound(): pass\n"
     )
-    assert tail_program_names(source) == [(1, "Moves"), (2, "TailKey"), (3, "forward_tables")]
+    assert bound_names(source, TAIL_PROGRAM) == [
+        (1, "Moves"), (2, "TailKey"), (3, "forward_tables"),
+    ]
+
+
+def test_single_solver_builds_no_decomposition():
+    source = (SRC / "solver_single.py").read_text(encoding="utf-8")
+    assert bound_names(source, DECOMPOSITION) == []
+
+
+def test_detects_a_decomposition_name():
+    source = (
+        "from .width import ConsistentPathDecomposition as CPD, ideal_lattice\n"
+        "from . import width\n"
+        "dec = width.nice_decomposition(g, layout)\n"
+        "def consistent_path_decomposition(order): pass\n"
+    )
+    assert bound_names(source, DECOMPOSITION) == [
+        (1, "ConsistentPathDecomposition"), (3, "nice_decomposition"),
+        (4, "consistent_path_decomposition"),
+    ]

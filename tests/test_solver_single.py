@@ -5,8 +5,9 @@ import random
 
 import pytest
 
+from kemeny import solver_single
 from kemeny.cli import parse_votes
-from kemeny.errors import InternalError, check_bound
+from kemeny.errors import InternalError
 from kemeny.instances import (
     BucketSpec,
     candidate_labels,
@@ -230,11 +231,14 @@ class TestIdealEngine:
         parts = [restrict(inst, list(range(s, s + 8))) for s in (0, 8, 16)]
         assert solve_single(inst).cost == sum(oracle_optimum(p)[0] for p in parts)
 
-    def test_ideal_bound_fires_past_the_bag_sum(self):
-        # one bag of two vertices admits at most 2^2 ideals
-        check_bound("ideal", 4, 1 << 2)
-        with pytest.raises(InternalError, match="ideal count 5"):
-            check_bound("ideal", 5, 1 << 2)
+    def test_ideal_bound_fires_past_n_two_to_the_width(self, monkeypatch):
+        # an antichain of two has width 1 and 4 ideals, within 2 * 2^1 + 1;
+        # read as width 0, its bound is 2 * 2^0 + 1 = 3 and the check fires
+        inst = instance_2(1, 1)
+        assert solve_single(inst).width == 1
+        monkeypatch.setattr(solver_single, "ideal_widths", lambda *args: {0: 0})
+        with pytest.raises(InternalError, match="ideal count 4 exceeds its bound 3"):
+            solve_single(inst)
 
     def test_tail_bound_counts_ordered_subsets_of_a_bag(self):
         # at delta 0 the bound is exact: a bag of w + 1 vertices has

@@ -17,6 +17,7 @@ from kemeny.width import (
     cocomparability_graph,
     consistent_path_decomposition,
     ideal_lattice,
+    ideal_widths,
     nice_decomposition,
     width_optimal_extension,
 )
@@ -216,7 +217,7 @@ class TestConsistentDecomposition:
         order = PartialOrder.antichain(6)
         lattice = ideal_lattice(order)
         with pytest.raises(CapabilityError):
-            consistent_path_decomposition(order, lattice=lattice, deadline=time.monotonic() - 1)
+            ideal_widths(cocomparability_graph(order), lattice, time.monotonic() - 1)
 
     def test_consistency_violation_detected(self):
         # forget element 1 before introducing element 0 although 0 < 1
@@ -224,6 +225,41 @@ class TestConsistentDecomposition:
         dec = PathDecomposition(2, (0b10, 0b01))
         assert dec.consistency_violations(order)
         assert not PathDecomposition(2, (0b01, 0b10)).consistency_violations(order)
+
+    def test_element_in_no_bag_enters_and_leaves_at_minus_one(self):
+        # of 0 < 1 < 2, vertex 1 is in no bag: 1 leaves (-1) before 0 enters
+        # (0), but 2 leaves (1) after 1 enters (-1), so only (0, 1) fails
+        dec = PathDecomposition(3, (0b001, 0b100))
+        assert dec.consistency_violations(chain(3)) == [
+            "element 1 is forgotten before smaller element 0 is introduced"
+        ]
+
+
+class TestLatticeWidth:
+    """The single solver reads the width off the lattice as w[empty] and
+    bounds the ideals by n * 2^w + 1, with no decomposition built."""
+
+    @staticmethod
+    def width_and_ideals(order):
+        lattice = ideal_lattice(order)
+        width = ideal_widths(cocomparability_graph(order), lattice)[0]
+        return width, sum(len(layer) for layer in lattice.layers)
+
+    def test_random_orders_match_the_decomposition_and_the_bound(self):
+        rng = random.Random(23)
+        tight = 0
+        for _ in range(150):
+            n = rng.randint(1, 13)
+            order = random_partial_order(n, rng, rng.random())
+            width, ideals = self.width_and_ideals(order)
+            assert width == consistent_path_decomposition(order).width
+            assert ideals <= n * 2**width + 1
+            tight += ideals == n * 2**width + 1
+        assert tight > 0
+
+    @pytest.mark.parametrize("order", [chain(1), chain(7)], ids=["one", "chain7"])
+    def test_bound_is_exact_on_chains(self, order):
+        assert self.width_and_ideals(order) == (0, order.n + 1)
 
 
 class TestBadTripleProperty:
