@@ -141,6 +141,8 @@ def oracle_diverse(
     _require(r, DIVERSE_R_CAP, "diverse oracle solution count")
     if r < 1:
         raise InputError("need at least one solution")
+    if min(delta, d, s) < 0:
+        raise InputError("delta, d and s must be non-negative")
     opt, pool = _within_budget(instance, delta, deadline)
     dist = []
     for a in pool:

@@ -6,6 +6,14 @@ bit y of ``rows[x]`` is set iff the pair (x, y) is in the relation, read as
 "x is at most y". This keeps closure, intersection and pair counting at
 O(n^2 / wordsize). Everything here is immutable after construction and
 side-effect free, so values can be shared freely across threads.
+
+``PartialOrder(n, rows)`` and ``PartialOrder.from_pairs`` check
+reflexivity, antisymmetry and transitivity over all pairs. The
+constructions that are valid by how they are built skip that check and
+set the columns directly: ``from_buckets`` (which still rejects elements
+outside the universe and repeated ones), ``antichain``,
+``LinearOrder.as_partial_order`` and ``unanimity_order`` (an intersection
+of partial orders is a partial order).
 """
 
 from __future__ import annotations
@@ -60,6 +68,9 @@ class CandidateSet:
             raise InputError("candidate labels must be non-empty")
         if len(set(self.names)) != len(self.names):
             raise InputError("candidate labels must be unique")
+        object.__setattr__(
+            self, "_index", {name: i for i, name in enumerate(self.names)}
+        )
 
     @property
     def n(self) -> int:
@@ -67,8 +78,8 @@ class CandidateSet:
 
     def index(self, name: str) -> int:
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._index[name]  # type: ignore[attr-defined]
+        except KeyError:
             raise InputError(f"unknown candidate {name!r}") from None
 
 
@@ -85,24 +96,34 @@ class PartialOrder:
             raise InputError("order needs at least one element")
         if len(self.rows) != n:
             raise InputError("rows size does not match n")
+        rows = self.rows
         full = _full_mask(n)
-        for x, row in enumerate(self.rows):
+        for x, row in enumerate(rows):
             if row & ~full:
                 raise InputError("relation mentions elements outside 0..n-1")
             if not row & (1 << x):
                 raise InputError(f"relation not reflexive at {x}")
-        for x in range(n):
-            for y in _bits(self.rows[x]):
-                if y != x and self.rows[y] & (1 << x):
-                    raise InputError(f"antisymmetry violated on ({x},{y})")
-                if self.rows[y] & ~self.rows[x]:
-                    raise InputError(f"transitivity violated below ({x},{y})")
         cols = [0] * n
-        for x in range(n):
-            row = self.rows[x]
+        for x, row in enumerate(rows):
+            xbit = 1 << x
             for y in _bits(row):
-                cols[y] |= 1 << x
+                up = rows[y]
+                if y != x and up & xbit:
+                    raise InputError(f"antisymmetry violated on ({x},{y})")
+                if up & ~row:
+                    raise InputError(f"transitivity violated below ({x},{y})")
+                cols[y] |= xbit
         object.__setattr__(self, "_cols", tuple(cols))
+
+    @classmethod
+    def _valid(cls, n: int, rows: tuple[int, ...], cols: tuple[int, ...]) -> "PartialOrder":
+        """An order the caller built valid, with its columns (bit x of
+        ``cols[y]`` iff x is at most y): skips the O(n^2) check."""
+        order = object.__new__(cls)
+        object.__setattr__(order, "n", n)
+        object.__setattr__(order, "rows", rows)
+        object.__setattr__(order, "_cols", cols)
+        return order
 
     # -- constructors ------------------------------------------------------
 
@@ -123,7 +144,8 @@ class PartialOrder:
 
     @classmethod
     def antichain(cls, n: int) -> "PartialOrder":
-        return cls(n, tuple(1 << x for x in range(n)))
+        rows = tuple(1 << x for x in range(n))
+        return cls._valid(n, rows, rows)
 
     @classmethod
     def from_buckets(cls, n: int, buckets: Sequence[Sequence[int]]) -> "PartialOrder":
@@ -142,12 +164,15 @@ class PartialOrder:
             seen |= bucket_mask
             masks.append(bucket_mask)
         rows = [1 << x for x in range(n)]
-        later = seen
+        cols = rows[:]
+        earlier, later = 0, seen
         for bucket_mask in masks:
             later &= ~bucket_mask
             for x in _bits(bucket_mask):
                 rows[x] |= later
-        return cls(n, tuple(rows))
+                cols[x] |= earlier
+            earlier |= bucket_mask
+        return cls._valid(n, tuple(rows), tuple(cols))
 
     # -- queries -----------------------------------------------------------
 
@@ -201,11 +226,15 @@ class LinearOrder:
     def as_partial_order(self) -> PartialOrder:
         n = self.n
         rows = [0] * n
-        suffix = _full_mask(n)
+        cols = [0] * n
+        prefix, suffix = 0, _full_mask(n)
         for x in self.perm:
+            bit = 1 << x
+            prefix |= bit
             rows[x] = suffix
-            suffix &= ~(1 << x)
-        return PartialOrder(n, tuple(rows))
+            cols[x] = prefix
+            suffix ^= bit
+        return PartialOrder._valid(n, tuple(rows), tuple(cols))
 
     def extends(self, order: PartialOrder) -> bool:
         if order.n != self.n:
@@ -356,10 +385,12 @@ def unanimity_order(profile: Profile) -> PartialOrder:
     """Intersection of all votes: the pairs every voter agrees on."""
     n = profile.n
     rows = [_full_mask(n)] * n
+    cols = [_full_mask(n)] * n
     for vote, _ in profile.votes:
-        rows = [rows[x] & vote.rows[x] for x in range(n)]
+        rows = [a & b for a, b in zip(rows, vote.rows)]
+        cols = [a & b for a, b in zip(cols, vote._cols)]  # type: ignore[attr-defined]
     # An intersection of partial orders is again a partial order.
-    return PartialOrder(n, tuple(rows))
+    return PartialOrder._valid(n, tuple(rows), tuple(cols))
 
 
 def reduce_to_co(profile: Profile) -> CostInstance:
@@ -371,7 +402,15 @@ def reduce_to_co(profile: Profile) -> CostInstance:
     n = profile.n
     base = unanimity_order(profile)
     cost = [[0] * n for _ in range(n)]
-    for vote, mult in profile.votes:
-        for x, y in vote.strict_pairs():
-            cost[y][x] += mult
+    votes = [(vote.rows, mult) for vote, mult in profile.votes]
+    for x in range(n):
+        # Votes that agree on x's row add to the same cells: expand each
+        # distinct row once, with the summed multiplicity.
+        weight: dict[int, int] = {}
+        for rows, mult in votes:
+            row = rows[x]
+            weight[row] = weight.get(row, 0) + mult
+        for row, mult in weight.items():
+            for y in _bits(row & ~(1 << x)):
+                cost[y][x] += mult
     return CostInstance(n, tuple(tuple(row) for row in cost), base)

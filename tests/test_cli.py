@@ -378,6 +378,17 @@ class TestSubcommands:
         for argv, code, text in ORACLE_GOLDENS:
             assert invoke(argv) == (code, text, ""), argv
 
+    # The oracle rejects a negative target as the solvers do.
+    @pytest.mark.parametrize("command,flag", [
+        *((["diverse"], flag) for flag in ("--delta", "--d", "--s")),
+        (["maxdiv"], "--delta"),
+        *((["oracle", "--task", "diverse"], flag) for flag in ("--delta", "--d", "--s")),
+        (["oracle", "--task", "diverse", "--max"], "--delta"),
+    ])
+    def test_negative_targets_rejected(self, command, flag):
+        argv = [command[0], FIFTY, *command[1:], "--r", "2", flag, "-1"]
+        assert invoke(argv) == (2, "", "error: delta, d and s must be non-negative\n")
+
     def test_gen_round_trips_and_solves(self, tmp_path):
         target = tmp_path / "g.votes"
         code, _, _ = invoke(

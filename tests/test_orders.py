@@ -6,6 +6,7 @@ import pytest
 
 from kemeny.errors import InputError
 from kemeny.instances import (
+    candidate_labels,
     fifty_fifty_profile,
     five_type_profile,
     random_partial_order,
@@ -65,12 +66,12 @@ class TestTypes:
             CandidateSet(("A", ""))
 
     def test_partial_order_validation(self):
-        with pytest.raises(InputError):
-            PartialOrder(2, (0b01, 0b01))  # not reflexive at 1
-        with pytest.raises(InputError):
-            PartialOrder(2, (0b11, 0b11))  # antisymmetry
-        with pytest.raises(InputError):
-            PartialOrder(3, (0b011, 0b110, 0b100))  # transitivity
+        with pytest.raises(InputError, match="^relation not reflexive at 1$"):
+            PartialOrder(2, (0b01, 0b01))
+        with pytest.raises(InputError, match=r"^antisymmetry violated on \(0,1\)$"):
+            PartialOrder(2, (0b11, 0b11))
+        with pytest.raises(InputError, match=r"^transitivity violated below \(0,1\)$"):
+            PartialOrder(3, (0b011, 0b110, 0b100))
 
     def test_from_pairs_rejects_cycles(self):
         with pytest.raises(InputError):
@@ -86,6 +87,13 @@ class TestTypes:
         order = PartialOrder.from_buckets(3, [[0, 1], [2]])
         assert order.incomparable(0, 1)
         assert order.lt(0, 2) and order.lt(1, 2)
+
+    def test_from_buckets_rejects_bad_elements(self):
+        for bad in (3, -1):
+            with pytest.raises(InputError, match=f"^bucket element {bad} outside universe$"):
+                PartialOrder.from_buckets(3, [[0], [bad]])
+        with pytest.raises(InputError, match="^bucket chain repeats an element$"):
+            PartialOrder.from_buckets(3, [[0, 1], [2, 1]])
 
     def test_profile_requires_votes(self):
         cs = CandidateSet(("A", "B"))
@@ -104,6 +112,73 @@ class TestTypes:
         assert inst.is_positive
         zero = CostInstance(2, ((0, 0), (3, 0)), base)
         assert not zero.is_positive
+
+
+def random_buckets(n, rng):
+    """A random bucket chain over 0..n-1 that leaves some elements out."""
+    mentioned = [x for x in range(n) if rng.random() < 0.8]
+    rng.shuffle(mentioned)
+    buckets = []
+    while mentioned:
+        size = rng.randint(1, len(mentioned))
+        buckets.append(mentioned[:size])
+        mentioned = mentioned[size:]
+    return buckets
+
+
+def random_vote(n, rng):
+    """A bucket, pair or linear vote, as the vote-file grammar allows."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return PartialOrder.from_buckets(n, random_buckets(n, rng))
+    if kind == 1:
+        return random_partial_order(n, rng, rng.random())
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return LinearOrder(tuple(perm)).as_partial_order()
+
+
+def random_mixed_profile(rng):
+    """A profile of mixed votes with multiplicities, and with some votes
+    repeated as separate entries."""
+    n = rng.randint(1, 9)
+    pool = [random_vote(n, rng) for _ in range(rng.randint(1, 5))]
+    votes = tuple(
+        (rng.choice(pool), rng.randint(1, 4)) for _ in range(rng.randint(1, 8))
+    )
+    return Profile(CandidateSet(candidate_labels(n)), votes)
+
+
+def assert_matches_checked(order):
+    """An order built without the check equals the checked construction
+    from the same rows, columns included."""
+    checked = PartialOrder(order.n, order.rows)
+    assert order == checked
+    assert [order.strict_down(x) for x in range(order.n)] == [
+        checked.strict_down(x) for x in range(order.n)
+    ]
+
+
+class TestBuiltValid:
+    def test_bucket_chains(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            assert_matches_checked(PartialOrder.from_buckets(n, random_buckets(n, rng)))
+
+    def test_permutations_and_antichains(self):
+        rng = random.Random(12)
+        for n in range(1, 13):
+            assert_matches_checked(PartialOrder.antichain(n))
+            for _ in range(20):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                assert_matches_checked(LinearOrder(tuple(perm)).as_partial_order())
+
+    def test_unanimity_orders(self):
+        rng = random.Random(13)
+        for _ in range(200):
+            assert_matches_checked(unanimity_order(random_mixed_profile(rng)))
 
 
 class TestKtDistance:
@@ -245,6 +320,19 @@ class TestReduction:
                     continue
                 expected = 0 if vote.perm.index(x) < vote.perm.index(y) else 7
                 assert inst.cost[x][y] == expected
+
+    def test_matches_naive_pair_count(self):
+        rng = random.Random(14)
+        for _ in range(200):
+            profile = random_mixed_profile(rng)
+            n = profile.n
+            naive = [[0] * n for _ in range(n)]
+            for vote, mult in profile.votes:
+                for x in range(n):
+                    for y in range(n):
+                        if x != y and vote.leq(x, y):
+                            naive[y][x] += mult
+            assert reduce_to_co(profile).cost == tuple(map(tuple, naive))
 
     def test_positive_iff_linear_votes_here(self):
         assert reduce_to_co(fifty_fifty_profile()).is_positive
