@@ -77,6 +77,8 @@ EXIT_INTERNAL = 70
 # ---------------------------------------------------------------------------
 
 _MULT_RE = re.compile(r"^(\d+)\s*x\s+(.*)$")
+# Votes split on '<' and '=', and dumped bags on whitespace.
+_LABEL_BREAK_RE = re.compile(r"[\s<=]")
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
@@ -99,6 +101,11 @@ def parse_votes(text: str) -> Profile:
     names = [name.strip() for name in header[len("candidates:"):].split(",")]
     if any(not name for name in names):
         raise InputError(f"line {lineno}: empty candidate name")
+    for name in names:
+        if _LABEL_BREAK_RE.search(name):
+            raise InputError(
+                f"line {lineno}: candidate label {name!r} contains whitespace, '<' or '='"
+            )
     try:
         candidates = CandidateSet(tuple(names))
     except InputError as exc:

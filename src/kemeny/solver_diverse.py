@@ -4,15 +4,16 @@ bag.
 
 A tail is held as its key ``(tail mask, tail order)``: the subset S of the
 current bag that sits after every forgotten vertex, and the tail's linear
-order. A key's moves depend on the key alone: ``tail_successors`` gives each
-next key with the step, the charged cost the move adds. A forget step
-commits the dropped vertex and everything tail-smaller than it, at step 0;
-an introduce step inserts the new vertex at every tail position the base
-order allows, paying for the pairs it forms with vertices already placed.
-From the empty tail ``forward_tables`` computes the moves of every reachable
-key once; ``backward_tables`` reads them for each key's exact cost to go,
-whose value at the empty tail of the first bag is the optimum. A ranking is
-read back off a chain of keys, as the prefixes its forget steps commit.
+order. A key's moves depend on the key alone; each is a triple (next key,
+step, below). A forget step commits the dropped vertex and everything
+tail-smaller than it, at step 0 and with ``below`` 0; an introduce step
+inserts the new vertex at every tail position the base order allows, its
+step the cost of the pairs it forms with vertices already placed, its
+``below`` the bag vertices it puts below the new one. From the empty tail
+``forward_tables`` computes the moves of every reachable key once;
+``backward_tables`` reads them for each key's exact cost to go, whose value
+at the empty tail of the first bag is the optimum. A ranking is read back
+off a chain of keys, as the prefixes its forget steps commit.
 
 The lockstep runs from r empty tails at the first bag to r empty tails at
 the last. Each solution slot of a state is a tail key with its cost,
@@ -23,18 +24,22 @@ along every state:
 * one register holding min(total diversity so far, d).
 
 A pair of placed vertices is counted the moment the later of the two is
-introduced; vertices forgotten before a new vertex arrives are below it in
-the base order, so both solutions agree on those pairs and nothing is
-missed. Since increments are non-negative, saturating addition makes every
-final register exactly min(true value, cap), which is all the acceptance
-checks need. Slots are pruned by an exact cost window: a slot whose cost
-plus its key's cost to go exceeds opt + delta can never finish within it. A
-dropped state is never an ancestor of a final state, so the final states
-and the backtrack are those of the unpruned program.
+introduced: a bag vertex is below the new vertex in one solution and above
+it in the other exactly when one move's ``below`` holds it and the other's
+does not, so a pair of solutions gains the XOR popcount of the two masks.
+Vertices forgotten earlier are below the new vertex in the base order, in
+both solutions, so nothing is missed. Since increments are non-negative,
+saturating addition makes every final register exactly min(true value,
+cap), which is all the acceptance checks need. Slots are pruned by an exact
+cost window: a slot whose cost plus its key's cost to go exceeds opt +
+delta can never finish within it. A dropped state is never an ancestor of a
+final state, so the final states and the backtrack are those of the
+unpruned program.
 
 The forward sweep and the lockstep check their state counts against the
 fixed-parameter bound ``tail_bound`` as they build them
-(``errors.check_bound``).
+(``errors.check_bound``); both sweeps check the deadline once per key, and
+the lockstep once per state.
 
 The modes are ``decide`` and ``max-diversity``. Asking for r distinct
 optima (``find_distinct_optima``) needs no lockstep: it lists the first r
@@ -69,8 +74,8 @@ from .width import PathDecomposition, consistent_path_decomposition
 
 # Tail subset (bitmask) and tail order (vertex tuple, first = smallest).
 TailKey = tuple[int, tuple[int, ...]]
-# Each key of one position mapped to its moves: (next key, step) pairs.
-Moves = dict[TailKey, list[tuple[TailKey, int]]]
+# Each key of one position mapped to its moves: (next key, step, below).
+Moves = dict[TailKey, list[tuple[TailKey, int, int]]]
 
 
 def tail_bound(delta: int, width: int) -> int:
@@ -97,10 +102,12 @@ def _forget_successor(key: TailKey, gone: int) -> TailKey:
 
 def _introduce_successors(
     key: TailKey, v: int, next_bag: int, instance: CostInstance
-) -> list[tuple[TailKey, int]]:
+) -> list[tuple[TailKey, int, int]]:
     """Insert v at every tail position the base order allows, each with the
-    cost of the pairs it forms: tail vertices on either side, plus the bag
-    vertices already committed before the whole tail."""
+    cost of the pairs it forms (tail vertices on either side, plus the bag
+    vertices already committed before the whole tail) and the mask of the
+    bag vertices it puts below v: the committed ones and the tail before
+    v's slot."""
     tail, order = key
     charge = instance.charge
     base = instance.base
@@ -120,27 +127,19 @@ def _introduce_successors(
         if up & (1 << u) and i < hi:
             hi = i
     out = []
-    before_cost = sum(charge[u][v] for u in order[:lo])
+    before_cost = 0
+    below = committed
+    for u in order[:lo]:
+        before_cost += charge[u][v]
+        below |= 1 << u
     for slot in range(lo, hi + 1):
         extra = before_cost + sum(row_v[u] for u in order[slot:])
         new_order = order[:slot] + (v,) + order[slot:]
-        out.append(((new_tail, new_order), base_cost + extra))
+        out.append(((new_tail, new_order), base_cost + extra, below))
         if slot < len(order):
             before_cost += charge[order[slot]][v]
+            below |= 1 << order[slot]
     return out
-
-
-def tail_successors(
-    key: TailKey, dec: PathDecomposition, p: int, instance: CostInstance
-) -> list[tuple[TailKey, int]]:
-    """The key's moves across the transition p -> p+1 of a nice
-    decomposition, as (next key, step) pairs: one on a forget step, one per
-    allowed slot of the new vertex on an introduce step."""
-    gone = dec.forgotten(p + 1)
-    if gone:
-        return [(_forget_successor(key, gone), 0)]
-    v = dec.introduced(p + 1).bit_length() - 1
-    return _introduce_successors(key, v, dec.bags[p + 1], instance)
 
 
 def forward_tables(
@@ -149,14 +148,25 @@ def forward_tables(
     deadline: float | None = None,
 ) -> list[Moves]:
     """Per transition p -> p+1, each key reachable at p from the empty tail
-    mapped to its moves. ``dec`` must start and end with an empty bag."""
+    mapped to its moves: one on a forget step, one per allowed slot of the
+    new vertex on an introduce step. ``dec`` must be nice and start and end
+    with an empty bag."""
     bound = tail_bound(0, dec.width)
     moves: list[Moves] = []
     keys: dict[TailKey, None] = {(0, ()): None}
     for p in range(len(dec.bags) - 1):
-        check_deadline(deadline)
-        here: Moves = {key: tail_successors(key, dec, p, instance) for key in keys}
-        keys = dict.fromkeys(k for succ in here.values() for k, _ in succ)
+        gone = dec.forgotten(p + 1)
+        v = dec.introduced(p + 1).bit_length() - 1
+        bag = dec.bags[p + 1]
+        here: Moves = {}
+        for key in keys:
+            check_deadline(deadline)
+            here[key] = (
+                [(_forget_successor(key, gone), 0, 0)]
+                if gone
+                else _introduce_successors(key, v, bag, instance)
+            )
+        keys = dict.fromkeys(k for succ in here.values() for k, _, _ in succ)
         # distinct keys only: the count of a window of delta 0
         check_bound("triple", len(keys), bound)
         moves.append(here)
@@ -175,12 +185,12 @@ def backward_tables(
     tables: list[dict[TailKey, int]] = [{} for _ in range(last)]
     tables.append({(0, ()): 0})
     for p in range(last - 1, -1, -1):
-        check_deadline(deadline)
         nxt = tables[p + 1]
         here = tables[p]
         for key, succ in moves[p].items():
+            check_deadline(deadline)
             try:
-                here[key] = min(step + nxt[k] for k, step in succ)
+                here[key] = min(step + nxt[k] for k, step, _ in succ)
             except (KeyError, ValueError):
                 raise InternalError("reachable tail has no completion") from None
     return tables
@@ -263,43 +273,6 @@ def _pairs(r: int) -> list[tuple[int, int]]:
     return list(itertools.combinations(range(r), 2))
 
 
-def scatteredness_increase(
-    bag: int,
-    tail_i: tuple[int, ...],
-    tail_j: tuple[int, ...],
-    introduced: Sequence[int],
-) -> int:
-    """Distance gained between two partial solutions when the given vertices
-    join their tails, inserting them one at a time in the given order.
-
-    For each new vertex v and each already-placed u, one disagreement is
-    counted when u sits below v in one solution (committed before the tail,
-    or tail-ordered below) but above v in the other. Every pair is counted
-    exactly once, when its later vertex arrives, so the total is invariant
-    under the insertion order.
-    """
-    pos_i = {v: k for k, v in enumerate(tail_i)}
-    pos_j = {v: k for k, v in enumerate(tail_j)}
-    total = 0
-    placed = bag
-    for v in introduced:
-        if v not in pos_i or v not in pos_j:
-            raise InternalError("introduced vertex missing from a new tail")
-        pvi = pos_i[v]
-        pvj = pos_j[v]
-        for u in _bits(placed):
-            ui = pos_i.get(u)
-            uj = pos_j.get(u)
-            smaller_i = ui is None or ui < pvi
-            smaller_j = uj is None or uj < pvj
-            if smaller_i and uj is not None and uj > pvj:
-                total += 1
-            if smaller_j and ui is not None and ui > pvi:
-                total += 1
-        placed |= 1 << v
-    return total
-
-
 def _slot_allowed(
     key: TailKey, cost: int, to_go: dict[TailKey, int], cost_bound: int
 ) -> bool:
@@ -314,8 +287,6 @@ def _slot_allowed(
 
 def tuple_successors(
     state: DiverseState,
-    dec: PathDecomposition,
-    p: int,
     *,
     moves: Moves,
     d_cap: int,
@@ -323,19 +294,17 @@ def tuple_successors(
     to_go: dict[TailKey, int],
     cost_bound: int,
     succ_cache: dict,
-    pair_cache: dict,
 ) -> list[DiverseState]:
-    """All register-updated successor states across the transition p -> p+1
-    of a nice decomposition.
+    """All register-updated successor states across one transition.
 
-    Each solution advances by its key's ``moves`` at p; on an introduce step
-    the registers grow by the pairwise increases and saturate at their caps.
-    ``to_go`` is the cost-to-go register at p+1; a solution that cannot
-    finish within ``cost_bound`` (``_slot_allowed``) kills the whole state.
-    ``succ_cache`` and ``pair_cache`` memoise per-slot successors and
-    pairwise increases within one transition.
+    Each solution advances by its key's ``moves``; every pair of solutions
+    gains the XOR popcount of its two moves' ``below`` masks, and the
+    registers saturate at their caps. ``to_go`` is the cost-to-go register
+    after the transition; a solution that cannot finish within
+    ``cost_bound`` (``_slot_allowed``) kills the whole state. ``succ_cache``
+    memoises per-slot successors within one transition.
     """
-    options: list[list[Slot]] = []
+    options: list[list[tuple[Slot, int]]] = []
     for slot in state.slots:
         opts = succ_cache.get(slot)
         if opts is None:
@@ -343,33 +312,27 @@ def tuple_successors(
             if key not in moves:
                 raise InternalError("lockstep tail missing from the forward moves")
             opts = succ_cache[slot] = [
-                (k, cost + step)
-                for k, step in moves[key]
+                ((k, cost + step), below)
+                for k, step, below in moves[key]
                 if _slot_allowed(k, cost + step, to_go, cost_bound)
             ]
         if not opts:
             return []
         options.append(opts)
-    if dec.forgotten(p + 1):
-        return [DiverseState(tuple(opts[0] for opts in options), state.div, state.dist)]
+    # One move per solution and none with a vertex below it (a forget, say):
+    # no pair gains anything.
+    if all(len(opts) == 1 and not opts[0][1] for opts in options):
+        return [DiverseState(tuple(opts[0][0] for opts in options), state.div, state.dist)]
 
-    v = dec.introduced(p + 1).bit_length() - 1
-    bag = dec.bags[p]
     pairs = _pairs(len(state.slots))
     out = []
     for combo in itertools.product(*options):
-        incs = []
-        for i, j in pairs:
-            orders = (combo[i][0][1], combo[j][0][1])
-            inc = pair_cache.get(orders)
-            if inc is None:
-                inc = pair_cache[orders] = scatteredness_increase(bag, *orders, (v,))
-            incs.append(inc)
+        incs = [(combo[i][1] ^ combo[j][1]).bit_count() for i, j in pairs]
         new_dist = tuple(
             min(state.dist[k] + incs[k], s_cap) for k in range(len(pairs))
         )
         new_div = min(state.div + sum(incs), d_cap)
-        out.append(DiverseState(tuple(combo), new_div, new_dist))
+        out.append(DiverseState(tuple(slot for slot, _ in combo), new_div, new_dist))
     return out
 
 
@@ -454,7 +417,6 @@ def solve_diverse(
     tables = [frontier]
     for p in range(len(dec.bags) - 1):
         succ_cache: dict = {}
-        pair_cache: dict = {}
         nxt: dict = {}
         distinct: set[Slot] = set()
         # Each canonical state keeps its least parent, with the first perm
@@ -463,15 +425,12 @@ def solve_diverse(
             check_deadline(deadline)
             for raw in tuple_successors(
                 state,
-                dec,
-                p,
                 moves=moves[p],
                 d_cap=d_cap,
                 s_cap=s_cap,
                 to_go=to_go[p + 1],
                 cost_bound=cost_bound,
                 succ_cache=succ_cache,
-                pair_cache=pair_cache,
             ):
                 canon, perm = _canonical(raw, pair_index)
                 entry = nxt.get(canon)

@@ -37,7 +37,7 @@ def least_costs(moves):
     for here in moves:
         nxt = {}
         for key, cost in tables[-1].items():
-            for new_key, step in here[key]:
+            for new_key, step, _ in here[key]:
                 nxt[new_key] = min(cost + step, nxt.get(new_key, cost + step))
         tables.append(nxt)
     return tables

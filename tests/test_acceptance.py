@@ -9,7 +9,6 @@ the fixtures reproduce.
 
 import collections
 import io
-import itertools
 import math
 import random
 import time
@@ -22,20 +21,21 @@ from kemeny.instances import (
     fifty_fifty_profile,
     five_type_profile,
     generate_bucket_order,
+    random_linear_extension,
     random_partial_order,
     random_profile,
 )
 from kemeny.oracle import enumerate_extensions, oracle_diverse, oracle_optimum
-from kemeny.orders import LinearOrder, reduce_to_co
+from kemeny.orders import LinearOrder, kt_distance, reduce_to_co
 from kemeny.pco import PcoInstance, solve_pco
 from kemeny import solver_diverse, solver_single
-from kemeny.solver_diverse import (
-    DiverseQuery,
-    scatteredness_increase,
-    solve_diverse,
-)
+from kemeny.solver_diverse import DiverseQuery, forward_tables, solve_diverse
 from kemeny.solver_single import solve_single
-from kemeny.width import cocomparability_graph, consistent_path_decomposition
+from kemeny.width import (
+    cocomparability_graph,
+    consistent_path_decomposition,
+    nice_decomposition,
+)
 
 from cost_instances import random_cost_instance
 from graph_oracles import exact_pathwidth, has_long_induced_cycle
@@ -262,30 +262,47 @@ def test_criterion_08_pco_pipeline():
     _verdict(8, f"200/200 PCO decisions match; width/sqrt(edges) <= {fitted:.2f}")
 
 
+def _belows(ranking, dec, moves):
+    """The ``below`` masks of the moves a ranking takes: at each position its
+    key is the bag vertices ranked after every vertex forgotten so far, in
+    ranking order, and each key's move leads to the next key."""
+    pos = {v: i for i, v in enumerate(ranking.perm)}
+    keys = []
+    seen = 0
+    for bag in dec.bags:
+        seen |= bag
+        gone = seen & ~bag
+        cut = max((pos[v] for v in range(dec.n) if gone >> v & 1), default=-1)
+        tail = sorted((v for v in range(dec.n) if bag >> v & 1 and pos[v] > cut), key=pos.get)
+        keys.append((sum(1 << v for v in tail), tuple(tail)))
+    return [
+        {k: below for k, _, below in moves[p][key]}[after]
+        for p, (key, after) in enumerate(zip(keys, keys[1:]))
+    ]
+
+
 def test_criterion_09_insertion_order_invariance():
+    # Whatever order a decomposition introduces the vertices in, the distance
+    # gains of two rankings' moves add up to their Kendall-tau distance.
     rng = random.Random(1009)
-    for trial in range(1000):
-        universe = list(range(10))
-        rng.shuffle(universe)
-        bag_size = rng.randint(1, 5)
-        intro_size = rng.randint(2, 3)
-        bag_vertices = universe[:bag_size]
-        introduced = universe[bag_size : bag_size + intro_size]
-        bag = 0
-        for v in bag_vertices:
-            bag |= 1 << v
-        tails = []
-        for _ in range(2):
-            kept = [v for v in bag_vertices if rng.random() < 0.7]
-            tail = kept + list(introduced)
-            rng.shuffle(tail)
-            tails.append(tuple(tail))
-        values = {
-            scatteredness_increase(bag, tails[0], tails[1], perm)
-            for perm in itertools.permutations(introduced)
-        }
-        assert len(values) == 1, (trial, tails, introduced)
-    _verdict(9, "1000 multi-introduce steps: increase invariant under order")
+    pairs = 0
+    for trial in range(300):
+        inst = random_cost_instance(rng.randint(2, 8), rng, rng.choice([0.1, 0.3, 0.6]))
+        g = cocomparability_graph(inst.base)
+        layout = random_linear_extension(inst.base, rng).perm
+        for dec in (
+            consistent_path_decomposition(inst.base).decomposition,
+            nice_decomposition(g, layout),
+        ):
+            assert dec.consistency_violations(inst.base) == [], trial
+            moves = forward_tables(inst, dec)
+            for _ in range(2):
+                a = random_linear_extension(inst.base, rng)
+                b = random_linear_extension(inst.base, rng)
+                gains = zip(_belows(a, dec, moves), _belows(b, dec, moves))
+                assert sum((x ^ y).bit_count() for x, y in gains) == kt_distance(a, b), trial
+                pairs += 1
+    _verdict(9, f"{pairs} ranking pairs on 600 decompositions: gains sum to the distance")
 
 
 def test_criterion_10_determinism(tmp_path):

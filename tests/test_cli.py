@@ -76,6 +76,12 @@ class TestParsing:
         with pytest.raises(InputError, match="^line 2: candidate labels must be unique$"):
             parse_votes("# header next\ncandidates: A,A\nA\n")
 
+    @pytest.mark.parametrize("label", ["Ann Lee", "A<B", "A=B", "A\tB"])
+    def test_label_the_formats_cannot_express_rejected(self, label):
+        # votes split on '<' and '=', decomposition dumps on whitespace
+        with pytest.raises(InputError, match=f"^line 2: candidate label {re.escape(repr(label))} contains"):
+            parse_votes(f"# header next\ncandidates: {label},C\nC\n")
+
     def test_repeated_candidate_in_vote_rejected(self):
         with pytest.raises(InputError, match="line 2"):
             parse_votes("candidates: A,B\nA=A<B\n")

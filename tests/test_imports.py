@@ -18,8 +18,8 @@ USERS = MODULES + sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "demos"
 ENVIRONMENT_READS = {"environ", "getenv"}
 # The tail-order program's names, which only solver_diverse may define or import.
 TAIL_PROGRAM = {
-    "TailKey", "Moves", "tail_successors", "forward_tables", "backward_tables",
-    "reconstruct_extension",
+    "TailKey", "Moves", "_forget_successor", "_introduce_successors",
+    "forward_tables", "backward_tables", "reconstruct_extension",
 }
 # The path-decomposition names, which the ideal-lattice engine neither
 # defines nor imports: it reads the width off the lattice.

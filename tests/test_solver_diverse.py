@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from kemeny import solver_diverse
 from kemeny.errors import InternalError
 from kemeny.instances import (
     fifty_fifty_profile,
@@ -29,7 +30,6 @@ from kemeny.solver_diverse import (
     backward_tables,
     find_distinct_optima,
     forward_tables,
-    scatteredness_increase,
     solve_diverse,
     solve_diverse_kra,
     solve_max_diversity,
@@ -40,32 +40,56 @@ from kemeny.width import PathDecomposition, consistent_path_decomposition
 from cost_instances import least_costs, random_cost_instance
 
 
+def _zero_instance(n):
+    cost = tuple(tuple(0 for _ in range(n)) for _ in range(n))
+    return CostInstance(n, cost, PartialOrder.antichain(n))
+
+
+def _below(key, v, next_bag, order):
+    """The ``below`` mask of the move that introduces v into ``key`` and
+    leaves the tail order ``order``."""
+    moves = _introduce_successors(key, v, next_bag, _zero_instance(3))
+    return {k[1]: below for k, _, below in moves}[order]
+
+
 class TestScatterednessIncrease:
+    # a pair of solutions gains the XOR popcount of its moves' below masks
+
     def test_same_relative_position_adds_nothing(self):
-        # v=2 inserted before u=1 in both solutions
-        assert scatteredness_increase(0b010, (2, 1), (2, 1), [2]) == 0
+        # v=2 inserted before u=1 in both solutions: equal masks
+        assert _below((0b010, (1,)), 2, 0b110, (2, 1)) == 0
 
     def test_opposite_sides_adds_one(self):
         # tails were (u,); v goes before u in one solution, after in the other
-        assert scatteredness_increase(0b010, (2, 1), (1, 2), [2]) == 1
+        before = _below((0b010, (1,)), 2, 0b110, (2, 1))
+        after = _below((0b010, (1,)), 2, 0b110, (1, 2))
+        assert (before, after) == (0, 0b010)
+        assert (before ^ after).bit_count() == 1
 
     def test_committed_vertex_counts(self):
-        # u=0 committed (not in either tail) counts as below v everywhere:
-        # disagreement only if some tail puts v below u, impossible here
-        assert scatteredness_increase(0b001, (2,), (2,), [2]) == 0
+        # u=0 committed (not in the tail) is below v
+        assert _below((0, ()), 2, 0b101, (2,)) == 0b001
 
     def test_committed_versus_tail_disagreement(self):
         # u=0 committed in solution i (below v) but above v in solution j
-        assert scatteredness_increase(0b001, (2,), (2, 0), [2]) == 1
+        committed = _below((0, ()), 2, 0b101, (2,))
+        above = _below((0b001, (0,)), 2, 0b101, (2, 0))
+        assert (committed ^ above).bit_count() == 1
 
-    def test_multi_vertex_insertion_counts_pairs_once(self):
-        # two fresh vertices on opposite sides of each other in the two tails
-        inc = scatteredness_increase(0b001, (0, 2, 3), (0, 3, 2), [2, 3])
-        assert inc == 1
+    def test_below_is_committed_plus_tail_before_slot(self):
+        # bag {0, 1, 3} with 0 committed and tail (1, 3); v=2 takes each slot
+        moves = _introduce_successors((0b1010, (1, 3)), 2, 0b1111, _zero_instance(4))
+        assert [(k[1], below) for k, _, below in moves] == [
+            ((2, 1, 3), 0b0001),
+            ((1, 2, 3), 0b0011),
+            ((1, 3, 2), 0b1011),
+        ]
 
-    def test_requires_introduced_in_tails(self):
-        with pytest.raises(InternalError):
-            scatteredness_increase(0b001, (0,), (0, 2), [2])
+    def test_forget_moves_carry_no_below(self):
+        inst, dec = _two_vertex_setup()
+        moves = forward_tables(inst, dec)
+        for p in (2, 3):  # the two forgets
+            assert {below for succ in moves[p].values() for _, _, below in succ} == {0}
 
 
 def _two_vertex_setup():
@@ -81,8 +105,8 @@ def _successors(state, inst, dec, d_cap=0, s_cap=0, cost_bound=99):
     moves = forward_tables(inst, dec)
     to_go = backward_tables(moves)[2]
     return tuple_successors(
-        state, dec, 1, moves=moves[1], d_cap=d_cap, s_cap=s_cap,
-        to_go=to_go, cost_bound=cost_bound, succ_cache={}, pair_cache={},
+        state, moves=moves[1], d_cap=d_cap, s_cap=s_cap,
+        to_go=to_go, cost_bound=cost_bound, succ_cache={},
     )
 
 
@@ -92,7 +116,7 @@ class TestTupleSuccessors:
         key = (0b01, (0,))
         got = _successors(DiverseState(((key, 0),), 0, ()), inst, dec)
         # from cost 0, each successor slot's cost is its move's step
-        expected = _introduce_successors(key, 1, 0b11, inst)
+        expected = [(k, step) for k, step, _ in _introduce_successors(key, 1, 0b11, inst)]
         assert [s.slots[0] for s in got] == expected
         assert all(s.div == 0 and s.dist == () for s in got)
 
@@ -133,14 +157,37 @@ class TestTupleSuccessors:
         assert [s.slots[0][1] for s in _successors(state, inst, dec, cost_bound=4)] == [4]
         assert len(_successors(state, inst, dec, cost_bound=7)) == 2
 
+    def test_forget_keeps_the_registers(self):
+        # the transition 2 -> 3 forgets vertex 0 from either tail
+        inst, dec = _two_vertex_setup()
+        moves = forward_tables(inst, dec)
+        slots = (((0b11, (0, 1)), 1), ((0b11, (1, 0)), 4))
+        got = tuple_successors(
+            DiverseState(slots, 2, (1,)), moves=moves[2], d_cap=9, s_cap=9,
+            to_go=backward_tables(moves)[3], cost_bound=99, succ_cache={},
+        )
+        assert got == [DiverseState((((0b10, (1,)), 1), ((0, ()), 4)), 2, (1,))]
+
+    def test_single_moves_with_different_below_gain(self):
+        # each solution has one move, but vertex 0 lands below the new vertex
+        # 2 in the first and above it in the second
+        a, b = (0b011, (0, 1)), (0b011, (1, 0))
+        a2, b2 = (0b111, (0, 1, 2)), (0b111, (1, 2, 0))
+        moves = {a: [(a2, 0, 0b011)], b: [(b2, 0, 0b010)]}
+        got = tuple_successors(
+            DiverseState(((a, 0), (b, 0)), 0, (0,)), moves=moves, d_cap=9,
+            s_cap=9, to_go={a2: 0, b2: 0}, cost_bound=0, succ_cache={},
+        )
+        assert got == [DiverseState(((a2, 0), (b2, 0)), 1, (1,))]
+
     def test_missing_successor_raises(self):
         inst, dec = _two_vertex_setup()
         moves = forward_tables(inst, dec)
         state = DiverseState((((0b01, (0,)), 0),), 0, ())
         with pytest.raises(InternalError):
             tuple_successors(
-                state, dec, 1, moves=moves[1], d_cap=0, s_cap=0, to_go={},
-                cost_bound=99, succ_cache={}, pair_cache={},
+                state, moves=moves[1], d_cap=0, s_cap=0, to_go={},
+                cost_bound=99, succ_cache={},
             )
 
     def test_key_missing_from_moves_raises(self):
@@ -149,9 +196,9 @@ class TestTupleSuccessors:
         state = DiverseState((((0b10, (1,)), 0),), 0, ())
         with pytest.raises(InternalError, match="forward moves"):
             tuple_successors(
-                state, dec, 1, moves=moves[1], d_cap=0, s_cap=0,
+                state, moves=moves[1], d_cap=0, s_cap=0,
                 to_go=backward_tables(moves)[2],
-                cost_bound=99, succ_cache={}, pair_cache={},
+                cost_bound=99, succ_cache={},
             )
 
 
@@ -196,6 +243,24 @@ class TestBackwardTables:
         moves[2] = dict.fromkeys(moves[2], [])
         with pytest.raises(InternalError):
             backward_tables(moves)
+
+
+class TestDeadline:
+    def test_sweeps_check_the_deadline_per_key(self, monkeypatch):
+        # one position of a wide decomposition holds many keys, so a check per
+        # position alone can run long past the deadline
+        calls = []
+        monkeypatch.setattr(solver_diverse, "check_deadline", calls.append)
+        inst = random_cost_instance(8, random.Random(37), 0.2)
+        dec = consistent_path_decomposition(inst.base).decomposition
+        moves = forward_tables(inst, dec, deadline=1e9)
+        keys = sum(len(here) for here in moves)
+        assert max(len(here) for here in moves) > 1
+        assert len(calls) >= keys
+        calls.clear()
+        backward_tables(moves, deadline=1e9)
+        assert len(calls) >= keys
+        assert set(calls) == {1e9}
 
 
 class TestSolveDiverse:

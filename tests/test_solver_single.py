@@ -91,12 +91,12 @@ class TestTripleSuccessors:
         base = PartialOrder.antichain(2)
         inst = CostInstance(2, ((0, 1), (4, 0)), base)
         succ = set(_introduce_successors((0b01, (0,)), 1, 0b11, inst))
-        assert succ == {((0b11, (0, 1)), 1), ((0b11, (1, 0)), 4)}
+        assert succ == {((0b11, (0, 1)), 1, 0b01), ((0b11, (1, 0)), 4, 0)}
 
     def test_introduce_respects_base_order(self):
         inst = instance_2(9, 9, base=chain(2))
         succ = _introduce_successors((0b01, (0,)), 1, 0b11, inst)
-        assert succ == [((0b11, (0, 1)), 0)]
+        assert succ == [((0b11, (0, 1)), 0, 0b01)]
 
     def test_introduce_charges_committed_bag_vertices(self):
         # vertex 0 is in the bag but not in the tail: it is committed before
@@ -106,8 +106,8 @@ class TestTripleSuccessors:
         inst = CostInstance(3, cost, base)
         succ = set(_introduce_successors((0b010, (1,)), 2, 0b111, inst))
         assert succ == {
-            ((0b110, (1, 2)), 2 + 3),  # 2 after 1: pay c(1,2); plus c(0,2)
-            ((0b110, (2, 1)), 2 + 7),  # 2 before 1: pay c(2,1); plus c(0,2)
+            ((0b110, (1, 2)), 2 + 3, 0b011),  # 2 after 1: pay c(1,2); plus c(0,2)
+            ((0b110, (2, 1)), 2 + 7, 0b001),  # 2 before 1: pay c(2,1); plus c(0,2)
         }
 
 class TestSolve:
