@@ -325,9 +325,9 @@ def _cmd_solve(args, profile: Profile, deadline: float | None) -> Answer:
     names = profile.candidates.names
     if args.dump_decomposition:
         # the bags after the leading empty one, through the last introduce
-        dec = consistent_path_decomposition(instance.base, deadline).decomposition
-        last = max(p for p in range(len(dec.bags)) if dec.introduced(p))
-        lines = (" ".join(names[v] for v in _bits(bag)) + "\n" for bag in dec.bags[1 : last + 1])
+        bags = consistent_path_decomposition(instance.base, deadline).decomposition.bags
+        last = max(p for p in range(1, len(bags)) if bags[p] & ~bags[p - 1])
+        lines = (" ".join(names[v] for v in _bits(bag)) + "\n" for bag in bags[1 : last + 1])
         _write(args.dump_decomposition, "".join(lines))
     doc = _head("solve", profile, solution.width)
     doc.add("decision", "yes")

@@ -15,7 +15,6 @@ from .orders import (
     PartialOrder,
     Profile,
     _bits,
-    unanimity_order,
 )
 
 
@@ -112,7 +111,6 @@ def random_profile(
 class ProfileSample:
     profile: Profile
     votes_extend_base: tuple[bool, ...]
-    unanimity_contains_base: bool
 
 
 def generate_profile(
@@ -120,8 +118,8 @@ def generate_profile(
 ) -> ProfileSample:
     """m linear votes drawn as random extensions of ``base``, each perturbed
     by ``noise`` random adjacent transpositions. Perturbed votes may
-    contradict the base, so whether the unanimity order still contains it
-    is recorded rather than assumed."""
+    contradict the base, so whether each vote still extends it is recorded
+    rather than assumed."""
     if m < 1:
         raise InputError("need at least one vote")
     if noise < 0:
@@ -140,9 +138,7 @@ def generate_profile(
         vote = LinearOrder(tuple(perm))
         extends.append(vote.extends(base))
         votes.append((vote.as_partial_order(), 1))
-    profile = Profile(candidates, tuple(votes))
-    contains = unanimity_order(profile).contains(base)
-    return ProfileSample(profile, tuple(extends), contains)
+    return ProfileSample(Profile(candidates, tuple(votes)), tuple(extends))
 
 
 # ---------------------------------------------------------------------------

@@ -198,12 +198,6 @@ class PartialOrder:
             for y in _bits(self.strict_up(x)):
                 yield (x, y)
 
-    def contains(self, other: "PartialOrder") -> bool:
-        """True iff every pair of ``other`` is also a pair of this order."""
-        if other.n != self.n:
-            raise InputError("orders over different universes")
-        return all(other.rows[x] & ~self.rows[x] == 0 for x in range(self.n))
-
 
 @dataclass(frozen=True)
 class LinearOrder:

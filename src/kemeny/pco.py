@@ -31,10 +31,6 @@ class PcoInstance:
                 "not a positive instance: some incomparable pair has zero cost"
             )
 
-    @property
-    def n(self) -> int:
-        return self.instance.n
-
 
 @dataclass(frozen=True)
 class PcoResult:

@@ -74,8 +74,10 @@ from .width import PathDecomposition, consistent_path_decomposition
 
 # Tail subset (bitmask) and tail order (vertex tuple, first = smallest).
 TailKey = tuple[int, tuple[int, ...]]
-# Each key of one position mapped to its moves: (next key, step, below).
-Moves = dict[TailKey, list[tuple[TailKey, int, int]]]
+# Each key of one position mapped to its moves, each (next key, step, below);
+# on a forget step a key has the one move ((next key, 0, 0),). Tuples of
+# atoms, unlike lists, drop out of the cyclic collector's tracking.
+Moves = dict[TailKey, tuple[tuple[TailKey, int, int], ...]]
 
 
 def tail_bound(delta: int, width: int) -> int:
@@ -102,7 +104,7 @@ def _forget_successor(key: TailKey, gone: int) -> TailKey:
 
 def _introduce_successors(
     key: TailKey, v: int, next_bag: int, instance: CostInstance
-) -> list[tuple[TailKey, int, int]]:
+) -> tuple[tuple[TailKey, int, int], ...]:
     """Insert v at every tail position the base order allows, each with the
     cost of the pairs it forms (tail vertices on either side, plus the bag
     vertices already committed before the whole tail) and the mask of the
@@ -139,7 +141,7 @@ def _introduce_successors(
         if slot < len(order):
             before_cost += charge[order[slot]][v]
             below |= 1 << order[slot]
-    return out
+    return tuple(out)
 
 
 def forward_tables(
@@ -154,17 +156,16 @@ def forward_tables(
     bound = tail_bound(0, dec.width)
     moves: list[Moves] = []
     keys: dict[TailKey, None] = {(0, ()): None}
-    for p in range(len(dec.bags) - 1):
-        gone = dec.forgotten(p + 1)
-        v = dec.introduced(p + 1).bit_length() - 1
-        bag = dec.bags[p + 1]
+    for bag, next_bag in zip(dec.bags, dec.bags[1:]):
+        gone = bag & ~next_bag
+        v = (next_bag & ~bag).bit_length() - 1
         here: Moves = {}
         for key in keys:
             check_deadline(deadline)
             here[key] = (
-                [(_forget_successor(key, gone), 0, 0)]
+                ((_forget_successor(key, gone), 0, 0),)
                 if gone
-                else _introduce_successors(key, v, bag, instance)
+                else _introduce_successors(key, v, next_bag, instance)
             )
         keys = dict.fromkeys(k for succ in here.values() for k, _, _ in succ)
         # distinct keys only: the count of a window of delta 0
@@ -418,7 +419,6 @@ def solve_diverse(
     for p in range(len(dec.bags) - 1):
         succ_cache: dict = {}
         nxt: dict = {}
-        distinct: set[Slot] = set()
         # Each canonical state keeps its least parent, with the first perm
         # that parent generates, whatever order the frontier is walked in.
         for state in frontier:
@@ -434,26 +434,20 @@ def solve_diverse(
             ):
                 canon, perm = _canonical(raw, pair_index)
                 entry = nxt.get(canon)
-                if entry is None:
+                if entry is None or state < entry[0]:
                     nxt[canon] = (state, perm)
-                    distinct.update(canon.slots)
-                elif state < entry[0]:
-                    nxt[canon] = (state, perm)
-        check_bound("triple", len(distinct), slot_bound)
+        # Every frontier slot has an allowed move (the one attaining its
+        # key's cost to go), so the cache holds each distinct slot once.
+        check_bound("triple", len(succ_cache), slot_bound)
         check_bound("tuple", len(nxt), tuple_bound)
         tables.append(nxt)
         frontier = nxt
 
-    finals = sorted(frontier)
-    for state in finals:
-        if any(tail or order for (tail, order), _ in state.slots):
-            raise InternalError("final state still carries a non-empty tail")
-        if any(cost > cost_bound for _, cost in state.slots):
-            raise InternalError("final state escaped the cost window")
-
-    meeting = [f for f in finals if not f.dist or min(f.dist) >= s_req]
+    # Every final slot has the empty tail (backward_tables finds no completion
+    # for any other final key) and a cost in the window (_slot_allowed).
+    meeting = [f for f in frontier if not f.dist or min(f.dist) >= s_req]
     if not meeting:
-        scatter_best = max((min(f.dist) for f in finals), default=0)
+        scatter_best = max((min(f.dist) for f in frontier), default=0)
         return DiverseOutcome(
             False, None, None, None, None, opt, width,
             failed_constraint="scatteredness",

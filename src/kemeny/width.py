@@ -157,7 +157,8 @@ def nice_decomposition(g: Graph, layout: Sequence[int]) -> "PathDecomposition":
 
 @dataclass(frozen=True)
 class PathDecomposition:
-    """Sequence of vertex bags (bitmasks) with per-position change caches."""
+    """A non-empty sequence of vertex bags (bitmasks); what a step
+    introduces or forgets is read off two consecutive bags."""
 
     n: int
     bags: tuple[int, ...]
@@ -165,25 +166,10 @@ class PathDecomposition:
     def __post_init__(self) -> None:
         if not self.bags:
             raise InputError("decomposition needs at least one bag")
-        introduced = []
-        forgotten = []
-        prev = 0
-        for bag in self.bags:
-            introduced.append(bag & ~prev)
-            forgotten.append(prev & ~bag)
-            prev = bag
-        object.__setattr__(self, "_introduced", tuple(introduced))
-        object.__setattr__(self, "_forgotten", tuple(forgotten))
 
     @property
     def width(self) -> int:
         return max(bag.bit_count() for bag in self.bags) - 1
-
-    def introduced(self, p: int) -> int:
-        return self._introduced[p]  # type: ignore[attr-defined]
-
-    def forgotten(self, p: int) -> int:
-        return self._forgotten[p]  # type: ignore[attr-defined]
 
     def validate(self, g: Graph) -> list[str]:
         """All decomposition axioms against g; empty list means valid."""
@@ -225,10 +211,8 @@ class PathDecomposition:
 
     @property
     def is_nice(self) -> bool:
-        return all(
-            (self.introduced(p) | self.forgotten(p)).bit_count() == 1
-            for p in range(1, len(self.bags))
-        )
+        bags = self.bags
+        return all((a ^ b).bit_count() == 1 for a, b in zip(bags, bags[1:]))
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,8 @@ from kemeny.solver_single import solve_single
 from kemeny.width import (
     cocomparability_graph,
     consistent_path_decomposition,
+    ideal_lattice,
+    ideal_widths,
     nice_decomposition,
 )
 
@@ -45,11 +47,6 @@ import pathlib
 DATA = pathlib.Path(__file__).parent / "data"
 FIVE = str(DATA / "five_type.votes")
 FIFTY = str(DATA / "fifty_fifty.votes")
-
-# Documented width-quality constant: the construction is exact at every
-# size (a width-optimal linear extension), so the corpus ratio is 1; the
-# gate tolerates up to 5.
-WIDTH_RATIO_LIMIT = 5.0
 
 
 def _verdict(num: int, text: str) -> None:
@@ -182,17 +179,17 @@ def order_corpus():
 
 
 def test_criterion_05_decomposition_validity(order_corpus):
-    worst = 0.0
+    # a width-optimal linear extension gives the exact pathwidth, and so does
+    # the width the single solver reads off the ideal lattice
     for order in order_corpus:
         cpd = consistent_path_decomposition(order)
         assert cpd.decomposition.is_nice
         assert cpd.validate() == []
-        pw = exact_pathwidth(cocomparability_graph(order))
-        assert cpd.width >= pw
-        ratio = (cpd.width + 1) / (pw + 1)
-        worst = max(worst, ratio)
-        assert ratio <= WIDTH_RATIO_LIMIT
-    _verdict(5, f"500 decompositions valid; worst width ratio {worst:.2f} <= 5")
+        g = cocomparability_graph(order)
+        pw = exact_pathwidth(g)
+        assert cpd.width == pw
+        assert ideal_widths(g, ideal_lattice(order))[0] == pw
+    _verdict(5, "500 decompositions valid, each of exact pathwidth")
 
 
 def test_criterion_06_no_long_induced_cycles(order_corpus):

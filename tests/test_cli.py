@@ -440,6 +440,26 @@ class TestSubcommands:
         code, _, err = invoke(["solve", str(bad)])
         assert code == 2 and "line 2" in err
 
+    @pytest.mark.parametrize(
+        "votes, dump, message",
+        [
+            ("candidates: A,B\n0 x A<B\n", None, "line 2: multiplicity must be positive"),
+            ("candidates: A,,B\nA<B\n", None, "line 1: empty candidate name"),
+            ("candidates: A,B\npairs: A\n", None, "line 2: expected 'X<Y' in pair list, got 'A'"),
+            ("candidates: A,B\npairs: ,\n", None, "line 2: empty pair list"),
+            ("candidates: A,B\nA<B\n", "", "decomposition file has no bags"),
+        ],
+        ids=["zero-multiplicity", "empty-name", "pair-without-order", "empty-pair-list", "empty-dump"],
+    )
+    def test_malformed_file_exit_code(self, tmp_path, votes, dump, message):
+        path = tmp_path / "bad.votes"
+        path.write_text(votes)
+        argv = ["solve", str(path)]
+        if dump is not None:
+            (tmp_path / "bad.dec").write_text(dump)
+            argv = ["validate-decomposition", str(path), "--decomposition", str(tmp_path / "bad.dec")]
+        assert invoke(argv) == (2, "", f"error: {message}\n")
+
     def test_missing_file_exit_code(self):
         code, _, err = invoke(["solve", "/nonexistent/file.votes"])
         assert code == 2
@@ -516,8 +536,9 @@ class TestSubcommands:
 
     def test_nan_timeout_is_a_usage_error(self, capsys):
         # no deadline compares past NaN, so it would never abort
-        assert invoke(["solve", FIVE, "--timeout", "nan"]) == (2, "", "")
-        assert "argument --timeout: not a number of seconds: 'nan'" in capsys.readouterr().err
+        for value, reason in [("nan", "not a number of seconds"), ("abc", "invalid float value")]:
+            assert invoke(["solve", FIVE, "--timeout", value]) == (2, "", "")
+            assert f"argument --timeout: {reason}: {value!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("task", ["optimum", "extensions", "count", "diverse"])
     def test_oracle_timeout_exit_code(self, task):

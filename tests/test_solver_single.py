@@ -30,7 +30,11 @@ from kemeny.solver_diverse import (
     tail_bound,
 )
 from kemeny.solver_single import solve_single
-from kemeny.width import PathDecomposition, consistent_path_decomposition
+from kemeny.width import (
+    ConsistentPathDecomposition,
+    PathDecomposition,
+    consistent_path_decomposition,
+)
 
 from cost_instances import least_costs, random_cost_instance
 
@@ -96,7 +100,19 @@ class TestTripleSuccessors:
     def test_introduce_respects_base_order(self):
         inst = instance_2(9, 9, base=chain(2))
         succ = _introduce_successors((0b01, (0,)), 1, 0b11, inst)
-        assert succ == [((0b11, (0, 1)), 0, 0b01)]
+        assert succ == (((0b11, (0, 1)), 0, 0b01),)
+
+    def test_introduce_before_a_larger_tail_vertex(self):
+        # 1 enters first, so 0 (below it in the base order) can only take the
+        # slot before it; the empty tail's cost to go is still the optimum
+        base = PartialOrder.from_pairs(3, [(0, 1)])
+        inst = CostInstance(3, ((0, 0, 2), (0, 0, 3), (5, 7, 0)), base)
+        succ = _introduce_successors((0b010, (1,)), 0, 0b011, inst)
+        assert succ == (((0b011, (0, 1)), 0, 0),)
+        dec = PathDecomposition(3, (0, 0b010, 0b011, 0b111, 0b101, 0b100, 0))
+        assert ConsistentPathDecomposition(dec, base).validate() == []
+        to_go = backward_tables(forward_tables(inst, dec))
+        assert to_go[0][(0, ())] == oracle_optimum(inst)[0] == 5
 
     def test_introduce_charges_committed_bag_vertices(self):
         # vertex 0 is in the bag but not in the tail: it is committed before
