@@ -32,7 +32,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import IO, Sequence
+from typing import IO, NoReturn, Sequence
 
 from .errors import CapabilityError, InputError, InternalError
 from .instances import (
@@ -110,6 +110,7 @@ def parse_votes(text: str) -> Profile:
         candidates = CandidateSet(tuple(names))
     except InputError as exc:
         raise InputError(f"line {lineno}: {exc}") from None
+    units = [1 << x for x in range(candidates.n)]
     votes = []
     for lineno, line in lines[1:]:
         mult = 1
@@ -123,7 +124,7 @@ def parse_votes(text: str) -> Profile:
             if line.startswith("pairs:"):
                 vote = _parse_pair_vote(candidates, line[len("pairs:"):])
             else:
-                vote = _parse_bucket_vote(candidates, line)
+                vote = _parse_bucket_vote(candidates, line, units)
         except InputError as exc:
             raise InputError(f"line {lineno}: {exc}") from None
         votes.append((vote, mult))
@@ -151,19 +152,59 @@ def _parse_pair_vote(candidates: CandidateSet, body: str) -> PartialOrder:
         raise InputError("pair set closes to a cycle") from None
 
 
-def _parse_bucket_vote(candidates: CandidateSet, body: str) -> PartialOrder:
-    buckets = []
+def _parse_bucket_vote(candidates: CandidateSet, body: str, units: list[int]) -> PartialOrder:
+    """The weak order of a bucket line, built valid in one pass; ``units``
+    holds ``1 << x`` at index x.
+
+    Its names are looked up at once, an unknown one as None, whose group
+    places no bits. The line passes when the sum of the placed bits has as
+    many bits set as names were read: an unknown name places none, and a
+    repeated one carries. A line that fails is scanned again in reading
+    order for its first fault."""
+    get = candidates._index.get  # type: ignore[attr-defined]
+    rows = units[:]
+    cols = units[:]
+    if "=" not in body:
+        # A chain of singletons: x is below every later name.
+        chain = [get(name.strip()) for name in body.split("<")]
+        placed = 0 if None in chain else sum([units[x] for x in chain])
+        if placed.bit_count() != len(chain):
+            _raise_first_fault(candidates, body)
+        prefix, suffix = 0, placed
+        for x in chain:
+            bit = units[x]
+            prefix |= bit
+            rows[x] = suffix
+            cols[x] = prefix
+            suffix ^= bit
+    else:
+        buckets = [
+            [get(name.strip()) for name in group.split("=")] for group in body.split("<")
+        ]
+        masks = [0 if None in bucket else sum([units[x] for x in bucket]) for bucket in buckets]
+        placed = sum(masks)
+        if placed.bit_count() != sum(map(len, buckets)):
+            _raise_first_fault(candidates, body)
+        earlier, later = 0, placed
+        for bucket, mask in zip(buckets, masks):
+            later ^= mask
+            for x in bucket:
+                rows[x] = later | units[x]
+                cols[x] = earlier | units[x]
+            earlier |= mask
+    return PartialOrder._valid(candidates.n, tuple(rows), tuple(cols))
+
+
+def _raise_first_fault(candidates: CandidateSet, body: str) -> NoReturn:
+    """Raise for the first unknown or repeated name of a bucket line."""
     seen: set[int] = set()
     for group in body.split("<"):
-        bucket = []
         for name in group.split("="):
             idx = candidates.index(name.strip())
             if idx in seen:
                 raise InputError(f"candidate {name.strip()!r} repeated in vote")
             seen.add(idx)
-            bucket.append(idx)
-        buckets.append(bucket)
-    return PartialOrder.from_buckets(candidates.n, buckets)
+    raise InternalError("vote line failed its check but has no fault")
 
 
 def _as_buckets(order: PartialOrder) -> list[list[int]] | None:

@@ -19,7 +19,7 @@ from kemeny.instances import (
     five_type_profile,
     random_profile,
 )
-from kemeny.orders import LinearOrder, diversity, kemeny_score, reduce_to_co
+from kemeny.orders import LinearOrder, PartialOrder, diversity, kemeny_score, reduce_to_co
 
 DATA = pathlib.Path(__file__).parent / "data"
 FIVE = str(DATA / "five_type.votes")
@@ -101,6 +101,50 @@ class TestParsing:
         assert invoke(["solve", str(votes)]) == (
             2, "", "error: line 3: pair set closes to a cycle\n"
         )
+
+    def test_random_bucket_lines_match_checked_orders(self):
+        # '=' ties, spaces around names, unmentioned candidates and
+        # multiplicities; each parsed order equals the bucket chain it spells
+        # and the checked constructor over its rows, with the same columns.
+        rng = random.Random(23)
+        names = "ABCDEFGHIJKL"
+        for _ in range(300):
+            n = rng.randint(1, len(names))
+            mentioned = [x for x in range(n) if rng.random() < 0.8] or [0]
+            rng.shuffle(mentioned)
+            buckets = []
+            while mentioned:
+                size = rng.randint(1, len(mentioned)) if rng.random() < 0.5 else 1
+                buckets.append(mentioned[:size])
+                mentioned = mentioned[size:]
+            line = "<".join(
+                "=".join(
+                    " " * rng.randint(0, 2) + names[x] + " " * rng.randint(0, 2)
+                    for x in bucket
+                )
+                for bucket in buckets
+            )
+            mult = rng.randint(1, 4)
+            if mult > 1:
+                line = f"{mult} x {line}"
+            profile = parse_votes(f"candidates: {','.join(names[:n])}\n{line}\n")
+            (vote, parsed_mult), = profile.votes
+            assert parsed_mult == mult
+            assert vote == PartialOrder.from_buckets(n, buckets)
+            checked = PartialOrder(n, vote.rows)
+            assert vote == checked
+            # the score sweep reads whole columns, the reflexive bit included
+            assert vote._cols == checked._cols
+
+    @pytest.mark.parametrize("line, message", [
+        ("A<A<Z", "candidate 'A' repeated in vote"),
+        ("Z<A<A", "unknown candidate 'Z'"),
+        ("A=<B", "unknown candidate ''"),
+        ("A<B=A", "candidate 'A' repeated in vote"),
+    ])
+    def test_first_fault_in_reading_order(self, line, message):
+        with pytest.raises(InputError, match=f"^line 2: {re.escape(message)}$"):
+            parse_votes(f"candidates: A,B\n{line}\n")
 
     def test_chained_pair_shorthand(self):
         profile = parse_votes("candidates: A,B,C\npairs: A<B<C\n")
