@@ -5,7 +5,9 @@ Relations over n candidates are stored as n rows of integer bitmasks:
 bit y of ``rows[x]`` is set iff the pair (x, y) is in the relation, read as
 "x is at most y". This keeps closure, intersection and pair counting at
 O(n^2 / wordsize). Everything here is immutable after construction and
-side-effect free, so values can be shared freely across threads.
+side-effect free, so values can be shared freely across threads. The one
+exception is a cache: a ``Profile`` packs its votes into words on first
+use, a value that depends on its input alone.
 
 ``PartialOrder(n, rows)`` and ``PartialOrder.from_pairs`` check
 reflexivity, antisymmetry and transitivity over all pairs. The
@@ -16,14 +18,26 @@ outside the universe and repeated ones), ``antichain``,
 of partial orders is a partial order) and the vote-line parser of
 ``kemeny.cli`` (which rejects unknown and repeated names first).
 
-``kemeny_score`` and ``kt_distance`` count opposed pairs with one sweep:
-the popcounts of row x of one order AND column x of the other, less n.
+``kt_distance`` counts opposed pairs with one sweep: the popcounts of row
+x of one order AND column x of the other, less n.
+
+A profile reads its votes as packed words: the n rows of a vote laid in
+one integer, row x in the 64-bit lane at bit 64 * x, so that a pass over
+the votes is one big-integer operation per vote. ``unanimity_order`` ANDs
+the words and transposes the result into columns. ``reduce_to_co`` adds
+each word, once per binary digit of its multiplicity, into carry-save bit
+planes (plane k holds bit k of every cell's voter count) and reads the
+counts only at the pairs the unanimity order leaves incomparable.
+``kemeny_score`` ANDs each word with the ranking's columns packed the same
+way: the sweep above as one popcount per vote.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from operator import and_
 from typing import Iterable, Iterator, Sequence
 
@@ -47,6 +61,17 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _pack(rows: Sequence[int]) -> int:
+    """The rows of an order over at most 64 elements as one integer, row x
+    at bit 64 * x."""
+    return int.from_bytes(array("Q", rows).tobytes(), sys.byteorder)
+
+
+def _unpack(word: int, n: int) -> list[int]:
+    """The n 64-bit lanes of a packed word, lowest first."""
+    return array("Q", word.to_bytes(8 * n, sys.byteorder)).tolist()
 
 
 def close_rows(rows: list[int]) -> list[int]:
@@ -199,6 +224,10 @@ class PartialOrder:
         """Bitmask of elements strictly below x."""
         return self._cols[x] & ~(1 << x)  # type: ignore[attr-defined]
 
+    def incomparable_to(self, x: int) -> int:
+        """Bitmask of elements incomparable to x."""
+        return _full_mask(self.n) & ~(self.rows[x] | self._cols[x])  # type: ignore[attr-defined]
+
     def strict_pairs(self) -> Iterator[tuple[int, int]]:
         for x in range(self.n):
             for y in _bits(self.strict_up(x)):
@@ -270,6 +299,13 @@ class Profile:
     def m(self) -> int:
         return sum(mult for _, mult in self.votes)
 
+    @cached_property
+    def _words(self) -> tuple[tuple[int, int], ...]:
+        """(packed rows, multiplicity) of each vote, packed on first use."""
+        if self.n > MAX_CANDIDATES:
+            raise InputError(f"at most {MAX_CANDIDATES} candidates supported")
+        return tuple((_pack(vote.rows), mult) for vote, mult in self.votes)
+
 
 @dataclass(frozen=True)
 class CostInstance:
@@ -298,11 +334,13 @@ class CostInstance:
                 raise InputError("cost on the diagonal must be 0")
             if any(c < 0 for c in row):
                 raise InputError("costs must be non-negative")
-        charge = [
-            [0 if self.base.leq(x, y) else self.cost[x][y] for y in range(n)]
-            for x in range(n)
-        ]
-        object.__setattr__(self, "charge", tuple(tuple(row) for row in charge))
+        charge = []
+        for costs, up in zip(self.cost, self.base.rows):
+            row = list(costs)
+            for y in _bits(up):
+                row[y] = 0
+            charge.append(tuple(row))
+        object.__setattr__(self, "charge", tuple(charge))
 
     @property
     def is_positive(self) -> bool:
@@ -310,8 +348,7 @@ class CostInstance:
         return all(
             self.cost[x][y] > 0
             for x in range(self.n)
-            for y in range(self.n)
-            if self.base.incomparable(x, y)
+            for y in _bits(self.base.incomparable_to(x))
         )
 
     def extension_cost(self, extension: LinearOrder) -> int:
@@ -362,15 +399,14 @@ def kt_distance(a: PartialOrder | LinearOrder, b: PartialOrder | LinearOrder) ->
 
 
 def kemeny_score(profile: Profile, ranking: LinearOrder) -> int:
-    """Sum over votes of multiplicity times distance to ``ranking``, one
-    row-and-column sweep per vote."""
+    """Sum over votes of multiplicity times distance to ``ranking``: the
+    row-and-column sweep of ``_opposed`` as one popcount per packed vote."""
     if ranking.n != profile.n:
         raise InputError("ranking over a different candidate set")
-    rows = ranking.as_partial_order().rows
-    return sum(
-        mult * _opposed(rows, vote._cols)  # type: ignore[attr-defined]
-        for vote, mult in profile.votes
-    )
+    words = profile._words  # checks the candidate cap before any packing
+    cols = _pack(ranking.as_partial_order()._cols)  # type: ignore[attr-defined]
+    opposed_and_own = sum(mult * (word & cols).bit_count() for word, mult in words)
+    return opposed_and_own - profile.n * profile.m
 
 
 def diversity(rankings: Sequence[LinearOrder]) -> int:
@@ -393,12 +429,16 @@ def diversity(rankings: Sequence[LinearOrder]) -> int:
 
 def unanimity_order(profile: Profile) -> PartialOrder:
     """Intersection of all votes: the pairs every voter agrees on, one AND
-    per candidate over its rows and one over its columns."""
-    votes = [vote for vote, _ in profile.votes]
-    rows = tuple(reduce(and_, row) for row in zip(*(vote.rows for vote in votes)))
-    cols = tuple(reduce(and_, col) for col in zip(*(vote._cols for vote in votes)))  # type: ignore[attr-defined]
+    per packed vote, with the rows transposed into columns."""
+    n = profile.n
+    rows = _unpack(reduce(and_, [word for word, _ in profile._words]), n)
+    cols = [0] * n
+    for x, row in enumerate(rows):
+        xbit = 1 << x
+        for y in _bits(row):
+            cols[y] |= xbit
     # An intersection of partial orders is again a partial order.
-    return PartialOrder._valid(profile.n, rows, cols)
+    return PartialOrder._valid(n, tuple(rows), tuple(cols))
 
 
 def reduce_to_co(profile: Profile) -> CostInstance:
@@ -407,18 +447,30 @@ def reduce_to_co(profile: Profile) -> CostInstance:
     cost(x, y) counts the voters who place y before x, so the charged cost
     of any linear extension equals its Kemeny score against the profile.
     """
-    n = profile.n
+    n, m = profile.n, profile.m
     base = unanimity_order(profile)
+    # Plane k holds, at bit 64 * x + y, bit k of the number of voters with
+    # x at most y: each word is added at the planes of its multiplicity's
+    # binary digits, carrying up.
+    planes = [0] * m.bit_length()
+    for word, mult in profile._words:
+        for digit in _bits(mult):
+            k, carry = digit, word
+            while carry:
+                plane = planes[k]
+                planes[k] = plane ^ carry
+                carry &= plane
+                k += 1
+    lanes = [_unpack(plane, n) for plane in planes]
     cost = [[0] * n for _ in range(n)]
-    votes = [(vote.rows, mult) for vote, mult in profile.votes]
     for x in range(n):
-        # Votes that agree on x's row add to the same cells: expand each
-        # distinct row once, with the summed multiplicity.
-        weight: dict[int, int] = {}
-        for rows, mult in votes:
-            row = rows[x]
-            weight[row] = weight.get(row, 0) + mult
-        for row, mult in weight.items():
-            for y in _bits(row & ~(1 << x)):
-                cost[y][x] += mult
+        # Every voter has x at most the y above x in the base order, and
+        # none has it at most a y below x: only the incomparable pairs
+        # read their counts off the planes.
+        for y in _bits(base.strict_up(x)):
+            cost[y][x] = m
+        free = base.incomparable_to(x)
+        for k, lane in enumerate(lanes):
+            for y in _bits(lane[x] & free):
+                cost[y][x] += 1 << k
     return CostInstance(n, tuple(tuple(row) for row in cost), base)

@@ -1025,6 +1025,51 @@ class TestValidateDecomposition:
         assert err == "error: line 2: unknown candidate 'Q'\n"
 
 
+class TestCandidateCap:
+    # Votes are packed 64 candidates to a word: every command that reads a
+    # vote file's unanimity order or costs stops with exit code 2 above 64;
+    # gen reads no packed words.
+    CAP = "error: at most 64 candidates supported\n"
+
+    @staticmethod
+    def _files(tmp_path, n):
+        names = [f"C{k}" for k in range(n)]
+        votes = tmp_path / f"wide{n}.votes"
+        votes.write_text(
+            "candidates: " + ", ".join(names) + "\n"
+            + "<".join(names) + "\n2 x " + "<".join(reversed(names)) + "\n"
+        )
+        dump = tmp_path / f"wide{n}.dec"
+        dump.write_text(" ".join(names) + "\n")
+        return str(votes), str(dump)
+
+    @pytest.mark.parametrize("command", [["solve"], ["optima", "--r", "2"], ["pco", "--k", "3"]])
+    def test_solver_commands_stop_above_64(self, tmp_path, command):
+        votes, _ = self._files(tmp_path, 65)
+        assert invoke([command[0], votes, *command[1:]]) == (2, "", self.CAP)
+
+    def test_validate_decomposition_stops_above_64(self, tmp_path):
+        votes, dump = self._files(tmp_path, 65)
+        argv = ["validate-decomposition", votes, "--decomposition", dump]
+        assert invoke(argv) == (2, "", self.CAP)
+
+    def test_validate_decomposition_reads_64(self, tmp_path):
+        votes, dump = self._files(tmp_path, 64)
+        argv = ["validate-decomposition", votes, "--decomposition", dump]
+        assert invoke(argv) == (0, (
+            "result: validate-decomposition\n"
+            "bags: 1\n"
+            "width: 63\n"
+            "nice: yes\n"
+            "valid: yes\n"
+        ), "")
+
+    def test_gen_writes_65_candidates(self, tmp_path):
+        out = tmp_path / "wide.votes"
+        assert invoke(["gen", "random", "--n", "65", "--m", "2", "--out", str(out)])[0] == 0
+        assert parse_votes(out.read_text()).n == 65
+
+
 class TestTiming:
     @pytest.mark.parametrize(
         "argv",

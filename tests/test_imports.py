@@ -1,11 +1,13 @@
 """Every name a library module imports is read somewhere in that module,
-every function, class and method the library defines is used outside the
-tests, no library module reads the process environment, and the tail-order
-program stays inside the diverse solver and the single solver builds no
-path decomposition."""
+every absolute import names a standard-library module, every function,
+class and method the library defines is used outside the tests, no library
+module reads the process environment, and the tail-order program stays
+inside the diverse solver and the single solver builds no path
+decomposition."""
 
 import ast
 import pathlib
+import sys
 
 import pytest
 
@@ -55,6 +57,41 @@ def test_every_import_is_read(path):
 def test_detects_an_unused_import():
     source = "import os\nfrom typing import Sequence, IO\n\nx: IO = os.sep\n"
     assert unused_imports(source) == [(2, "Sequence")]
+
+
+def foreign_imports(source):
+    """(line, module) of each absolute import whose top-level package is not
+    in the standard library."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [
+            (node.lineno, module)
+            for module in modules
+            if module.split(".")[0] not in sys.stdlib_module_names
+        ]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_imports_only_the_standard_library(path):
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_detects_a_foreign_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import numpy as np, sys\n"
+        "from array import array\n"
+        "from scipy.optimize import linprog\n"
+        "from .orders import Profile\n"
+    )
+    assert foreign_imports(source) == [(2, "numpy"), (4, "scipy.optimize")]
 
 
 def definitions(source):

@@ -374,3 +374,148 @@ class TestReduction:
         inst = reduce_to_co(fifty_fifty_profile())
         with pytest.raises(InputError):
             inst.extension_cost(linear(4, 3, 2, 1, 0))
+
+
+def naive_counts(profile):
+    """cost[y][x]: the voters with x at most y (x != y), the rule of
+    ``test_matches_naive_pair_count``; and the unanimity rows."""
+    n = profile.n
+    cost = [[0] * n for _ in range(n)]
+    rows = [0] * n
+    for x in range(n):
+        for y in range(n):
+            if all(vote.leq(x, y) for vote, _ in profile.votes):
+                rows[x] |= 1 << y
+            if x != y:
+                cost[y][x] = sum(mult for vote, mult in profile.votes if vote.leq(x, y))
+    return tuple(map(tuple, cost)), tuple(rows)
+
+
+def naive_score(profile, ranking):
+    pos = {x: i for i, x in enumerate(ranking.perm)}
+    n = profile.n
+    return sum(
+        mult
+        for vote, mult in profile.votes
+        for x in range(n)
+        for y in range(n)
+        if vote.lt(x, y) and pos[y] < pos[x]
+    )
+
+
+def layered_profile(n, m, rng, mults=(1,)):
+    """m votes over a random chain of blocks of 0..n-1 that all respect it
+    (linear orders shuffled inside the blocks, and the blocks as a weak
+    order), so the unanimity order has comparable and incomparable pairs;
+    about one vote in ten is an unrelated random vote."""
+    elements = list(range(n))
+    rng.shuffle(elements)
+    cuts = sorted(rng.sample(range(1, n), min(n - 1, rng.randint(0, 8))))
+    blocks = [elements[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+    votes = []
+    for _ in range(m):
+        kind = rng.random()
+        if kind < 0.1:
+            vote = random_vote(n, rng)
+        elif kind < 0.3:
+            vote = PartialOrder.from_buckets(n, blocks)
+        else:
+            perm = []
+            for block in blocks:
+                perm += rng.sample(block, len(block))
+            vote = LinearOrder(tuple(perm)).as_partial_order()
+        votes.append((vote, rng.choice(mults)))
+    return Profile(CandidateSet(candidate_labels(n)), tuple(votes))
+
+
+def assert_packed_matches_naive(profile, rng):
+    cost, rows = naive_counts(profile)
+    inst = reduce_to_co(profile)
+    assert inst.cost == cost
+    base = unanimity_order(profile)
+    assert base.rows == rows == inst.base.rows
+    assert_matches_checked(base)
+    n = profile.n
+    perm = list(range(n))
+    rng.shuffle(perm)
+    extension = next(iter(enumerate_extensions(base))) if n <= 8 else None
+    for ranking in (LinearOrder(tuple(perm)), extension):
+        if ranking is not None:
+            assert kemeny_score(profile, ranking) == naive_score(profile, ranking)
+
+
+class TestPackedWords:
+    # Each vote's rows packed in 64-bit lanes, against the per-cell counts.
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64])
+    def test_lane_edges(self, n):
+        # at n = 64 every row x with x at most 63 sets its lane's top bit
+        rng = random.Random(n)
+        for _ in range(3):
+            profile = layered_profile(n, rng.randint(1, 6), rng, mults=(1, 2, 5))
+            assert_packed_matches_naive(profile, rng)
+
+    def test_top_lane_bit_set_by_a_single_vote(self):
+        n = 64
+        vote = LinearOrder(tuple(range(n))).as_partial_order()
+        profile = Profile(CandidateSet(candidate_labels(n)), ((vote, 3),))
+        inst = reduce_to_co(profile)
+        assert inst.cost[63][0] == 3 and inst.cost[0][63] == 0
+        assert unanimity_order(profile).rows == vote.rows
+        assert kemeny_score(profile, LinearOrder(tuple(reversed(range(n))))) == 3 * 63 * 32
+
+    def test_multiplicities_carrying_through_many_planes(self):
+        rng = random.Random(16)
+        mults = (1, 2**33 - 1, 2**40 + 1, 3, 2**47)
+        for n in (3, 9, 64):
+            for _ in range(4):
+                profile = layered_profile(n, rng.randint(2, 7), rng, mults)
+                assert_packed_matches_naive(profile, rng)
+
+    def test_profiles_of_hundreds_of_votes(self):
+        rng = random.Random(17)
+        for m in (200, 350, 500):
+            profile = layered_profile(rng.randint(6, 10), m, rng, mults=(1, 1, 1, 2, 7))
+            assert_packed_matches_naive(profile, rng)
+
+    def test_more_than_64_candidates_rejected_where_packed(self):
+        n = 65
+        vote = LinearOrder(tuple(range(n))).as_partial_order()
+        profile = Profile(CandidateSet(candidate_labels(n)), ((vote, 1),))
+        with pytest.raises(InputError, match="at most 64 candidates supported"):
+            reduce_to_co(profile)
+        with pytest.raises(InputError, match="at most 64 candidates supported"):
+            unanimity_order(profile)
+        with pytest.raises(InputError, match="at most 64 candidates supported"):
+            kemeny_score(profile, LinearOrder(tuple(range(n))))
+
+
+class TestCostInstanceCells:
+    def test_charge_and_is_positive_per_cell(self):
+        rng = random.Random(18)
+        positives = 0
+        for _ in range(300):
+            n = rng.randint(1, 9)
+            base = random_partial_order(n, rng, rng.random())
+            zero_share = rng.choice([0.0, 0.05, 0.3])
+            cost = tuple(
+                tuple(
+                    0 if x == y or rng.random() < zero_share else rng.randint(1, 9)
+                    for y in range(n)
+                )
+                for x in range(n)
+            )
+            inst = CostInstance(n, cost, base)
+            assert inst.charge == tuple(
+                tuple(0 if base.leq(x, y) else cost[x][y] for y in range(n))
+                for x in range(n)
+            )
+            positive = all(
+                cost[x][y] > 0
+                for x in range(n)
+                for y in range(n)
+                if base.incomparable(x, y)
+            )
+            assert inst.is_positive == positive
+            positives += positive
+        assert 0 < positives < 300

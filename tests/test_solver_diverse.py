@@ -52,6 +52,36 @@ def _below(key, v, next_bag, order):
     return {k[1]: below for k, _, below in moves}[order]
 
 
+def first_bag_states(inst, bag):
+    """The (key, least cost) pairs reachable at the first full bag: every
+    extension of the base order on the bag, costed over the pairs inside
+    it. The bag alone is introduced and then forgotten one vertex at a
+    time, ascending."""
+    vertices = [v for v in range(inst.n) if bag >> v & 1]
+    bags = [0]
+    for v in vertices:
+        bags.append(bags[-1] | 1 << v)
+    for v in vertices:
+        bags.append(bags[-1] & ~(1 << v))
+    dec = PathDecomposition(inst.n, tuple(bags))
+    return set(least_costs(forward_tables(inst, dec))[bag.bit_count()].items())
+
+
+class TestInitialTriples:
+    def test_single_vertex_bag(self):
+        inst = CostInstance(2, ((0, 2), (3, 0)), PartialOrder.antichain(2))
+        assert first_bag_states(inst, 0b01) == {((0b01, (0,)), 0)}
+
+    def test_incomparable_pair_both_orders(self):
+        inst = CostInstance(2, ((0, 2), (3, 0)), PartialOrder.antichain(2))
+        states = first_bag_states(inst, 0b11)
+        assert states == {((0b11, (0, 1)), 2), ((0b11, (1, 0)), 3)}
+
+    def test_forced_pair_single_extension_zero_cost(self):
+        inst = CostInstance(2, ((0, 9), (9, 0)), PartialOrder.from_pairs(2, [(0, 1)]))
+        assert first_bag_states(inst, 0b11) == {((0b11, (0, 1)), 0)}
+
+
 class TestScatterednessIncrease:
     # a pair of solutions gains the XOR popcount of its moves' below masks
 

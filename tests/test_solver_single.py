@@ -48,35 +48,6 @@ def instance_2(cost_ab, cost_ba, base=None):
     return CostInstance(2, ((0, cost_ab), (cost_ba, 0)), base)
 
 
-def first_bag_states(inst, bag):
-    """The (key, least cost) pairs reachable at the first full bag: every
-    extension of the base order on the bag, costed over the pairs inside
-    it. The bag alone is introduced and then forgotten one vertex at a
-    time, ascending."""
-    bags = [0]
-    for v in bits(bag):
-        bags.append(bags[-1] | 1 << v)
-    for v in bits(bag):
-        bags.append(bags[-1] & ~(1 << v))
-    dec = PathDecomposition(inst.n, tuple(bags))
-    return set(least_costs(forward_tables(inst, dec))[bag.bit_count()].items())
-
-
-class TestInitialTriples:
-    def test_single_vertex_bag(self):
-        inst = instance_2(2, 3)
-        assert first_bag_states(inst, 0b01) == {((0b01, (0,)), 0)}
-
-    def test_incomparable_pair_both_orders(self):
-        inst = instance_2(2, 3)
-        states = first_bag_states(inst, 0b11)
-        assert states == {((0b11, (0, 1)), 2), ((0b11, (1, 0)), 3)}
-
-    def test_forced_pair_single_extension_zero_cost(self):
-        inst = instance_2(9, 9, base=chain(2))
-        assert first_bag_states(inst, 0b11) == {((0b11, (0, 1)), 0)}
-
-
 class TestTripleSuccessors:
     def test_forget_keeps_suffix(self):
         # forget vertex 1 from tail (1, 0): survivor 0 sits after it
