@@ -163,20 +163,16 @@ def _parse_bucket_vote(candidates: CandidateSet, body: str, units: list[int]) ->
     order for its first fault."""
     get = candidates._index.get  # type: ignore[attr-defined]
     rows = units[:]
-    cols = units[:]
     if "=" not in body:
         # A chain of singletons: x is below every later name.
         chain = [get(name.strip()) for name in body.split("<")]
         placed = 0 if None in chain else sum([units[x] for x in chain])
         if placed.bit_count() != len(chain):
             _raise_first_fault(candidates, body)
-        prefix, suffix = 0, placed
+        suffix = placed
         for x in chain:
-            bit = units[x]
-            prefix |= bit
             rows[x] = suffix
-            cols[x] = prefix
-            suffix ^= bit
+            suffix ^= units[x]
     else:
         buckets = [
             [get(name.strip()) for name in group.split("=")] for group in body.split("<")
@@ -185,14 +181,12 @@ def _parse_bucket_vote(candidates: CandidateSet, body: str, units: list[int]) ->
         placed = sum(masks)
         if placed.bit_count() != sum(map(len, buckets)):
             _raise_first_fault(candidates, body)
-        earlier, later = 0, placed
+        later = placed
         for bucket, mask in zip(buckets, masks):
             later ^= mask
             for x in bucket:
                 rows[x] = later | units[x]
-                cols[x] = earlier | units[x]
-            earlier |= mask
-    return PartialOrder._valid(candidates.n, tuple(rows), tuple(cols))
+    return PartialOrder._valid(candidates.n, tuple(rows))
 
 
 def _raise_first_fault(candidates: CandidateSet, body: str) -> NoReturn:
@@ -208,11 +202,13 @@ def _raise_first_fault(candidates: CandidateSet, body: str) -> NoReturn:
 
 
 def _as_buckets(order: PartialOrder) -> list[list[int]] | None:
-    """Bucket chain of a weak order, or None if the order is not weak."""
-    groups: dict[tuple[int, int], list[int]] = {}
+    """Bucket chain of a weak order, or None if the order is not weak. In a
+    weak order the strict up-sets separate the buckets and shrink from each
+    bucket to the next."""
+    groups: dict[int, list[int]] = {}
     for v in range(order.n):
-        groups.setdefault((order.strict_down(v), order.strict_up(v)), []).append(v)
-    chain = sorted(groups.values(), key=lambda g: order.strict_down(g[0]).bit_count())
+        groups.setdefault(order.strict_up(v), []).append(v)
+    chain = [groups[up] for up in sorted(groups, key=int.bit_count, reverse=True)]
     rebuilt = PartialOrder.from_buckets(order.n, chain)
     if rebuilt.rows != order.rows:
         return None

@@ -4,19 +4,21 @@ reduction from rank aggregation to ordering completion.
 Relations over n candidates are stored as n rows of integer bitmasks:
 bit y of ``rows[x]`` is set iff the pair (x, y) is in the relation, read as
 "x is at most y". This keeps closure, intersection and pair counting at
-O(n^2 / wordsize). Everything here is immutable after construction and
-side-effect free, so values can be shared freely across threads. The one
-exception is a cache: a ``Profile`` packs its votes into words on first
-use, a value that depends on its input alone.
+O(n^2 / wordsize). An order stores its rows alone. Everything here is
+immutable after construction and side-effect free, so values can be shared
+freely across threads. The two exceptions are caches, each a function of
+its value alone: a ``PartialOrder`` transposes its rows into columns (bit
+x of ``_cols[y]`` iff x is at most y) on first use, and a ``Profile``
+packs its votes into words on first use.
 
 ``PartialOrder(n, rows)`` and ``PartialOrder.from_pairs`` check
 reflexivity, antisymmetry and transitivity over all pairs. The
-constructions that are valid by how they are built skip that check and
-set the columns directly: ``from_buckets`` (which still rejects elements
-outside the universe and repeated ones), ``antichain``,
-``LinearOrder.as_partial_order``, ``unanimity_order`` (an intersection
-of partial orders is a partial order) and the vote-line parser of
-``kemeny.cli`` (which rejects unknown and repeated names first).
+constructions that are valid by how they are built skip that check:
+``from_buckets`` (which still rejects elements outside the universe and
+repeated ones), ``antichain``, ``LinearOrder.as_partial_order``,
+``unanimity_order`` (an intersection of partial orders is a partial order)
+and the vote-line parser of ``kemeny.cli`` (which rejects unknown and
+repeated names first).
 
 ``kt_distance`` counts opposed pairs with one sweep: the popcounts of row
 x of one order AND column x of the other, less n.
@@ -24,12 +26,13 @@ x of one order AND column x of the other, less n.
 A profile reads its votes as packed words: the n rows of a vote laid in
 one integer, row x in the 64-bit lane at bit 64 * x, so that a pass over
 the votes is one big-integer operation per vote. ``unanimity_order`` ANDs
-the words and transposes the result into columns. ``reduce_to_co`` adds
-each word, once per binary digit of its multiplicity, into carry-save bit
-planes (plane k holds bit k of every cell's voter count) and reads the
-counts only at the pairs the unanimity order leaves incomparable.
-``kemeny_score`` ANDs each word with the ranking's columns packed the same
-way: the sweep above as one popcount per vote.
+the words. ``reduce_to_co`` adds each word, once per binary digit of its
+multiplicity, into carry-save bit planes (plane k holds bit k of every
+cell's voter count) and reads the counts only at the pairs the unanimity
+order leaves incomparable. ``kemeny_score`` ANDs each word with the
+complement of the ranking's rows packed the same way: a pair a vote orders
+is opposed exactly when the ranking's row lacks it, so one popcount per
+vote counts its distance.
 """
 
 from __future__ import annotations
@@ -134,7 +137,6 @@ class PartialOrder:
                 raise InputError("relation mentions elements outside 0..n-1")
             if not row & (1 << x):
                 raise InputError(f"relation not reflexive at {x}")
-        cols = [0] * n
         for x, row in enumerate(rows):
             xbit = 1 << x
             for y in _bits(row):
@@ -143,18 +145,25 @@ class PartialOrder:
                     raise InputError(f"antisymmetry violated on ({x},{y})")
                 if up & ~row:
                     raise InputError(f"transitivity violated below ({x},{y})")
-                cols[y] |= xbit
-        object.__setattr__(self, "_cols", tuple(cols))
 
     @classmethod
-    def _valid(cls, n: int, rows: tuple[int, ...], cols: tuple[int, ...]) -> "PartialOrder":
-        """An order the caller built valid, with its columns (bit x of
-        ``cols[y]`` iff x is at most y): skips the O(n^2) check."""
+    def _valid(cls, n: int, rows: tuple[int, ...]) -> "PartialOrder":
+        """An order from rows the caller built valid: skips the O(n^2)
+        check."""
         order = object.__new__(cls)
         object.__setattr__(order, "n", n)
         object.__setattr__(order, "rows", rows)
-        object.__setattr__(order, "_cols", cols)
         return order
+
+    @cached_property
+    def _cols(self) -> tuple[int, ...]:
+        """The transposed rows: bit x of ``_cols[y]`` iff x is at most y."""
+        cols = [0] * self.n
+        for x, row in enumerate(self.rows):
+            xbit = 1 << x
+            for y in _bits(row):
+                cols[y] |= xbit
+        return tuple(cols)
 
     # -- constructors ------------------------------------------------------
 
@@ -175,8 +184,7 @@ class PartialOrder:
 
     @classmethod
     def antichain(cls, n: int) -> "PartialOrder":
-        rows = tuple(1 << x for x in range(n))
-        return cls._valid(n, rows, rows)
+        return cls._valid(n, tuple(1 << x for x in range(n)))
 
     @classmethod
     def from_buckets(cls, n: int, buckets: Sequence[Sequence[int]]) -> "PartialOrder":
@@ -195,15 +203,12 @@ class PartialOrder:
             seen |= bucket_mask
             masks.append(bucket_mask)
         rows = [1 << x for x in range(n)]
-        cols = rows[:]
-        earlier, later = 0, seen
+        later = seen
         for bucket_mask in masks:
             later &= ~bucket_mask
             for x in _bits(bucket_mask):
                 rows[x] |= later
-                cols[x] |= earlier
-            earlier |= bucket_mask
-        return cls._valid(n, tuple(rows), tuple(cols))
+        return cls._valid(n, tuple(rows))
 
     # -- queries -----------------------------------------------------------
 
@@ -213,20 +218,17 @@ class PartialOrder:
     def lt(self, x: int, y: int) -> bool:
         return x != y and self.leq(x, y)
 
-    def incomparable(self, x: int, y: int) -> bool:
-        return x != y and not self.leq(x, y) and not self.leq(y, x)
-
     def strict_up(self, x: int) -> int:
         """Bitmask of elements strictly above x."""
         return self.rows[x] & ~(1 << x)
 
     def strict_down(self, x: int) -> int:
         """Bitmask of elements strictly below x."""
-        return self._cols[x] & ~(1 << x)  # type: ignore[attr-defined]
+        return self._cols[x] & ~(1 << x)
 
     def incomparable_to(self, x: int) -> int:
         """Bitmask of elements incomparable to x."""
-        return _full_mask(self.n) & ~(self.rows[x] | self._cols[x])  # type: ignore[attr-defined]
+        return _full_mask(self.n) & ~(self.rows[x] | self._cols[x])
 
     def strict_pairs(self) -> Iterator[tuple[int, int]]:
         for x in range(self.n):
@@ -243,10 +245,6 @@ class LinearOrder:
     def __post_init__(self) -> None:
         if sorted(self.perm) != list(range(len(self.perm))):
             raise InputError("perm is not a permutation of 0..n-1")
-        pos = [0] * len(self.perm)
-        for i, x in enumerate(self.perm):
-            pos[x] = i
-        object.__setattr__(self, "_pos", tuple(pos))
 
     @property
     def n(self) -> int:
@@ -255,21 +253,19 @@ class LinearOrder:
     def as_partial_order(self) -> PartialOrder:
         n = self.n
         rows = [0] * n
-        cols = [0] * n
-        prefix, suffix = 0, _full_mask(n)
+        suffix = _full_mask(n)
         for x in self.perm:
-            bit = 1 << x
-            prefix |= bit
             rows[x] = suffix
-            cols[x] = prefix
-            suffix ^= bit
-        return PartialOrder._valid(n, tuple(rows), tuple(cols))
+            suffix ^= 1 << x
+        return PartialOrder._valid(n, tuple(rows))
 
     def extends(self, order: PartialOrder) -> bool:
+        """True iff every row of ``order`` lies inside the same row of this
+        ranking: whatever the order puts above x, the ranking does too."""
         if order.n != self.n:
             raise InputError("orders over different universes")
-        pos = self._pos  # type: ignore[attr-defined]
-        return all(pos[x] < pos[y] for x, y in order.strict_pairs())
+        own = self.as_partial_order().rows
+        return all(not up & ~mine for up, mine in zip(order.rows, own))
 
 
 @dataclass(frozen=True)
@@ -395,18 +391,18 @@ def kt_distance(a: PartialOrder | LinearOrder, b: PartialOrder | LinearOrder) ->
     pa, pb = _as_partial(a), _as_partial(b)
     if pa.n != pb.n:
         raise InputError("orders over different universes")
-    return _opposed(pa.rows, pb._cols)  # type: ignore[attr-defined]
+    return _opposed(pa.rows, pb._cols)
 
 
 def kemeny_score(profile: Profile, ranking: LinearOrder) -> int:
-    """Sum over votes of multiplicity times distance to ``ranking``: the
-    row-and-column sweep of ``_opposed`` as one popcount per packed vote."""
+    """Sum over votes of multiplicity times distance to ``ranking``: a pair
+    (x, y) a vote orders is opposed exactly when row x of the ranking lacks
+    y, so each packed vote counts its distance with one popcount."""
     if ranking.n != profile.n:
         raise InputError("ranking over a different candidate set")
     words = profile._words  # checks the candidate cap before any packing
-    cols = _pack(ranking.as_partial_order()._cols)  # type: ignore[attr-defined]
-    opposed_and_own = sum(mult * (word & cols).bit_count() for word, mult in words)
-    return opposed_and_own - profile.n * profile.m
+    lacking = ~_pack(ranking.as_partial_order().rows)
+    return sum(mult * (word & lacking).bit_count() for word, mult in words)
 
 
 def diversity(rankings: Sequence[LinearOrder]) -> int:
@@ -429,16 +425,11 @@ def diversity(rankings: Sequence[LinearOrder]) -> int:
 
 def unanimity_order(profile: Profile) -> PartialOrder:
     """Intersection of all votes: the pairs every voter agrees on, one AND
-    per packed vote, with the rows transposed into columns."""
+    per packed vote."""
     n = profile.n
     rows = _unpack(reduce(and_, [word for word, _ in profile._words]), n)
-    cols = [0] * n
-    for x, row in enumerate(rows):
-        xbit = 1 << x
-        for y in _bits(row):
-            cols[y] |= xbit
     # An intersection of partial orders is again a partial order.
-    return PartialOrder._valid(n, tuple(rows), tuple(cols))
+    return PartialOrder._valid(n, tuple(rows))
 
 
 def reduce_to_co(profile: Profile) -> CostInstance:

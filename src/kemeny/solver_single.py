@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import InternalError, check_bound, check_deadline
-from .orders import CostInstance, LinearOrder
+from .orders import CostInstance, LinearOrder, _bits
 from .width import cocomparability_graph, ideal_lattice, ideal_widths
 
 
@@ -58,12 +58,8 @@ def optimal_rankings(
     # (bit of u, charge[v][u]) over the incomparable u that v pays for when
     # u is placed after it; pairs comparable in the base order never pay.
     pays = [
-        [
-            (1 << u, c)
-            for u, c in enumerate(instance.charge[v])
-            if c and base.incomparable(v, u)
-        ]
-        for v in range(n)
+        [(1 << u, charge[u]) for u in _bits(base.incomparable_to(v)) if charge[u]]
+        for v, charge in enumerate(instance.charge)
     ]
 
     def step(ideal: int, v: int) -> int:

@@ -53,13 +53,7 @@ class Graph:
 
 def cocomparability_graph(order: PartialOrder) -> Graph:
     """Graph joining exactly the incomparable pairs of the order."""
-    n = order.n
-    full = _full_mask(n)
-    adj = tuple(
-        full & ~(order.rows[x] | order._cols[x])  # type: ignore[attr-defined]
-        for x in range(n)
-    )
-    return Graph(n, adj)
+    return Graph(order.n, tuple(map(order.incomparable_to, range(order.n))))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ def random_cost_instance(
     low = 1 if positive else 0
     cost = [
         [
-            0 if x == y or not base.incomparable(x, y) else rng.randint(low, max_cost)
+            rng.randint(low, max_cost) if base.incomparable_to(x) >> y & 1 else 0
             for y in range(n)
         ]
         for x in range(n)

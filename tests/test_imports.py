@@ -1,9 +1,9 @@
 """Every name a library module imports is read somewhere in that module,
 every absolute import names a standard-library module, every function,
 class and method the library defines is used outside the tests, no library
-module reads the process environment, and the tail-order program stays
-inside the diverse solver and the single solver builds no path
-decomposition."""
+module reads the process environment, the tail-order program stays
+inside the diverse solver, the single solver builds no path decomposition
+and no module but ``orders`` binds or reads an order's columns."""
 
 import ast
 import pathlib
@@ -29,6 +29,8 @@ DECOMPOSITION = {
     "PathDecomposition", "ConsistentPathDecomposition",
     "consistent_path_decomposition", "nice_decomposition",
 }
+# An order's columns, a cached transpose of its rows that only orders.py reads.
+COLUMNS = {"_cols"}
 
 
 def unused_imports(source):
@@ -235,3 +237,22 @@ def test_detects_a_decomposition_name():
         (1, "ConsistentPathDecomposition"), (3, "nice_decomposition"),
         (4, "consistent_path_decomposition"),
     ]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted({*SRC.glob("*.py"), *USERS} - {SRC / "orders.py"}),
+    ids=lambda p: str(p.relative_to(ROOT)),
+)
+def test_only_orders_reads_columns(path):
+    assert bound_names(path.read_text(encoding="utf-8"), COLUMNS) == []
+
+
+def test_detects_a_column_read():
+    source = (
+        "from .orders import _cols\n"
+        "down = order._cols[x] & ~(1 << x)\n"
+        "_cols = [0] * n\n"
+        "cols = order.rows\n"
+    )
+    assert bound_names(source, COLUMNS) == [(1, "_cols"), (2, "_cols"), (3, "_cols")]
