@@ -38,7 +38,9 @@ def main():
     print(f"incomparability graph: {g.n} vertices, {g.edge_count} edges")
 
     lattice = ideal_lattice(order)
-    sizes = [len(layer) for layer in lattice.layers]
+    sizes = [0] * order.n + [1]  # the full ideal has no moves, so no key
+    for ideal in lattice:
+        sizes[ideal.bit_count()] += 1
     print(f"ideal lattice: {sum(sizes)} ideals, by size {sizes}")
 
     layout = width_optimal_extension(g, lattice)

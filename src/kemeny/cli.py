@@ -15,7 +15,8 @@ Vote files look like::
     A<B<C<D<E               # multiplicity defaults to 1
 
 Exit codes: 0 solved / YES, 1 NO, 2 input error (unreadable input or
-unwritable output), 3 capability limit or timeout. Output is deterministic
+unwritable output), 3 capability limit, timeout or out of memory (the
+single line ``error: out of memory``). Output is deterministic
 for fixed input and seed; the optional --timing line is the one exception
 and is off by default.
 """
@@ -32,7 +33,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import IO, NoReturn, Sequence
+from typing import IO, Sequence
 
 from .errors import CapabilityError, InputError, InternalError
 from .instances import (
@@ -153,52 +154,40 @@ def _parse_pair_vote(candidates: CandidateSet, body: str) -> PartialOrder:
 
 
 def _parse_bucket_vote(candidates: CandidateSet, body: str, units: list[int]) -> PartialOrder:
-    """The weak order of a bucket line, built valid in one pass; ``units``
-    holds ``1 << x`` at index x.
+    """The weak order of a bucket line; ``units`` holds ``1 << x`` at
+    index x.
 
-    Its names are looked up at once, an unknown one as None, whose group
-    places no bits. The line passes when the sum of the placed bits has as
-    many bits set as names were read: an unknown name places none, and a
-    repeated one carries. A line that fails is scanned again in reading
-    order for its first fault."""
-    get = candidates._index.get  # type: ignore[attr-defined]
-    rows = units[:]
+    A chain of singletons is read in one pass: its names are looked up at
+    once, an unknown one as None, which places no bits, and the line passes
+    when the sum of the placed bits has as many bits set as names were
+    read (a repeated name carries). Every other line, and a chain that
+    fails that check, is read name by name in reading order, raising at
+    the first unknown or repeated name, and its buckets go to
+    ``PartialOrder.from_buckets``."""
     if "=" not in body:
         # A chain of singletons: x is below every later name.
+        get = candidates._index.get  # type: ignore[attr-defined]
         chain = [get(name.strip()) for name in body.split("<")]
         placed = 0 if None in chain else sum([units[x] for x in chain])
-        if placed.bit_count() != len(chain):
-            _raise_first_fault(candidates, body)
-        suffix = placed
-        for x in chain:
-            rows[x] = suffix
-            suffix ^= units[x]
-    else:
-        buckets = [
-            [get(name.strip()) for name in group.split("=")] for group in body.split("<")
-        ]
-        masks = [0 if None in bucket else sum([units[x] for x in bucket]) for bucket in buckets]
-        placed = sum(masks)
-        if placed.bit_count() != sum(map(len, buckets)):
-            _raise_first_fault(candidates, body)
-        later = placed
-        for bucket, mask in zip(buckets, masks):
-            later ^= mask
-            for x in bucket:
-                rows[x] = later | units[x]
-    return PartialOrder._valid(candidates.n, tuple(rows))
-
-
-def _raise_first_fault(candidates: CandidateSet, body: str) -> NoReturn:
-    """Raise for the first unknown or repeated name of a bucket line."""
-    seen: set[int] = set()
+        if placed.bit_count() == len(chain):
+            rows = units[:]
+            suffix = placed
+            for x in chain:
+                rows[x] = suffix
+                suffix ^= units[x]
+            return PartialOrder._valid(candidates.n, tuple(rows))
+    buckets = []
+    seen = set()
     for group in body.split("<"):
+        bucket = []
         for name in group.split("="):
-            idx = candidates.index(name.strip())
-            if idx in seen:
+            x = candidates.index(name.strip())
+            if x in seen:
                 raise InputError(f"candidate {name.strip()!r} repeated in vote")
-            seen.add(idx)
-    raise InternalError("vote line failed its check but has no fault")
+            seen.add(x)
+            bucket.append(x)
+        buckets.append(bucket)
+    return PartialOrder.from_buckets(candidates.n, buckets)
 
 
 def _as_buckets(order: PartialOrder) -> list[list[int]] | None:
@@ -632,6 +621,9 @@ def run(argv: Sequence[str], out: IO[str] | None = None, err: IO[str] | None = N
         return EXIT_INPUT
     except CapabilityError as exc:
         err.write(f"error: {exc}\n")
+        return EXIT_CAPABILITY
+    except MemoryError:
+        err.write("error: out of memory\n")
         return EXIT_CAPABILITY
     except InternalError as exc:
         err.write(f"internal error: {exc}\n")

@@ -72,27 +72,27 @@ def oracle_optimum(
 ) -> tuple[int, tuple[LinearOrder, ...]]:
     """Exact minimum charged cost and the complete set of minimizers."""
     _require(instance.n, ORACLE_CAP, "oracle universe size")
-    charge = instance.charge
+    cost = instance.cost
     base = instance.base
     best = None
     winners: list[tuple[int, ...]] = []
 
-    def rec(remaining: int, prefix: list[int], cost: int) -> None:
+    def rec(remaining: int, prefix: list[int], total: int) -> None:
         nonlocal best, winners
         check_deadline(deadline)
         if not remaining:
-            if best is None or cost < best:
-                best = cost
+            if best is None or total < best:
+                best = total
                 winners = [tuple(prefix)]
-            elif cost == best:
+            elif total == best:
                 winners.append(tuple(prefix))
             return
         for v in _bits(remaining):
             if base.strict_down(v) & remaining:
                 continue
-            added = sum(charge[u][v] for u in prefix)
+            added = sum(cost[u][v] for u in prefix)
             prefix.append(v)
-            rec(remaining & ~(1 << v), prefix, cost + added)
+            rec(remaining & ~(1 << v), prefix, total + added)
             prefix.pop()
 
     rec((1 << instance.n) - 1, [], 0)
@@ -111,14 +111,14 @@ class OracleDiverseResult:
 def _within_budget(
     instance: CostInstance, delta: int, deadline: float | None
 ) -> tuple[int, list[LinearOrder]]:
-    opt, _ = oracle_optimum(instance, deadline)
-    kept = [
-        ext
+    """The optimum and, in lexicographic order, every extension costing at
+    most delta more, read off one costed enumeration."""
+    costed = [
+        (instance.extension_cost(ext), ext)
         for ext in enumerate_extensions(instance.base, deadline)
-        if instance.extension_cost(ext) <= opt + delta
     ]
-    kept.sort(key=lambda e: e.perm)
-    return opt, kept
+    opt = min(cost for cost, _ in costed)
+    return opt, [ext for cost, ext in costed if cost <= opt + delta]
 
 
 def oracle_diverse(

@@ -15,10 +15,11 @@ packs its votes into words on first use.
 reflexivity, antisymmetry and transitivity over all pairs. The
 constructions that are valid by how they are built skip that check:
 ``from_buckets`` (which still rejects elements outside the universe and
-repeated ones), ``antichain``, ``LinearOrder.as_partial_order``,
-``unanimity_order`` (an intersection of partial orders is a partial order)
-and the vote-line parser of ``kemeny.cli`` (which rejects unknown and
-repeated names first).
+an element repeated anywhere, inside one bucket or across two),
+``antichain``, ``LinearOrder.as_partial_order``, ``unanimity_order`` (an
+intersection of partial orders is a partial order) and the chain-line
+reader of ``kemeny.cli`` (which rejects unknown and repeated names first;
+every other bucket line goes through ``from_buckets``).
 
 ``kt_distance`` counts opposed pairs with one sweep: the popcounts of row
 x of one order AND column x of the other, less n.
@@ -39,8 +40,8 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from dataclasses import dataclass
+from functools import cache, cached_property, reduce
 from operator import and_
 from typing import Iterable, Iterator, Sequence
 
@@ -56,6 +57,12 @@ MAX_SCORE = 2**64 - 1
 
 def _full_mask(n: int) -> int:
     return (1 << n) - 1
+
+
+@cache
+def _units(n: int) -> tuple[int, ...]:
+    """``1 << x`` at index x: the rows of the antichain over 0..n-1."""
+    return tuple(1 << x for x in range(n))
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -172,7 +179,7 @@ class PartialOrder:
         """Reflexive transitive closure of the strict ``pairs``; a pair
         (x, x) is a cycle, and a longer cycle fails the antisymmetry check
         of the constructor."""
-        rows = [1 << x for x in range(n)]
+        rows = list(_units(n))
         for x, y in pairs:
             if not (0 <= x < n and 0 <= y < n):
                 raise InputError(f"pair ({x},{y}) outside universe of size {n}")
@@ -184,12 +191,13 @@ class PartialOrder:
 
     @classmethod
     def antichain(cls, n: int) -> "PartialOrder":
-        return cls._valid(n, tuple(1 << x for x in range(n)))
+        return cls._valid(n, _units(n))
 
     @classmethod
     def from_buckets(cls, n: int, buckets: Sequence[Sequence[int]]) -> "PartialOrder":
         """Order from an ordered bucket chain: ties, and elements in no
-        bucket, are incomparable."""
+        bucket, are incomparable. An element outside 0..n-1, or repeated
+        anywhere in the chain, is rejected."""
         masks = []
         seen = 0
         for bucket in buckets:
@@ -198,15 +206,15 @@ class PartialOrder:
                 if not (0 <= x < n):
                     raise InputError(f"bucket element {x} outside universe")
                 bucket_mask |= 1 << x
-            if bucket_mask & seen:
+            if bucket_mask & seen or bucket_mask.bit_count() != len(bucket):
                 raise InputError("bucket chain repeats an element")
             seen |= bucket_mask
             masks.append(bucket_mask)
-        rows = [1 << x for x in range(n)]
+        rows = list(_units(n))
         later = seen
-        for bucket_mask in masks:
-            later &= ~bucket_mask
-            for x in _bits(bucket_mask):
+        for bucket, bucket_mask in zip(buckets, masks):
+            later ^= bucket_mask
+            for x in bucket:
                 rows[x] |= later
         return cls._valid(n, tuple(rows))
 
@@ -306,16 +314,15 @@ class Profile:
 @dataclass(frozen=True)
 class CostInstance:
     """An ordering-completion instance: extend ``base`` to a linear order,
-    paying ``cost(x, y)`` for every pair placed x-before-y that the base
-    order does not already force. Pairs comparable in ``base`` are never
-    charged; the solvers and the oracle only ever sum over the remainder.
+    paying ``cost[x][y]`` for every pair placed x-before-y. The pairs the
+    base order forces are never charged: the stored matrix has every cell
+    ``cost[x][y]`` with y in ``base.rows[x]`` set to zero, so the solvers
+    and the oracle sum it as it is.
     """
 
     n: int
     cost: tuple[tuple[int, ...], ...]
     base: PartialOrder
-    # cost with the base order's pairs zeroed: what the solvers sum over
-    charge: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.n
@@ -330,13 +337,13 @@ class CostInstance:
                 raise InputError("cost on the diagonal must be 0")
             if any(c < 0 for c in row):
                 raise InputError("costs must be non-negative")
-        charge = []
+        cost = []
         for costs, up in zip(self.cost, self.base.rows):
             row = list(costs)
             for y in _bits(up):
                 row[y] = 0
-            charge.append(tuple(row))
-        object.__setattr__(self, "charge", tuple(charge))
+            cost.append(tuple(row))
+        object.__setattr__(self, "cost", tuple(cost))
 
     @property
     def is_positive(self) -> bool:
@@ -353,11 +360,11 @@ class CostInstance:
             raise InputError("extension over a different universe")
         if not extension.extends(self.base):
             raise InputError("not a linear extension of the base order")
-        charge = self.charge
+        cost = self.cost
         total = 0
         perm = extension.perm
         for i, x in enumerate(perm):
-            row = charge[x]
+            row = cost[x]
             for y in perm[i + 1 :]:
                 total += row[y]
         return total

@@ -111,14 +111,14 @@ def _introduce_successors(
     bag vertices it puts below v: the committed ones and the tail before
     v's slot."""
     tail, order = key
-    charge = instance.charge
+    cost = instance.cost
     base = instance.base
     up = base.strict_up(v)
     down = base.strict_down(v)
     new_tail = tail | (1 << v)
     committed = next_bag & ~new_tail
-    base_cost = sum(charge[u][v] for u in _bits(committed))
-    row_v = charge[v]
+    base_cost = sum(cost[u][v] for u in _bits(committed))
+    row_v = cost[v]
 
     # v must sit after every tail vertex below it and before every one above.
     lo = 0
@@ -132,14 +132,14 @@ def _introduce_successors(
     before_cost = 0
     below = committed
     for u in order[:lo]:
-        before_cost += charge[u][v]
+        before_cost += cost[u][v]
         below |= 1 << u
     for slot in range(lo, hi + 1):
         extra = before_cost + sum(row_v[u] for u in order[slot:])
         new_order = order[:slot] + (v,) + order[slot:]
         out.append(((new_tail, new_order), base_cost + extra, below))
         if slot < len(order):
-            before_cost += charge[order[slot]][v]
+            before_cost += cost[order[slot]][v]
             below |= 1 << order[slot]
     return tuple(out)
 

@@ -4,12 +4,13 @@
 (downsets) of the base order, the subset program of Betzler et al.
 (*Fixed-parameter algorithms for Kemeny rankings*, TCS 2009). A state is
 the bitmask of the vertices already placed; placing a minimal remaining
-vertex v pays charge[v][u] for every u still unplaced after it. The ideals
-are built once, layer by layer by size (``width.ideal_lattice``), and a
-backward pass gives every ideal's exact cost to go. A move is tight when it
-keeps to that cost, and the optimal rankings are exactly the paths of tight
-moves from the empty ideal to the full one (De Loof, De Meyer and De
-Baets, Fundamenta Informaticae 2006). Walked depth first in ascending
+vertex v pays cost[v][u] for every u still unplaced after it. The ideals
+are built once, in order of size, each mapped to its moves
+(``width.ideal_lattice``), and a backward pass over that mapping gives
+every ideal's exact cost to go. A move is tight when it keeps to that
+cost, and the optimal rankings are exactly the paths of tight moves from
+the empty ideal to the full one (De Loof, De Meyer and De Baets,
+Fundamenta Informaticae 2006). Walked depth first in ascending
 vertex index, they come in lexicographic order, a function of the input
 alone: ``solve`` and ``pco`` take the first, ``optima`` the first r.
 
@@ -49,27 +50,25 @@ def optimal_rankings(
     index: the tight-move paths of the ideal lattice, depth first. Each is
     checked to cost the optimum before it is yielded."""
     base = instance.base
-    lattice = ideal_lattice(base, deadline)
-    width = ideal_widths(cocomparability_graph(base), lattice, deadline)[0]
-    layers, moves = lattice
+    moves = ideal_lattice(base, deadline)
+    width = ideal_widths(cocomparability_graph(base), moves, deadline)[0]
     n = instance.n
-    check_bound("ideal", sum(len(layer) for layer in layers), n * 2**width + 1)
+    check_bound("ideal", len(moves) + 1, n * 2**width + 1)
     full = (1 << n) - 1
-    # (bit of u, charge[v][u]) over the incomparable u that v pays for when
+    # (bit of u, cost[v][u]) over the incomparable u that v pays for when
     # u is placed after it; pairs comparable in the base order never pay.
     pays = [
-        [(1 << u, charge[u]) for u in _bits(base.incomparable_to(v)) if charge[u]]
-        for v, charge in enumerate(instance.charge)
+        [(1 << u, cost[u]) for u in _bits(base.incomparable_to(v)) if cost[u]]
+        for v, cost in enumerate(instance.cost)
     ]
 
     def step(ideal: int, v: int) -> int:
         return sum(c for bit, c in pays[v] if not ideal & bit)
 
     to_go = {full: 0}
-    for layer in reversed(layers[:-1]):
+    for ideal, vs in reversed(moves.items()):
         check_deadline(deadline)
-        for ideal in layer:
-            to_go[ideal] = min(step(ideal, v) + to_go[ideal | 1 << v] for v in moves[ideal])
+        to_go[ideal] = min(step(ideal, v) + to_go[ideal | 1 << v] for v in vs)
 
     def walk() -> Iterator[LinearOrder]:
         # Depth first over the tight moves, smallest vertex popped first;

@@ -1,19 +1,22 @@
 """Cocomparability graphs and order-consistent path decompositions.
 
-A backward pass over the order's ideal lattice gives each ideal the least
-vertex separation in the cocomparability graph of a layout continuing it
-(``ideal_widths``): at the empty ideal, the pathwidth (Habib and Möhring,
-Order 1994), which the single solver reads without building bags. A greedy
-walk over those widths picks a width-optimal linear extension, whose nice
-decomposition introduces every element before any larger one, so it never
-forgets an element while a smaller one is still waiting to be introduced,
-which is exactly what the tail-order dynamic programs need.
+The order's ideal lattice is one mapping from every ideal but the full
+one to its moves, the minimal vertices outside it, with the ideals in
+order of size (``ideal_lattice``). A backward pass over it gives each
+ideal the least vertex separation in the cocomparability graph of a
+layout continuing it (``ideal_widths``): at the empty ideal, the pathwidth
+(Habib and Möhring, Order 1994), which the single solver reads without
+building bags. A greedy walk over those widths picks a width-optimal
+linear extension, whose nice decomposition introduces every element
+before any larger one, so it never forgets an element while a smaller one
+is still waiting to be introduced, which is exactly what the tail-order
+dynamic programs need.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import InputError, InternalError, check_deadline
 from .orders import PartialOrder, _bits, _full_mask
@@ -61,33 +64,28 @@ def cocomparability_graph(order: PartialOrder) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-class IdealLattice(NamedTuple):
-    """The ideals (downsets) of a partial order, layer by layer by size from
-    the empty ideal to the full one, and the minimal remaining vertices of
-    every ideal but the full one, in ascending index."""
-
-    layers: list[set[int]]
-    moves: dict[int, list[int]]
-
-
-def ideal_lattice(order: PartialOrder, deadline: float | None = None) -> IdealLattice:
-    """All ideals of the order, checking the deadline once per layer."""
+def ideal_lattice(order: PartialOrder, deadline: float | None = None) -> dict[int, list[int]]:
+    """Every ideal (downset) of the order but the full one, mapped to its
+    minimal remaining vertices in ascending index. Ideals are inserted in
+    order of size, from the empty one, so a backward pass over the items
+    meets every ideal after all the larger ones. The deadline is checked
+    once per ideal."""
     full = _full_mask(order.n)
     down = [order.strict_down(v) for v in range(order.n)]
     moves: dict[int, list[int]] = {}
-    layers = [{0}]
+    layer = {0}
     for _ in range(order.n):
-        check_deadline(deadline)
         nxt: set[int] = set()
-        for ideal in layers[-1]:
+        for ideal in layer:
+            check_deadline(deadline)
             vs = moves[ideal] = [v for v in _bits(full & ~ideal) if not down[v] & ~ideal]
             nxt.update(ideal | 1 << v for v in vs)
-        layers.append(nxt)
-    return IdealLattice(layers, moves)
+        layer = nxt
+    return moves
 
 
 def ideal_widths(
-    g: Graph, lattice: IdealLattice, deadline: float | None = None
+    g: Graph, lattice: dict[int, list[int]], deadline: float | None = None
 ) -> dict[int, int]:
     """w[I] for every ideal I of the order: the least vertex separation in
     g, the order's cocomparability graph, of a layout that continues I.
@@ -100,17 +98,15 @@ def ideal_widths(
     full = _full_mask(g.n)
     w = {full: 0}
     reach = {full: 0}
-    for layer in reversed(lattice.layers[:-1]):
+    for ideal, vs in reversed(lattice.items()):
         check_deadline(deadline)
-        for ideal in layer:
-            vs = lattice.moves[ideal]
-            near = reach[ideal] = reach[ideal | 1 << vs[0]] | g.adj[vs[0]]
-            w[ideal] = max((ideal & near).bit_count(), min(w[ideal | 1 << v] for v in vs))
+        near = reach[ideal] = reach[ideal | 1 << vs[0]] | g.adj[vs[0]]
+        w[ideal] = max((ideal & near).bit_count(), min(w[ideal | 1 << v] for v in vs))
     return w
 
 
 def width_optimal_extension(
-    g: Graph, lattice: IdealLattice, deadline: float | None = None
+    g: Graph, lattice: dict[int, list[int]], deadline: float | None = None
 ) -> list[int]:
     """A linear extension of least vertex separation in g: from the empty
     ideal, always the smallest-index move that keeps to w[empty]."""
@@ -119,7 +115,7 @@ def width_optimal_extension(
     layout = []
     ideal = 0
     while ideal != full:
-        v = next(v for v in lattice.moves[ideal] if w[ideal | 1 << v] <= w[0])
+        v = next(v for v in lattice[ideal] if w[ideal | 1 << v] <= w[0])
         layout.append(v)
         ideal |= 1 << v
     return layout

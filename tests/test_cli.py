@@ -145,6 +145,40 @@ class TestParsing:
         with pytest.raises(InputError, match=f"^line 2: {re.escape(message)}$"):
             parse_votes(f"candidates: A,B\n{line}\n")
 
+    def test_random_faulty_bucket_lines_fail_at_their_first_fault(self):
+        # one or two unknown or repeated names injected at random positions
+        # of a chain or '=' line, with spaces around names; the message is
+        # the first fault a naive scan meets in reading order. A faulty
+        # chain fails the one-pass check and is read name by name instead.
+        rng = random.Random(26)
+        names = "ABCDEFGHIJKL"
+        for _ in range(400):
+            n = rng.randint(1, len(names))
+            tokens = [names[x] for x in rng.sample(range(n), rng.randint(1, n))]
+            for _ in range(rng.randint(1, 2)):
+                bad = rng.choice(["Z", "a", names[n:] or "AB"]) if rng.random() < 0.5 else rng.choice(tokens)
+                tokens.insert(rng.randint(0, len(tokens)), bad)
+            chain = rng.random() < 0.5
+            line = ""
+            for i, token in enumerate(tokens):
+                if i:
+                    line += "<" if chain else rng.choice("<=")
+                line += " " * rng.randint(0, 2) + token + " " * rng.randint(0, 2)
+            seen = set()
+            for name in re.split("[<=]", line):
+                name = name.strip()
+                if name not in set(names[:n]):
+                    message = f"unknown candidate {name!r}"
+                    break
+                if name in seen:
+                    message = f"candidate {name!r} repeated in vote"
+                    break
+                seen.add(name)
+            else:
+                raise AssertionError(f"no fault in {line!r}")
+            with pytest.raises(InputError, match=f"^line 2: {re.escape(message)}$"):
+                parse_votes(f"candidates: {','.join(names[:n])}\n{line}\n")
+
     def test_chained_pair_shorthand(self):
         profile = parse_votes("candidates: A,B,C\npairs: A<B<C\n")
         vote, _ = profile.votes[0]
@@ -615,6 +649,15 @@ class TestSubcommands:
     def test_timeout_exit_code(self):
         code, _, err = invoke(["solve", FIVE, "--timeout", "0"])
         assert code == 3 and "timeout" in err
+
+    def test_memory_error_exit_code(self, monkeypatch):
+        # exit code 1 is the NO answer, so running out of memory is a
+        # capability limit
+        def exhausted(profile):
+            raise MemoryError
+
+        monkeypatch.setattr("kemeny.cli.reduce_to_co", exhausted)
+        assert invoke(["solve", FIVE]) == (3, "", "error: out of memory\n")
 
     def test_nan_timeout_is_a_usage_error(self, capsys):
         # no deadline compares past NaN, so it would never abort

@@ -94,8 +94,9 @@ class TestTypes:
         for bad in (3, -1):
             with pytest.raises(InputError, match=f"^bucket element {bad} outside universe$"):
                 PartialOrder.from_buckets(3, [[0], [bad]])
-        with pytest.raises(InputError, match="^bucket chain repeats an element$"):
-            PartialOrder.from_buckets(3, [[0, 1], [2, 1]])
+        for repeating in ([[0, 1], [2, 1]], [[0, 0], [1]]):
+            with pytest.raises(InputError, match="^bucket chain repeats an element$"):
+                PartialOrder.from_buckets(3, repeating)
 
     def test_profile_requires_votes(self):
         cs = CandidateSet(("A", "B"))
@@ -571,7 +572,7 @@ class TestCostInstanceCells:
                 for x in range(n)
             )
             inst = CostInstance(n, cost, base)
-            assert inst.charge == tuple(
+            assert inst.cost == tuple(
                 tuple(0 if base.leq(x, y) else cost[x][y] for y in range(n))
                 for x in range(n)
             )

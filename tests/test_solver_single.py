@@ -22,19 +22,13 @@ from kemeny.instances import (
 from kemeny.oracle import oracle_optimum
 from kemeny.orders import CostInstance, LinearOrder, PartialOrder, reduce_to_co
 from kemeny.solver_diverse import (
-    _forget_successor,
-    _introduce_successors,
     backward_tables,
     forward_tables,
     reconstruct_extension,
     tail_bound,
 )
 from kemeny.solver_single import solve_single
-from kemeny.width import (
-    ConsistentPathDecomposition,
-    PathDecomposition,
-    consistent_path_decomposition,
-)
+from kemeny.width import consistent_path_decomposition
 
 from cost_instances import least_costs, random_cost_instance
 
@@ -47,55 +41,6 @@ def instance_2(cost_ab, cost_ba, base=None):
     base = base if base is not None else PartialOrder.antichain(2)
     return CostInstance(2, ((0, cost_ab), (cost_ba, 0)), base)
 
-
-class TestTripleSuccessors:
-    def test_forget_keeps_suffix(self):
-        # forget vertex 1 from tail (1, 0): survivor 0 sits after it
-        assert _forget_successor((0b11, (1, 0)), 0b10) == (0b01, (0,))
-
-    def test_forget_drops_smaller_survivors(self):
-        # forget vertex 1 from tail (0, 1): 0 precedes it and commits too
-        assert _forget_successor((0b11, (0, 1)), 0b10) == (0, ())
-
-    def test_forget_outside_tail_changes_nothing(self):
-        # forget vertex 0, which is committed rather than in the tail
-        key = (0b110, (1, 2))
-        assert _forget_successor(key, 0b001) == key
-
-    def test_introduce_charges_both_slots(self):
-        base = PartialOrder.antichain(2)
-        inst = CostInstance(2, ((0, 1), (4, 0)), base)
-        succ = set(_introduce_successors((0b01, (0,)), 1, 0b11, inst))
-        assert succ == {((0b11, (0, 1)), 1, 0b01), ((0b11, (1, 0)), 4, 0)}
-
-    def test_introduce_respects_base_order(self):
-        inst = instance_2(9, 9, base=chain(2))
-        succ = _introduce_successors((0b01, (0,)), 1, 0b11, inst)
-        assert succ == (((0b11, (0, 1)), 0, 0b01),)
-
-    def test_introduce_before_a_larger_tail_vertex(self):
-        # 1 enters first, so 0 (below it in the base order) can only take the
-        # slot before it; the empty tail's cost to go is still the optimum
-        base = PartialOrder.from_pairs(3, [(0, 1)])
-        inst = CostInstance(3, ((0, 0, 2), (0, 0, 3), (5, 7, 0)), base)
-        succ = _introduce_successors((0b010, (1,)), 0, 0b011, inst)
-        assert succ == (((0b011, (0, 1)), 0, 0),)
-        dec = PathDecomposition(3, (0, 0b010, 0b011, 0b111, 0b101, 0b100, 0))
-        assert ConsistentPathDecomposition(dec, base).validate() == []
-        to_go = backward_tables(forward_tables(inst, dec))
-        assert to_go[0][(0, ())] == oracle_optimum(inst)[0] == 5
-
-    def test_introduce_charges_committed_bag_vertices(self):
-        # vertex 0 is in the bag but not in the tail: it is committed before
-        # the new vertex and the pair (0, v) is charged once
-        base = PartialOrder.antichain(3)
-        cost = ((0, 0, 2), (0, 0, 3), (5, 7, 0))
-        inst = CostInstance(3, cost, base)
-        succ = set(_introduce_successors((0b010, (1,)), 2, 0b111, inst))
-        assert succ == {
-            ((0b110, (1, 2)), 2 + 3, 0b011),  # 2 after 1: pay c(1,2); plus c(0,2)
-            ((0b110, (2, 1)), 2 + 7, 0b001),  # 2 before 1: pay c(2,1); plus c(0,2)
-        }
 
 class TestSolve:
     def test_five_type_election(self):
@@ -283,7 +228,7 @@ class TestProjectionRoundTrip:
             moves = forward_tables(inst, dec)
             reach, to_go = least_costs(moves), backward_tables(moves)
             opt, winners = oracle_optimum(inst)
-            charge = inst.charge
+            charge = inst.cost
             for ext in winners:
                 pos = {v: i for i, v in enumerate(ext.perm)}
                 seen = 0

@@ -243,7 +243,7 @@ class TestLatticeWidth:
     def width_and_ideals(order):
         lattice = ideal_lattice(order)
         width = ideal_widths(cocomparability_graph(order), lattice)[0]
-        return width, sum(len(layer) for layer in lattice.layers)
+        return width, len(lattice) + 1
 
     def test_random_orders_match_the_decomposition_and_the_bound(self):
         rng = random.Random(23)
@@ -260,6 +260,42 @@ class TestLatticeWidth:
     @pytest.mark.parametrize("order", [chain(1), chain(7)], ids=["one", "chain7"])
     def test_bound_is_exact_on_chains(self, order):
         assert self.width_and_ideals(order) == (0, order.n + 1)
+
+
+class TestIdealLattice:
+    """``ideal_lattice`` against brute force over all subsets: the keys are
+    the downsets but the full set, inserted in nondecreasing size (both
+    backward passes rely on it), each mapped to the vertices it can add in
+    ascending order."""
+
+    @staticmethod
+    def assert_contract(order):
+        n = order.n
+        full = (1 << n) - 1
+        downsets = {
+            s
+            for s in range(full + 1)
+            if all(s >> y & 1 for x in range(n) if s >> x & 1 for y in range(n) if order.leq(y, x))
+        }
+        lattice = ideal_lattice(order)
+        assert set(lattice) == downsets - {full}
+        sizes = [ideal.bit_count() for ideal in lattice]
+        assert sizes == sorted(sizes)
+        for ideal, moves in lattice.items():
+            assert moves == [
+                v for v in range(n) if not ideal >> v & 1 and ideal | 1 << v in downsets
+            ]
+
+    def test_random_orders(self):
+        rng = random.Random(26)
+        for _ in range(60):
+            self.assert_contract(random_partial_order(rng.randint(1, 10), rng, rng.random()))
+
+    @pytest.mark.parametrize(
+        "order", [PartialOrder.antichain(10), chain(10)], ids=["antichain10", "chain10"]
+    )
+    def test_extremes(self, order):
+        self.assert_contract(order)
 
 
 class TestBadTripleProperty:
