@@ -51,6 +51,7 @@ from .orders import (
     PartialOrder,
     Profile,
     _bits,
+    _units,
     kemeny_score,
     reduce_to_co,
     unanimity_order,
@@ -107,11 +108,14 @@ def parse_votes(text: str) -> Profile:
             raise InputError(
                 f"line {lineno}: candidate label {name!r} contains whitespace, '<' or '='"
             )
+        if name.startswith("pairs:"):
+            # a vote line that starts with it reads as a pair list
+            raise InputError(f"line {lineno}: candidate label {name!r} starts with 'pairs:'")
     try:
         candidates = CandidateSet(tuple(names))
     except InputError as exc:
         raise InputError(f"line {lineno}: {exc}") from None
-    units = [1 << x for x in range(candidates.n)]
+    units = _units(candidates.n)
     votes = []
     for lineno, line in lines[1:]:
         mult = 1
@@ -153,9 +157,10 @@ def _parse_pair_vote(candidates: CandidateSet, body: str) -> PartialOrder:
         raise InputError("pair set closes to a cycle") from None
 
 
-def _parse_bucket_vote(candidates: CandidateSet, body: str, units: list[int]) -> PartialOrder:
-    """The weak order of a bucket line; ``units`` holds ``1 << x`` at
-    index x.
+def _parse_bucket_vote(
+    candidates: CandidateSet, body: str, units: tuple[int, ...]
+) -> PartialOrder:
+    """The weak order of a bucket line; ``units`` is ``orders._units(n)``.
 
     A chain of singletons is read in one pass: its names are looked up at
     once, an unknown one as None, which places no bits, and the line passes
@@ -170,7 +175,7 @@ def _parse_bucket_vote(candidates: CandidateSet, body: str, units: list[int]) ->
         chain = [get(name.strip()) for name in body.split("<")]
         placed = 0 if None in chain else sum([units[x] for x in chain])
         if placed.bit_count() == len(chain):
-            rows = units[:]
+            rows = list(units)
             suffix = placed
             for x in chain:
                 rows[x] = suffix

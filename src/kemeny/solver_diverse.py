@@ -109,38 +109,31 @@ def _introduce_successors(
     cost of the pairs it forms (tail vertices on either side, plus the bag
     vertices already committed before the whole tail) and the mask of the
     bag vertices it puts below v: the committed ones and the tail before
-    v's slot."""
+    v's slot.
+
+    One walk along the tail: v starts before all of it, and each step moves
+    it past the next tail vertex u, which swaps the pair's charge from
+    ``cost[v][u]`` to ``cost[u][v]`` and puts u below v. A slot is emitted
+    once v has passed every tail vertex below it, and the walk stops at the
+    first one above it."""
     tail, order = key
     cost = instance.cost
     base = instance.base
     up = base.strict_up(v)
-    down = base.strict_down(v)
+    pending = base.strict_down(v) & tail
     new_tail = tail | (1 << v)
-    committed = next_bag & ~new_tail
-    base_cost = sum(cost[u][v] for u in _bits(committed))
+    below = next_bag & ~new_tail
     row_v = cost[v]
-
-    # v must sit after every tail vertex below it and before every one above.
-    lo = 0
-    hi = len(order)
-    for i, u in enumerate(order):
-        if down & (1 << u):
-            lo = i + 1
-        if up & (1 << u) and i < hi:
-            hi = i
+    step = sum(cost[u][v] for u in _bits(below)) + sum(row_v[u] for u in order)
     out = []
-    before_cost = 0
-    below = committed
-    for u in order[:lo]:
-        before_cost += cost[u][v]
+    for slot, u in enumerate((*order, None)):
+        if not pending:
+            out.append(((new_tail, order[:slot] + (v,) + order[slot:]), step, below))
+        if u is None or up >> u & 1:
+            break
+        step += cost[u][v] - row_v[u]
         below |= 1 << u
-    for slot in range(lo, hi + 1):
-        extra = before_cost + sum(row_v[u] for u in order[slot:])
-        new_order = order[:slot] + (v,) + order[slot:]
-        out.append(((new_tail, new_order), base_cost + extra, below))
-        if slot < len(order):
-            before_cost += cost[order[slot]][v]
-            below |= 1 << order[slot]
+        pending &= ~(1 << u)
     return tuple(out)
 
 

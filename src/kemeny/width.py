@@ -44,11 +44,6 @@ class Graph:
                 if not self.adj[u] & (1 << v):
                     raise InputError(f"adjacency not symmetric on ({v},{u})")
 
-    def edges(self) -> list[tuple[int, int]]:
-        return [
-            (u, v) for u in range(self.n) for v in _bits(self.adj[u]) if u < v
-        ]
-
     @property
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
@@ -148,7 +143,8 @@ def nice_decomposition(g: Graph, layout: Sequence[int]) -> "PathDecomposition":
 @dataclass(frozen=True)
 class PathDecomposition:
     """A non-empty sequence of vertex bags (bitmasks); what a step
-    introduces or forgets is read off two consecutive bags."""
+    introduces or forgets is read off two consecutive bags. The checks read
+    each vertex's bags as one mask of bag indices (``_bag_masks``)."""
 
     n: int
     bags: tuple[int, ...]
@@ -161,39 +157,44 @@ class PathDecomposition:
     def width(self) -> int:
         return max(bag.bit_count() for bag in self.bags) - 1
 
+    def _bag_masks(self, n: int) -> list[int]:
+        """Per vertex of 0..n-1, the mask of the indices of its bags."""
+        masks = [0] * n
+        full = _full_mask(n)
+        for i, bag in enumerate(self.bags):
+            for v in _bits(bag & full):
+                masks[v] |= 1 << i
+        return masks
+
     def validate(self, g: Graph) -> list[str]:
         """All decomposition axioms against g; empty list means valid."""
-        problems = []
         if g.n != self.n:
             return [f"decomposition over {self.n} vertices, graph has {g.n}"]
-        union = 0
-        for bag in self.bags:
-            if bag & ~_full_mask(self.n):
-                problems.append("bag mentions vertices outside 0..n-1")
-            union |= bag
-        if union != _full_mask(self.n):
+        full = _full_mask(self.n)
+        problems = [
+            "bag mentions vertices outside 0..n-1" for bag in self.bags if bag & ~full
+        ]
+        masks = self._bag_masks(self.n)
+        if not all(masks):
             problems.append("bags do not cover every vertex")
-        for u, v in g.edges():
-            if not any(bag & (1 << u) and bag & (1 << v) for bag in self.bags):
-                problems.append(f"edge ({u},{v}) not covered by any bag")
-        for v in range(self.n):
-            hits = [i for i, bag in enumerate(self.bags) if bag & (1 << v)]
-            if hits and hits[-1] - hits[0] != len(hits) - 1:
+        for u, mask in enumerate(masks):
+            for v in _bits(g.adj[u] & ~_full_mask(u + 1)):
+                if not mask & masks[v]:
+                    problems.append(f"edge ({u},{v}) not covered by any bag")
+        for v, mask in enumerate(masks):
+            # adding its lowest bit clears a run of consecutive bits
+            if (mask + (mask & -mask)) & mask:
                 problems.append(f"bags containing {v} are not consecutive")
         return problems
 
     def consistency_violations(self, order: PartialOrder) -> list[str]:
         """Strict pairs whose larger element leaves before the smaller enters;
         an element in no bag enters and leaves at -1."""
-        first: dict[int, int] = {}
-        last: dict[int, int] = {}
-        for i, bag in enumerate(self.bags):
-            for v in _bits(bag):
-                first.setdefault(v, i)
-                last[v] = i
+        masks = self._bag_masks(order.n)
         problems = []
+        # a mask's bit length is its last bag + 1, its lowest bit's its first + 1
         for x, y in order.strict_pairs():
-            if last.get(y, -1) < first.get(x, -1):
+            if masks[y].bit_length() < (masks[x] & -masks[x]).bit_length():
                 problems.append(
                     f"element {y} is forgotten before smaller element {x} is introduced"
                 )

@@ -78,10 +78,16 @@ class TestParsing:
         with pytest.raises(InputError, match="^line 2: candidate labels must be unique$"):
             parse_votes("# header next\ncandidates: A,A\nA\n")
 
-    @pytest.mark.parametrize("label", ["Ann Lee", "A<B", "A=B", "A\tB"])
+    @pytest.mark.parametrize("label", ["Ann Lee", "A<B", "A=B", "A\tB", "pairs:x"])
     def test_label_the_formats_cannot_express_rejected(self, label):
-        # votes split on '<' and '=', decomposition dumps on whitespace
-        with pytest.raises(InputError, match=f"^line 2: candidate label {re.escape(repr(label))} contains"):
+        # votes split on '<' and '=', decomposition dumps on whitespace, and
+        # a vote line that starts with 'pairs:' is a pair list
+        if label.startswith("pairs:"):
+            reason = "starts with 'pairs:'"
+        else:
+            reason = "contains whitespace, '<' or '='"
+        message = f"line 2: candidate label {label!r} {reason}"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             parse_votes(f"# header next\ncandidates: {label},C\nC\n")
 
     def test_repeated_candidate_in_vote_rejected(self):

@@ -11,6 +11,7 @@ from kemeny.errors import InternalError
 from kemeny.instances import (
     fifty_fifty_profile,
     five_type_profile,
+    random_linear_extension,
     random_profile,
 )
 from kemeny.oracle import enumerate_extensions, oracle_diverse, oracle_optimum
@@ -81,6 +82,26 @@ def first_bag_states(inst, bag):
     return set(least_costs(forward_tables(inst, dec))[bag.bit_count()].items())
 
 
+def introduce_by_definition(key, v, next_bag, inst):
+    """Every slot of the tail whose new order keeps to the base order, in
+    slot order, each with the cost of v's pairs with the committed bag
+    vertices and the tail, and with the committed vertices and the tail
+    before v as its ``below``."""
+    tail, order = key
+    new_tail = tail | 1 << v
+    committed = [u for u in range(inst.n) if (next_bag & ~new_tail) >> u & 1]
+    out = []
+    for slot in range(len(order) + 1):
+        new_order = order[:slot] + (v,) + order[slot:]
+        if any(inst.base.rows[b] >> a & 1 for a, b in itertools.combinations(new_order, 2)):
+            continue
+        step = sum(inst.cost[u][v] for u in committed + list(order[:slot]))
+        step += sum(inst.cost[v][u] for u in order[slot:])
+        below = sum(1 << u for u in committed + list(order[:slot]))
+        out.append(((new_tail, new_order), step, below))
+    return tuple(out)
+
+
 class TestTripleSuccessors:
     def test_forget_keeps_suffix(self):
         # forget vertex 1 from tail (1, 0): survivor 0 sits after it
@@ -129,6 +150,44 @@ class TestTripleSuccessors:
             ((0b110, (1, 2)), 2 + 3, 0b011),  # 2 after 1: pay c(1,2); plus c(0,2)
             ((0b110, (2, 1)), 2 + 7, 0b001),  # 2 before 1: pay c(2,1); plus c(0,2)
         }
+
+    def test_introduce_matches_the_definition_on_reachable_keys(self):
+        rng = random.Random(27)
+        checked = 0
+        for _ in range(40):
+            inst = random_cost_instance(rng.randint(2, 8), rng, rng.random())
+            dec = consistent_path_decomposition(inst.base).decomposition
+            for p, here in enumerate(forward_tables(inst, dec)):
+                bag, next_bag = dec.bags[p], dec.bags[p + 1]
+                if next_bag & ~bag:
+                    v = (next_bag & ~bag).bit_length() - 1
+                    for key in here:
+                        assert _introduce_successors(key, v, next_bag, inst) == (
+                            introduce_by_definition(key, v, next_bag, inst)
+                        )
+                        checked += 1
+        assert checked > 1000
+
+    def test_introduce_matches_the_definition_on_hand_made_keys(self):
+        # tails in base order that may hold vertices above v, which a
+        # width-optimal decomposition never introduces before v
+        rng = random.Random(28)
+        above_first = 0
+        for _ in range(600):
+            n = rng.randint(2, 8)
+            inst = random_cost_instance(n, rng, rng.random())
+            v = rng.randrange(n)
+            perm = random_linear_extension(inst.base, rng).perm
+            order = tuple(u for u in perm if u != v and rng.random() < 0.6)
+            tail = sum(1 << u for u in order)
+            others = [u for u in range(n) if u != v and not tail >> u & 1]
+            next_bag = tail | 1 << v | sum(1 << u for u in others if rng.random() < 0.5)
+            key = (tail, order)
+            assert _introduce_successors(key, v, next_bag, inst) == (
+                introduce_by_definition(key, v, next_bag, inst)
+            )
+            above_first += bool(order) and inst.base.rows[v] >> order[0] & 1
+        assert above_first > 30
 
 
 class TestInitialTriples:
@@ -515,3 +574,52 @@ class TestKraEntryPoint:
             if result.outcome.feasible:
                 for w, score in zip(result.outcome.witnesses, result.scores):
                     assert kemeny_score(profile, w) == score
+
+
+class TestProjectionRoundTrip:
+    def test_optimal_solutions_project_onto_dp_states(self):
+        # the tail of any oracle optimum at any position is a reachable key
+        # whose least cost to reach is the projected partial cost, and whose
+        # cost to go is the optimum less that
+        rng = random.Random(24)
+        for _ in range(25):
+            inst = random_cost_instance(rng.randint(2, 6), rng, rng.random())
+            cpd = consistent_path_decomposition(inst.base)
+            dec = cpd.decomposition
+            moves = forward_tables(inst, dec)
+            reach, to_go = least_costs(moves), backward_tables(moves)
+            opt, winners = oracle_optimum(inst)
+            charge = inst.cost
+            for ext in winners:
+                pos = {v: i for i, v in enumerate(ext.perm)}
+                seen = 0
+                for p in range(len(dec.bags)):
+                    seen |= dec.bags[p]
+                    left = seen & ~dec.bags[p]
+                    cut = max((pos[v] for v in bits(left)), default=-1)
+                    tail = [v for v in bits(dec.bags[p]) if pos[v] > cut]
+                    tail.sort(key=lambda v: pos[v])
+                    placed = sorted(
+                        bits(left | dec.bags[p]), key=lambda v: pos[v]
+                    )
+                    cost = sum(
+                        charge[x][y]
+                        for i, x in enumerate(placed)
+                        for y in placed[i + 1 :]
+                    )
+                    mask = 0
+                    for v in tail:
+                        mask |= 1 << v
+                    key = (mask, tuple(tail))
+                    assert key in to_go[p]
+                    assert reach[p][key] == cost
+                    assert to_go[p][key] == opt - cost
+
+
+def bits(mask):
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out

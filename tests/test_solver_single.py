@@ -30,7 +30,7 @@ from kemeny.solver_diverse import (
 from kemeny.solver_single import solve_single
 from kemeny.width import consistent_path_decomposition
 
-from cost_instances import least_costs, random_cost_instance
+from cost_instances import random_cost_instance
 
 
 def chain(n):
@@ -213,52 +213,3 @@ class TestReconstruction:
             inst = random_cost_instance(rng.randint(2, 6), rng, rng.random())
             solution = solve_single(inst)
             assert inst.extension_cost(solution.extension) == solution.cost
-
-
-class TestProjectionRoundTrip:
-    def test_optimal_solutions_project_onto_dp_states(self):
-        # the tail of any oracle optimum at any position is a reachable key
-        # whose least cost to reach is the projected partial cost, and whose
-        # cost to go is the optimum less that
-        rng = random.Random(24)
-        for _ in range(25):
-            inst = random_cost_instance(rng.randint(2, 6), rng, rng.random())
-            cpd = consistent_path_decomposition(inst.base)
-            dec = cpd.decomposition
-            moves = forward_tables(inst, dec)
-            reach, to_go = least_costs(moves), backward_tables(moves)
-            opt, winners = oracle_optimum(inst)
-            charge = inst.cost
-            for ext in winners:
-                pos = {v: i for i, v in enumerate(ext.perm)}
-                seen = 0
-                for p in range(len(dec.bags)):
-                    seen |= dec.bags[p]
-                    left = seen & ~dec.bags[p]
-                    cut = max((pos[v] for v in bits(left)), default=-1)
-                    tail = [v for v in bits(dec.bags[p]) if pos[v] > cut]
-                    tail.sort(key=lambda v: pos[v])
-                    placed = sorted(
-                        bits(left | dec.bags[p]), key=lambda v: pos[v]
-                    )
-                    cost = sum(
-                        charge[x][y]
-                        for i, x in enumerate(placed)
-                        for y in placed[i + 1 :]
-                    )
-                    mask = 0
-                    for v in tail:
-                        mask |= 1 << v
-                    key = (mask, tuple(tail))
-                    assert key in to_go[p]
-                    assert reach[p][key] == cost
-                    assert to_go[p][key] == opt - cost
-
-
-def bits(mask):
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out

@@ -235,6 +235,70 @@ class TestConsistentDecomposition:
         ]
 
 
+def problems_by_axioms(dec, g, order):
+    """``validate`` plus ``consistency_violations``, read naively off the
+    axioms: bag by bag, vertex by vertex and pair by pair."""
+    n, bags = dec.n, dec.bags
+    problems = [
+        "bag mentions vertices outside 0..n-1"
+        for bag in bags
+        if any(bag >> v & 1 for v in range(n, bag.bit_length()))
+    ]
+    hits = [[i for i, bag in enumerate(bags) if bag >> v & 1] for v in range(n)]
+    if not all(hits):
+        problems.append("bags do not cover every vertex")
+    for u, v in itertools.combinations(range(n), 2):
+        if has_edge(g, u, v) and not set(hits[u]) & set(hits[v]):
+            problems.append(f"edge ({u},{v}) not covered by any bag")
+    for v in range(n):
+        if hits[v] and hits[v] != list(range(hits[v][0], hits[v][-1] + 1)):
+            problems.append(f"bags containing {v} are not consecutive")
+    for x, y in itertools.product(range(n), repeat=2):
+        if x != y and order.rows[x] >> y & 1:
+            if max(hits[y], default=-1) < min(hits[x], default=-1):
+                problems.append(
+                    f"element {y} is forgotten before smaller element {x} is introduced"
+                )
+    return problems
+
+
+class TestDecompositionChecks:
+    KINDS = ("outside", "do not cover", "not covered", "not consecutive", "forgotten")
+
+    def test_out_of_range_bag_still_covers(self):
+        # bit 2 lies outside 0..1, but bits 0 and 1 cover both vertices
+        dec = PathDecomposition(2, (0b111,))
+        assert dec.validate(Graph(2, (0, 0))) == ["bag mentions vertices outside 0..n-1"]
+
+    def test_random_bag_sequences_match_the_axioms(self):
+        # each vertex held over a run of bags, with gaps, missing vertices,
+        # empty bags and bits past n thrown in
+        rng = random.Random(27)
+        kinds = set()
+        for _ in range(1500):
+            n = rng.randint(1, 9)
+            order = random_partial_order(n, rng, rng.random())
+            bags = [0] * rng.randint(1, 12)
+            for v in range(n):
+                if rng.random() < 0.9:
+                    a = rng.randrange(len(bags))
+                    for i in range(a, rng.randint(a, len(bags) - 1) + 1):
+                        bags[i] |= 1 << v
+                if rng.random() < 0.1:
+                    bags[rng.randrange(len(bags))] ^= 1 << v
+            if rng.random() < 0.1:
+                bags[rng.randrange(len(bags))] |= 1 << rng.randint(n, n + 3)
+            if rng.random() < 0.2:
+                bags.insert(rng.randrange(len(bags) + 1), 0)
+            dec = PathDecomposition(n, tuple(bags))
+            g = cocomparability_graph(order)
+            found = dec.validate(g) + dec.consistency_violations(order)
+            assert found == problems_by_axioms(dec, g, order)
+            kinds.update(kind for kind in self.KINDS for problem in found if kind in problem)
+            kinds.add("invalid" if found else "valid")
+        assert kinds == {*self.KINDS, "invalid", "valid"}
+
+
 class TestLatticeWidth:
     """The single solver reads the width off the lattice as w[empty] and
     bounds the ideals by n * 2^w + 1, with no decomposition built."""
