@@ -81,6 +81,8 @@ EXIT_INTERNAL = 70
 _MULT_RE = re.compile(r"^(\d+)\s*x\s+(.*)$")
 # Votes split on '<' and '=', and dumped bags on whitespace.
 _LABEL_BREAK_RE = re.compile(r"[\s<=]")
+# Also ',' splits the header, '#' starts a comment, 'pairs:' a pair list.
+_UNWRITABLE_RE = re.compile(r"[\s<=,#]|^pairs:")
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
@@ -209,27 +211,20 @@ def _as_buckets(order: PartialOrder) -> list[list[int]] | None:
     return chain
 
 
-def _transitive_reduction(order: PartialOrder) -> list[tuple[int, int]]:
-    pairs = []
-    for x, y in order.strict_pairs():
-        if not order.strict_up(x) & order.strict_down(y):
-            pairs.append((x, y))
-    return pairs
-
-
 def serialize_vote(order: PartialOrder, names: Sequence[str]) -> str:
     """A bucket line for a weak order (an antichain is one bucket), else a
     ``pairs:`` line of the transitive reduction."""
     buckets = _as_buckets(order)
     if buckets is not None:
         return "<".join("=".join(names[v] for v in sorted(b)) for b in buckets)
-    return "pairs: " + ", ".join(
-        f"{names[x]}<{names[y]}" for x, y in sorted(_transitive_reduction(order))
-    )
+    return "pairs: " + ", ".join(f"{names[x]}<{names[y]}" for x, y in order.cover_pairs())
 
 
 def serialize_profile(profile: Profile) -> str:
     names = profile.candidates.names
+    for name in names:
+        if _UNWRITABLE_RE.search(name):
+            raise InputError(f"candidate label {name!r} cannot be written to a vote file")
     lines = ["candidates: " + ",".join(names)]
     for vote, mult in profile.votes:
         body = serialize_vote(vote, names)

@@ -243,6 +243,15 @@ class PartialOrder:
             for y in _bits(self.strict_up(x)):
                 yield (x, y)
 
+    def cover_pairs(self) -> Iterator[tuple[int, int]]:
+        """The strict pairs with nothing between them: the transitive
+        reduction, in ascending order."""
+        for x in range(self.n):
+            up = self.strict_up(x)
+            for y in _bits(up):
+                if not up & self.strict_down(y):
+                    yield (x, y)
+
 
 @dataclass(frozen=True)
 class LinearOrder:

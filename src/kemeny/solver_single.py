@@ -5,12 +5,12 @@
 (*Fixed-parameter algorithms for Kemeny rankings*, TCS 2009). A state is
 the bitmask of the vertices already placed; placing a minimal remaining
 vertex v pays cost[v][u] for every u still unplaced after it. The ideals
-are built once, in order of size, each mapped to its moves
-(``width.ideal_lattice``), and a backward pass over that mapping gives
-every ideal's exact cost to go. A move is tight when it keeps to that
-cost, and the optimal rankings are exactly the paths of tight moves from
-the empty ideal to the full one (De Loof, De Meyer and De Baets,
-Fundamenta Informaticae 2006). Walked depth first in ascending
+are built once, in order of size, each mapped to its moves, taken from
+its parent's (``width.ideal_lattice``), and a backward pass over that
+mapping gives every ideal's exact cost to go. A move is tight when it
+keeps to that cost, and the optimal rankings are exactly the paths of
+tight moves from the empty ideal to the full one (De Loof, De Meyer and
+De Baets, Fundamenta Informaticae 2006). Walked depth first in ascending
 vertex index, they come in lexicographic order, a function of the input
 alone: ``solve`` and ``pco`` take the first, ``optima`` the first r.
 
@@ -62,13 +62,12 @@ def optimal_rankings(
         for v, cost in enumerate(instance.cost)
     ]
 
-    def step(ideal: int, v: int) -> int:
-        return sum(c for bit, c in pays[v] if not ideal & bit)
-
     to_go = {full: 0}
     for ideal, vs in reversed(moves.items()):
         check_deadline(deadline)
-        to_go[ideal] = min(step(ideal, v) + to_go[ideal | 1 << v] for v in vs)
+        to_go[ideal] = min(
+            sum([c for bit, c in pays[v] if not ideal & bit]) + to_go[ideal | 1 << v] for v in vs
+        )
 
     def walk() -> Iterator[LinearOrder]:
         # Depth first over the tight moves, smallest vertex popped first;
@@ -85,8 +84,9 @@ def optimal_rankings(
                 continue
             left = to_go[ideal]
             for v in reversed(moves[ideal]):
-                if step(ideal, v) + to_go[ideal | 1 << v] == left:
-                    stack.append((ideal | 1 << v, prefix + (v,)))
+                nxt = ideal | 1 << v
+                if sum([c for bit, c in pays[v] if not ideal & bit]) + to_go[nxt] == left:
+                    stack.append((nxt, prefix + (v,)))
 
     return to_go[0], width, walk()
 

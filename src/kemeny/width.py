@@ -2,15 +2,16 @@
 
 The order's ideal lattice is one mapping from every ideal but the full
 one to its moves, the minimal vertices outside it, with the ideals in
-order of size (``ideal_lattice``). A backward pass over it gives each
-ideal the least vertex separation in the cocomparability graph of a
-layout continuing it (``ideal_widths``): at the empty ideal, the pathwidth
-(Habib and Möhring, Order 1994), which the single solver reads without
-building bags. A greedy walk over those widths picks a width-optimal
-linear extension, whose nice decomposition introduces every element
-before any larger one, so it never forgets an element while a smaller one
-is still waiting to be introduced, which is exactly what the tail-order
-dynamic programs need.
+order of size (``ideal_lattice``), each built from its parent's moves
+rather than a scan of the vertices outside it. A backward pass over it
+gives each ideal the least vertex separation in the cocomparability
+graph of a layout continuing it (``ideal_widths``): at the empty ideal,
+the pathwidth (Habib and Möhring, Order 1994), which the single solver
+reads without building bags. A greedy walk over those widths picks a
+width-optimal linear extension, whose nice decomposition introduces
+every element before any larger one, so it never forgets an element
+while a smaller one is still waiting to be introduced, which is exactly
+what the tail-order dynamic programs need.
 """
 
 from __future__ import annotations
@@ -62,20 +63,33 @@ def cocomparability_graph(order: PartialOrder) -> Graph:
 def ideal_lattice(order: PartialOrder, deadline: float | None = None) -> dict[int, list[int]]:
     """Every ideal (downset) of the order but the full one, mapped to its
     minimal remaining vertices in ascending index. Ideals are inserted in
-    order of size, from the empty one, so a backward pass over the items
-    meets every ideal after all the larger ones. The deadline is checked
-    once per ideal."""
-    full = _full_mask(order.n)
-    down = [order.strict_down(v) for v in range(order.n)]
-    moves: dict[int, list[int]] = {}
-    layer = {0}
-    for _ in range(order.n):
-        nxt: set[int] = set()
-        for ideal in layer:
-            check_deadline(deadline)
-            vs = moves[ideal] = [v for v in _bits(full & ~ideal) if not down[v] & ~ideal]
-            nxt.update(ideal | 1 << v for v in vs)
-        layer = nxt
+    order of size, breadth first from the empty one, so a backward pass
+    over the items meets every ideal after all the larger ones. A new ideal
+    I | x takes the moves of the first parent I that reaches it: I's moves
+    but x, which stay minimal since two minimal vertices are incomparable,
+    plus each upper cover of x whose strict down-set I | x now holds. The
+    deadline is checked once per ideal."""
+    n = order.n
+    down = [order.strict_down(v) for v in range(n)]
+    # per vertex x, (u, strict down-set of u) over the u that cover x
+    covers: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for x, u in order.cover_pairs():
+        covers[x].append((u, down[u]))
+    moves = {0: [v for v in range(n) if not down[v]]}
+    queue = [0]
+    for ideal in queue:
+        check_deadline(deadline)
+        vs = moves[ideal]
+        for x in vs:
+            child = ideal | 1 << x
+            if child in moves:
+                continue
+            rest = vs.copy()
+            rest.remove(x)
+            freed = [u for u, below in covers[x] if not below & ~child]
+            moves[child] = sorted(rest + freed) if freed else rest
+            queue.append(child)
+    del moves[_full_mask(n)]
     return moves
 
 

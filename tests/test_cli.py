@@ -21,7 +21,15 @@ from kemeny.instances import (
     random_partial_order,
     random_profile,
 )
-from kemeny.orders import LinearOrder, PartialOrder, diversity, kemeny_score, reduce_to_co
+from kemeny.orders import (
+    CandidateSet,
+    LinearOrder,
+    PartialOrder,
+    Profile,
+    diversity,
+    kemeny_score,
+    reduce_to_co,
+)
 
 DATA = pathlib.Path(__file__).parent / "data"
 FIVE = str(DATA / "five_type.votes")
@@ -244,6 +252,26 @@ class TestRoundTrip:
             (vote, _), = parse_votes(f"candidates: {','.join(names)}\n{line}\n").votes
             assert vote == order
         assert min(kinds.values()) > 50
+
+    @pytest.mark.parametrize(
+        "label", ["A#x", "A,x", "A x", "A\tx", "A<x", "A=x", "pairs:x"]
+    )
+    def test_label_a_vote_file_cannot_hold_is_not_written(self, label):
+        # '#' would start a comment and ',' split the header, so the text
+        # would read back as another profile or fail only on reading
+        profile = Profile(CandidateSet((label, "B")), ((PartialOrder.antichain(2), 1),))
+        message = f"candidate label {label!r} cannot be written to a vote file"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            serialize_profile(profile)
+
+    def test_labels_near_the_forbidden_ones_round_trip(self):
+        profile = Profile(
+            CandidateSet(("xpairs:", "pairs", "A:B", "A-B")),
+            ((PartialOrder.from_pairs(4, [(0, 1), (2, 3)]), 2),),
+        )
+        text = serialize_profile(profile)
+        assert text == "candidates: xpairs:,pairs,A:B,A-B\n2 x pairs: xpairs:<pairs, A:B<A-B\n"
+        assert parse_votes(text) == profile
 
     def test_random_profiles_round_trip(self):
         rng = random.Random(71)

@@ -32,11 +32,13 @@ from kemeny.solver_diverse import (
     backward_tables,
     find_distinct_optima,
     forward_tables,
+    reconstruct_extension,
     solve_diverse,
     solve_diverse_kra,
     solve_max_diversity,
     tuple_successors,
 )
+from kemeny.solver_single import solve_single
 from kemeny.width import (
     ConsistentPathDecomposition,
     PathDecomposition,
@@ -574,6 +576,40 @@ class TestKraEntryPoint:
             if result.outcome.feasible:
                 for w, score in zip(result.outcome.witnesses, result.scores):
                     assert kemeny_score(profile, w) == score
+
+
+class TestReconstruction:
+    def test_single_bag_chain(self):
+        chain_ = [(0, ()), (0b01, (0,)), (0b11, (1, 0)), (0b01, (0,)), (0, ())]
+        ext = reconstruct_extension(chain_, PartialOrder.antichain(2))
+        assert ext.perm == (1, 0)
+
+    def test_hand_built_two_bag_chain(self):
+        # tails (1, 0), then forgetting 1 commits it and (0, 2) follows
+        chain_ = [
+            (0, ()), (0b01, (0,)), (0b11, (1, 0)), (0b01, (0,)),
+            (0b101, (0, 2)), (0b100, (2,)), (0, ()),
+        ]
+        ext = reconstruct_extension(chain_, PartialOrder.antichain(3))
+        assert ext.perm == (1, 0, 2)
+
+    def test_chain_that_skips_a_vertex_rejected(self):
+        # vertex 1 never enters a tail, so it is never committed
+        chain_ = [(0, ()), (0b001, (0,)), (0b101, (0, 2)), (0, ())]
+        with pytest.raises(InternalError, match="exactly once"):
+            reconstruct_extension(chain_, PartialOrder.antichain(3))
+
+    def test_chain_against_the_base_order_rejected(self):
+        chain_ = [(0, ()), (0b01, (0,)), (0b11, (1, 0)), (0, ())]
+        with pytest.raises(InternalError, match="base order"):
+            reconstruct_extension(chain_, chain(2))
+
+    def test_chain_cost_matches_register(self):
+        rng = random.Random(23)
+        for _ in range(20):
+            inst = random_cost_instance(rng.randint(2, 6), rng, rng.random())
+            solution = solve_single(inst)
+            assert inst.extension_cost(solution.extension) == solution.cost
 
 
 class TestProjectionRoundTrip:

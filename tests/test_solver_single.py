@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from kemeny import solver_single
+from kemeny import solver_single, width
 from kemeny.cli import parse_votes
 from kemeny.errors import InternalError
 from kemeny.instances import (
@@ -21,13 +21,8 @@ from kemeny.instances import (
 )
 from kemeny.oracle import oracle_optimum
 from kemeny.orders import CostInstance, LinearOrder, PartialOrder, reduce_to_co
-from kemeny.solver_diverse import (
-    backward_tables,
-    forward_tables,
-    reconstruct_extension,
-    tail_bound,
-)
-from kemeny.solver_single import solve_single
+from kemeny.solver_diverse import backward_tables, forward_tables, tail_bound
+from kemeny.solver_single import optimal_rankings, solve_single
 from kemeny.width import consistent_path_decomposition
 
 from cost_instances import random_cost_instance
@@ -181,35 +176,36 @@ class TestIdealEngine:
         assert tail_bound(2, 1) == 16  # e * 3 * 2! = 16.3
 
 
-class TestReconstruction:
-    def test_single_bag_chain(self):
-        chain_ = [(0, ()), (0b01, (0,)), (0b11, (1, 0)), (0b01, (0,)), (0, ())]
-        ext = reconstruct_extension(chain_, PartialOrder.antichain(2))
-        assert ext.perm == (1, 0)
+class TestEveryOptimum:
+    def test_walk_yields_every_oracle_minimizer_in_order(self):
+        # all the optima, not just the first r: the tight-path walk yields
+        # each minimizer once, ascending by vertex sequence
+        rng = random.Random(28)
+        ties = 0
+        for i in range(200):
+            n = rng.randint(2, 8)
+            if i % 2:
+                inst = random_cost_instance(n, rng, rng.uniform(0.2, 0.7), max_cost=2)
+            else:
+                inst = reduce_to_co(random_profile(n, rng.randint(1, 4), rng))
+            opt, _, rankings = optimal_rankings(inst)
+            best, winners = oracle_optimum(inst)
+            assert opt == best
+            assert list(rankings) == sorted(winners, key=lambda w: w.perm)
+            ties += len(winners) > 1
+        assert ties >= 100
 
-    def test_hand_built_two_bag_chain(self):
-        # tails (1, 0), then forgetting 1 commits it and (0, 2) follows
-        chain_ = [
-            (0, ()), (0b01, (0,)), (0b11, (1, 0)), (0b01, (0,)),
-            (0b101, (0, 2)), (0b100, (2,)), (0, ()),
-        ]
-        ext = reconstruct_extension(chain_, PartialOrder.antichain(3))
-        assert ext.perm == (1, 0, 2)
+    def test_one_solve_builds_one_lattice(self, monkeypatch):
+        # the cost pass and the width pass share one lattice, built by
+        # width.ideal_lattice and by no second builder
+        assert solver_single.ideal_lattice is width.ideal_lattice
+        built = []
 
-    def test_chain_that_skips_a_vertex_rejected(self):
-        # vertex 1 never enters a tail, so it is never committed
-        chain_ = [(0, ()), (0b001, (0,)), (0b101, (0, 2)), (0, ())]
-        with pytest.raises(InternalError, match="exactly once"):
-            reconstruct_extension(chain_, PartialOrder.antichain(3))
+        def counted(*args):
+            built.append(args)
+            return width.ideal_lattice(*args)
 
-    def test_chain_against_the_base_order_rejected(self):
-        chain_ = [(0, ()), (0b01, (0,)), (0b11, (1, 0)), (0, ())]
-        with pytest.raises(InternalError, match="base order"):
-            reconstruct_extension(chain_, chain(2))
-
-    def test_chain_cost_matches_register(self):
-        rng = random.Random(23)
-        for _ in range(20):
-            inst = random_cost_instance(rng.randint(2, 6), rng, rng.random())
-            solution = solve_single(inst)
-            assert inst.extension_cost(solution.extension) == solution.cost
+        monkeypatch.setattr(solver_single, "ideal_lattice", counted)
+        inst = reduce_to_co(five_type_profile())
+        assert solve_single(inst).cost == 10
+        assert built == [(inst.base, None)]

@@ -355,11 +355,34 @@ class TestIdealLattice:
         for _ in range(60):
             self.assert_contract(random_partial_order(rng.randint(1, 10), rng, rng.random()))
 
+    def test_random_orders_up_to_twelve(self):
+        # sparse, so that most have hundreds to thousands of ideals
+        rng = random.Random(28)
+        for _ in range(30):
+            order = random_partial_order(rng.randint(11, 12), rng, rng.uniform(0, 0.4))
+            self.assert_contract(order)
+
     @pytest.mark.parametrize(
         "order", [PartialOrder.antichain(10), chain(10)], ids=["antichain10", "chain10"]
     )
     def test_extremes(self, order):
         self.assert_contract(order)
+
+    def test_vertex_freed_by_its_last_lower_cover(self):
+        # 0 < 2 and 1 < 2: placing 0 or 1 alone frees nothing, placing the
+        # other one too frees 2
+        order = PartialOrder.from_pairs(3, [(0, 2), (1, 2)])
+        assert ideal_lattice(order) == {0b000: [0, 1], 0b001: [1], 0b010: [0], 0b011: [2]}
+        self.assert_contract(order)
+
+    def test_strict_upper_element_that_is_no_cover(self):
+        # in 0 < 1 < 2, 2 is above 0 but freed by 1 only
+        assert ideal_lattice(chain(3)) == {0b000: [0], 0b001: [1], 0b011: [2]}
+        self.assert_contract(chain(3))
+
+    def test_past_deadline_aborts(self):
+        with pytest.raises(CapabilityError):
+            ideal_lattice(PartialOrder.antichain(6), time.monotonic() - 1)
 
 
 class TestBadTripleProperty:
