@@ -34,8 +34,8 @@ def main():
     order = random_partial_order(7, rng, density=0.35)
     print("strict pairs of the order:", sorted(order.strict_pairs()))
 
-    g = cocomparability_graph(order)
-    print(f"incomparability graph: {g.n} vertices, {g.edge_count} edges")
+    edges = sum(row.bit_count() for row in cocomparability_graph(order)) // 2
+    print(f"incomparability graph: {order.n} vertices, {edges} edges")
 
     lattice = ideal_lattice(order)
     sizes = [0] * order.n + [1]  # the full ideal has no moves, so no key
@@ -43,7 +43,7 @@ def main():
         sizes[ideal.bit_count()] += 1
     print(f"ideal lattice: {sum(sizes)} ideals, by size {sizes}")
 
-    layout = width_optimal_extension(g, lattice)
+    layout = width_optimal_extension(order, lattice)
     print("width-optimal linear extension:", " < ".join(map(str, layout)))
 
     cpd = consistent_path_decomposition(order)

@@ -30,7 +30,6 @@ from .solver_diverse import (
 from .solver_single import SingleSolution, solve_single
 from .width import (
     ConsistentPathDecomposition,
-    Graph,
     PathDecomposition,
     cocomparability_graph,
     consistent_path_decomposition,
@@ -44,7 +43,6 @@ __all__ = [
     "DiverseOutcome",
     "DiverseQuery",
     "DiverseState",
-    "Graph",
     "InputError",
     "InternalError",
     "KemenyError",

@@ -1,8 +1,8 @@
 """Command-line surface: vote-file parsing, result documents, and the
 solver/oracle/generator subcommands.
 
-``run`` is the one path from argv to output: it reads the vote file, sets
-the deadline, calls the subcommand, which returns its exit code and
+``run`` is the one path from argv to output: it sets the deadline, reads
+the vote file, calls the subcommand, which returns its exit code and
 document, appends the ``--timing`` line, renders the document and writes it
 once. ``gen`` alone writes vote text instead of a document.
 
@@ -35,7 +35,7 @@ import time
 from dataclasses import dataclass, field
 from typing import IO, Sequence
 
-from .errors import CapabilityError, InputError, InternalError
+from .errors import CapabilityError, InputError, InternalError, check_deadline
 from .instances import (
     BucketSpec,
     five_type_profile,
@@ -65,7 +65,7 @@ from .solver_diverse import (
     solve_max_diversity,
 )
 from .solver_single import solve_single
-from .width import PathDecomposition, cocomparability_graph, consistent_path_decomposition
+from .width import PathDecomposition, consistent_path_decomposition
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -94,8 +94,9 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def parse_votes(text: str) -> Profile:
-    """Parse a vote file into a Profile, with line-precise diagnostics."""
+def parse_votes(text: str, deadline: float | None = None) -> Profile:
+    """Parse a vote file into a Profile, with line-precise diagnostics; the
+    deadline is checked once per vote line."""
     lines = _content_lines(text)
     if not lines:
         raise InputError("empty vote file")
@@ -120,6 +121,7 @@ def parse_votes(text: str) -> Profile:
     units = _units(candidates.n)
     votes = []
     for lineno, line in lines[1:]:
+        check_deadline(deadline)
         mult = 1
         match = _MULT_RE.match(line)
         if match:
@@ -331,7 +333,8 @@ def _selection(
 
 def _read(path: str) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        # utf-8-sig drops a leading byte-order mark
+        with open(path, "r", encoding="utf-8-sig") as handle:
             return handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
@@ -455,7 +458,7 @@ def _cmd_validate_decomposition(args, profile: Profile, deadline: float | None) 
         raise InputError("decomposition file has no bags")
     dec = PathDecomposition(profile.n, tuple(bags))
     base = unanimity_order(profile)
-    problems = dec.validate(cocomparability_graph(base)) + dec.consistency_violations(base)
+    problems = dec.validate(base) + dec.consistency_violations(base)
     doc = ResultDocument()
     doc.add("result", "validate-decomposition")
     doc.add("bags", len(bags))
@@ -567,21 +570,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", action="store_true", help="maximize diversity")
     p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("gen", parents=[common], help="generate vote files")
+    p = sub.add_parser("gen", help="generate vote files")
     gen_sub = p.add_subparsers(dest="kind", required=True)
-    g = gen_sub.add_parser("buckets", parents=[common])
+    g = gen_sub.add_parser("buckets")
     g.add_argument("--sizes", required=True, help="comma-separated bucket sizes")
     g.add_argument("--m", type=int, default=4)
     g.add_argument("--noise", type=int, default=0)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", default=None)
-    g = gen_sub.add_parser("random", parents=[common])
+    g = gen_sub.add_parser("random")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--m", type=int, required=True)
     g.add_argument("--density", type=float, default=0.5)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", default=None)
-    g = gen_sub.add_parser("fixture", parents=[common])
+    g = gen_sub.add_parser("fixture")
     g.add_argument("--name", choices=["five-type", "fifty-fifty"], required=True)
     g.add_argument("--out", default=None)
 
@@ -595,9 +598,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Sequence[str], out: IO[str] | None = None, err: IO[str] | None = None) -> int:
-    """Parse argv, read the vote file, set the deadline, run the subcommand,
+    """Parse argv, set the deadline, read the vote file, run the subcommand,
     append ``--timing``, render its document and write it; returns the exit
-    code."""
+    code. The deadline counts from the start, so reading and parsing the
+    vote file spend from it too."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     parser = _build_parser()
@@ -609,8 +613,8 @@ def run(argv: Sequence[str], out: IO[str] | None = None, err: IO[str] | None = N
     try:
         if args.command == "gen":
             return _cmd_gen(args, out)
-        profile = parse_votes(_read(args.votes))
-        deadline = None if args.timeout is None else time.monotonic() + args.timeout
+        deadline = None if args.timeout is None else start + args.timeout
+        profile = parse_votes(_read(args.votes), deadline)
         code, doc = args.func(args, profile, deadline)
         if args.timing:
             doc.add("timing-ms", round((time.monotonic() - start) * 1000.0, 1))

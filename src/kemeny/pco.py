@@ -51,7 +51,8 @@ def solve_pco(
     """
     if k < 0:
         raise InputError("budget must be non-negative")
-    edges = cocomparability_graph(inst.instance.base).edge_count
+    rows = cocomparability_graph(inst.instance.base)
+    edges = sum(row.bit_count() for row in rows) // 2
     if edges > k:
         return PcoResult(False, edges, None, None, None)
     solution = solve_single(inst.instance, deadline=deadline)

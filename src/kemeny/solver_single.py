@@ -31,7 +31,7 @@ from typing import Iterator
 
 from .errors import InternalError, check_bound, check_deadline
 from .orders import CostInstance, LinearOrder, _bits
-from .width import cocomparability_graph, ideal_lattice, ideal_widths
+from .width import ideal_lattice, ideal_widths
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ def optimal_rankings(
     checked to cost the optimum before it is yielded."""
     base = instance.base
     moves = ideal_lattice(base, deadline)
-    width = ideal_widths(cocomparability_graph(base), moves, deadline)[0]
+    width = ideal_widths(base, moves, deadline)[0]
     n = instance.n
     check_bound("ideal", len(moves) + 1, n * 2**width + 1)
     full = (1 << n) - 1

@@ -1,17 +1,19 @@
 """Cocomparability graphs and order-consistent path decompositions.
 
-The order's ideal lattice is one mapping from every ideal but the full
-one to its moves, the minimal vertices outside it, with the ideals in
-order of size (``ideal_lattice``), each built from its parent's moves
-rather than a scan of the vertices outside it. A backward pass over it
-gives each ideal the least vertex separation in the cocomparability
-graph of a layout continuing it (``ideal_widths``): at the empty ideal,
-the pathwidth (Habib and Möhring, Order 1994), which the single solver
-reads without building bags. A greedy walk over those widths picks a
-width-optimal linear extension, whose nice decomposition introduces
-every element before any larger one, so it never forgets an element
-while a smaller one is still waiting to be introduced, which is exactly
-what the tail-order dynamic programs need.
+Every routine here takes the order itself: its cocomparability graph is
+read off it as the incomparability rows (``cocomparability_graph``), one
+bitmask per vertex. The order's ideal lattice is one mapping from every
+ideal but the full one to its moves, the minimal vertices outside it,
+with the ideals in order of size (``ideal_lattice``), each built from its
+parent's moves rather than a scan of the vertices outside it. A backward
+pass over it gives each ideal the least vertex separation in the
+cocomparability graph of a layout continuing it (``ideal_widths``): at
+the empty ideal, the pathwidth (Habib and Möhring, Order 1994), which the
+single solver reads without building bags. A greedy walk over those
+widths picks a width-optimal linear extension, whose nice decomposition
+introduces every element before any larger one, so it never forgets an
+element while a smaller one is still waiting to be introduced, which is
+exactly what the tail-order dynamic programs need.
 """
 
 from __future__ import annotations
@@ -23,36 +25,10 @@ from .errors import InputError, InternalError, check_deadline
 from .orders import PartialOrder, _bits, _full_mask
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Undirected graph on 0..n-1 with bitmask adjacency rows."""
-
-    n: int
-    adj: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise InputError("graph needs at least one vertex")
-        if len(self.adj) != self.n:
-            raise InputError("adjacency size does not match n")
-        full = _full_mask(self.n)
-        for v, row in enumerate(self.adj):
-            if row & ~full:
-                raise InputError("adjacency mentions vertices outside 0..n-1")
-            if row & (1 << v):
-                raise InputError(f"self-loop at {v}")
-            for u in _bits(row):
-                if not self.adj[u] & (1 << v):
-                    raise InputError(f"adjacency not symmetric on ({v},{u})")
-
-    @property
-    def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.adj) // 2
-
-
-def cocomparability_graph(order: PartialOrder) -> Graph:
-    """Graph joining exactly the incomparable pairs of the order."""
-    return Graph(order.n, tuple(map(order.incomparable_to, range(order.n))))
+def cocomparability_graph(order: PartialOrder) -> tuple[int, ...]:
+    """The order's cocomparability graph as bitmask adjacency rows: row v
+    holds the elements incomparable to v."""
+    return tuple(map(order.incomparable_to, range(order.n)))
 
 
 # ---------------------------------------------------------------------------
@@ -94,33 +70,35 @@ def ideal_lattice(order: PartialOrder, deadline: float | None = None) -> dict[in
 
 
 def ideal_widths(
-    g: Graph, lattice: dict[int, list[int]], deadline: float | None = None
+    order: PartialOrder, lattice: dict[int, list[int]], deadline: float | None = None
 ) -> dict[int, int]:
-    """w[I] for every ideal I of the order: the least vertex separation in
-    g, the order's cocomparability graph, of a layout that continues I.
-    w[empty] is g's pathwidth, reached by some linear extension (Habib and
-    Möhring, *Treewidth of cocomparability graphs and a new order-theoretic
-    parameter*, Order 1994). Backwards, w[I] = max(cut(I), min over moves v
-    of w[I | v]), where cut(I) counts the vertices of I with a neighbour
-    outside I; the neighbours of the outside, reach[I], are those of I | v's
-    outside plus those of v, for any move v."""
-    full = _full_mask(g.n)
+    """w[I] for every ideal I of the order, given its ``lattice``: the least
+    vertex separation in the order's cocomparability graph of a layout that
+    continues I. w[empty] is the graph's pathwidth, reached by some linear
+    extension (Habib and Möhring, *Treewidth of cocomparability graphs and
+    a new order-theoretic parameter*, Order 1994). Backwards, w[I] =
+    max(cut(I), min over moves v of w[I | v]), where cut(I) counts the
+    vertices of I with a neighbour outside I; the neighbours of the outside,
+    reach[I], are those of I | v's outside plus those of v, for any move v."""
+    adj = cocomparability_graph(order)
+    full = _full_mask(order.n)
     w = {full: 0}
     reach = {full: 0}
     for ideal, vs in reversed(lattice.items()):
         check_deadline(deadline)
-        near = reach[ideal] = reach[ideal | 1 << vs[0]] | g.adj[vs[0]]
+        near = reach[ideal] = reach[ideal | 1 << vs[0]] | adj[vs[0]]
         w[ideal] = max((ideal & near).bit_count(), min(w[ideal | 1 << v] for v in vs))
     return w
 
 
 def width_optimal_extension(
-    g: Graph, lattice: dict[int, list[int]], deadline: float | None = None
+    order: PartialOrder, lattice: dict[int, list[int]], deadline: float | None = None
 ) -> list[int]:
-    """A linear extension of least vertex separation in g: from the empty
-    ideal, always the smallest-index move that keeps to w[empty]."""
-    w = ideal_widths(g, lattice, deadline)
-    full = _full_mask(g.n)
+    """A linear extension of least vertex separation in the order's
+    cocomparability graph: from the empty ideal, always the smallest-index
+    move that keeps to w[empty]."""
+    w = ideal_widths(order, lattice, deadline)
+    full = _full_mask(order.n)
     layout = []
     ideal = 0
     while ideal != full:
@@ -130,23 +108,25 @@ def width_optimal_extension(
     return layout
 
 
-def nice_decomposition(g: Graph, layout: Sequence[int]) -> "PathDecomposition":
-    """The nice path decomposition of a layout, from an empty bag to an
-    empty bag: before each vertex is introduced, and once after the last,
-    every bag vertex with no neighbour left to place is forgotten, in
-    ascending index. Its width is the layout's vertex separation: the bag
-    that introduces a vertex holds it and every earlier vertex with a
-    neighbour among it and the later ones."""
+def nice_decomposition(order: PartialOrder, layout: Sequence[int]) -> "PathDecomposition":
+    """The nice path decomposition of a layout of the order's
+    cocomparability graph, from an empty bag to an empty bag: before each
+    vertex is introduced, and once after the last, every bag vertex with
+    no neighbour left to place is forgotten, in ascending index. Its width
+    is the layout's vertex separation: the bag that introduces a vertex
+    holds it and every earlier vertex with a neighbour among it and the
+    later ones."""
+    adj = cocomparability_graph(order)
     bags = [0]
-    left = _full_mask(g.n)
+    left = _full_mask(order.n)
     for v in (*layout, None):
         for u in _bits(bags[-1]):
-            if not g.adj[u] & left:
+            if not adj[u] & left:
                 bags.append(bags[-1] & ~(1 << u))
         if v is not None:
             left &= ~(1 << v)
             bags.append(bags[-1] | 1 << v)
-    return PathDecomposition(g.n, tuple(bags))
+    return PathDecomposition(order.n, tuple(bags))
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +160,12 @@ class PathDecomposition:
                 masks[v] |= 1 << i
         return masks
 
-    def validate(self, g: Graph) -> list[str]:
-        """All decomposition axioms against g; empty list means valid."""
-        if g.n != self.n:
-            return [f"decomposition over {self.n} vertices, graph has {g.n}"]
+    def validate(self, order: PartialOrder) -> list[str]:
+        """All decomposition axioms against the order's cocomparability
+        graph; empty list means valid."""
+        if order.n != self.n:
+            return [f"decomposition over {self.n} vertices, order has {order.n}"]
+        adj = cocomparability_graph(order)
         full = _full_mask(self.n)
         problems = [
             "bag mentions vertices outside 0..n-1" for bag in self.bags if bag & ~full
@@ -192,7 +174,7 @@ class PathDecomposition:
         if not all(masks):
             problems.append("bags do not cover every vertex")
         for u, mask in enumerate(masks):
-            for v in _bits(g.adj[u] & ~_full_mask(u + 1)):
+            for v in _bits(adj[u] & ~_full_mask(u + 1)):
                 if not mask & masks[v]:
                     problems.append(f"edge ({u},{v}) not covered by any bag")
         for v, mask in enumerate(masks):
@@ -234,7 +216,7 @@ class ConsistentPathDecomposition:
         return self.decomposition.width
 
     def validate(self) -> list[str]:
-        problems = self.decomposition.validate(cocomparability_graph(self.order))
+        problems = self.decomposition.validate(self.order)
         problems += self.decomposition.consistency_violations(self.order)
         if not self.decomposition.is_nice:
             problems.append("decomposition is not nice")
@@ -248,9 +230,8 @@ def consistent_path_decomposition(
     graph, of optimal width: the nice decomposition of a width-optimal
     linear extension. A linear extension introduces x before y whenever
     x < y, so the result is consistent by construction."""
-    g = cocomparability_graph(order)
-    layout = width_optimal_extension(g, ideal_lattice(order, deadline), deadline)
-    result = ConsistentPathDecomposition(nice_decomposition(g, layout), order)
+    layout = width_optimal_extension(order, ideal_lattice(order, deadline), deadline)
+    result = ConsistentPathDecomposition(nice_decomposition(order, layout), order)
     problems = result.validate()
     if problems:
         raise InternalError("decomposition invalid: " + "; ".join(problems))

@@ -1,27 +1,28 @@
 """Exhaustive graph searches the tests use as references for the
-decomposition's claims, capped to the small graphs the tests build."""
+decomposition's claims, capped to the small graphs the tests build. A
+graph is a tuple of bitmask adjacency rows, one per vertex, as
+``width.cocomparability_graph`` returns."""
 
 import itertools
 
 from kemeny.errors import CapabilityError
 from kemeny.orders import _bits, _full_mask
-from kemeny.width import Graph
 
 # Vertex caps of the exhaustive searches below.
 EXACT_PATHWIDTH_CAP = 12
 LONG_CYCLE_CAP = 13
 
 
-def exact_pathwidth(g: Graph, cap: int = EXACT_PATHWIDTH_CAP) -> int:
+def exact_pathwidth(adj: tuple[int, ...], cap: int = EXACT_PATHWIDTH_CAP) -> int:
     """Exact pathwidth as the least vertex separation over all layouts, by
     a program over all 2^n vertex subsets."""
-    n = g.n
+    n = len(adj)
     if n > cap:
         raise CapabilityError(f"exact pathwidth capped at {cap} vertices, got {n}")
     full = _full_mask(n)
 
     def boundary(mask: int) -> int:
-        return sum(1 for u in _bits(mask) if g.adj[u] & ~mask)
+        return sum(1 for u in _bits(mask) if adj[u] & ~mask)
 
     dp = [0] * (full + 1)
     for mask in range(1, full + 1):
@@ -30,16 +31,17 @@ def exact_pathwidth(g: Graph, cap: int = EXACT_PATHWIDTH_CAP) -> int:
     return dp[full]
 
 
-def has_long_induced_cycle(g: Graph, cap: int = LONG_CYCLE_CAP) -> bool:
-    """True iff g has an induced cycle on five or more vertices."""
-    if g.n > cap:
+def has_long_induced_cycle(adj: tuple[int, ...], cap: int = LONG_CYCLE_CAP) -> bool:
+    """True iff the graph has an induced cycle on five or more vertices."""
+    n = len(adj)
+    if n > cap:
         raise CapabilityError(f"induced-cycle scan capped at {cap} vertices")
-    for size in range(5, g.n + 1):
-        for subset in itertools.combinations(range(g.n), size):
+    for size in range(5, n + 1):
+        for subset in itertools.combinations(range(n), size):
             mask = 0
             for v in subset:
                 mask |= 1 << v
-            degs = [(g.adj[v] & mask).bit_count() for v in subset]
+            degs = [(adj[v] & mask).bit_count() for v in subset]
             if any(d != 2 for d in degs):
                 continue
             # all degrees two; induced subgraph is a cycle iff connected
@@ -48,7 +50,7 @@ def has_long_induced_cycle(g: Graph, cap: int = LONG_CYCLE_CAP) -> bool:
             while frontier:
                 nxt = 0
                 for v in _bits(frontier):
-                    nxt |= g.adj[v] & mask
+                    nxt |= adj[v] & mask
                 frontier = nxt & ~seen
                 seen |= nxt
             if seen == mask:

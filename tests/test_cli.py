@@ -560,6 +560,10 @@ class TestSubcommands:
         assert code == 0
         assert parse_votes(out).votes == fifty_fifty_profile().votes
 
+    def test_gen_takes_no_document_flags(self):
+        # gen writes vote text, never a document, so --json is a usage error
+        assert invoke(["gen", "fixture", "--name", "fifty-fifty", "--json"]) == (2, "", "")
+
     def test_json_output_is_valid_and_complete(self):
         code, out, _ = invoke(["maxdiv", FIFTY, "--r", "2", "--json"])
         assert code == 0
@@ -620,6 +624,11 @@ class TestSubcommands:
         code, out, err = invoke(["solve", str(votes)])
         assert (code, out) == (2, "")
         assert err.startswith(f"error: cannot read {votes}: ")
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        votes = tmp_path / "bom.votes"
+        votes.write_bytes(b"\xef\xbb\xbf" + pathlib.Path(FIFTY).read_bytes())
+        assert invoke(["solve", str(votes)]) == invoke(["solve", FIFTY])
 
     def test_non_utf8_decomposition_exit_code(self, tmp_path):
         dump = tmp_path / "latin.dec"
@@ -714,6 +723,15 @@ class TestSubcommands:
         )
         assert (code, out) == (3, "") and "timeout" in err
         assert time.monotonic() - start < 1.0
+
+    def test_timeout_counts_from_the_start(self, tmp_path):
+        # parsing 100 000 vote lines alone takes most of a second
+        votes = tmp_path / "long.votes"
+        votes.write_text("candidates: A,B,C,D,E\n" + "A=B<C<D=E\n" * 100_000)
+        start = time.monotonic()
+        code, out, err = invoke(["solve", str(votes), "--timeout", "0.05"])
+        assert (code, out) == (3, "") and "timeout" in err
+        assert time.monotonic() - start < 0.5
 
     def test_solve_reaches_width_eleven(self, tmp_path):
         # two buckets of 12: 12! tail orders per position, 2 * 2^12 ideals
@@ -1129,6 +1147,15 @@ class TestValidateDecomposition:
             "problem-6: edge (2,3) not covered by any bag\n"
             "problem-7: edge (2,4) not covered by any bag\n"
         ), "")
+
+    def test_dump_with_byte_order_mark(self, tmp_path):
+        dump = tmp_path / "five.dec"
+        invoke(["solve", FIVE, "--dump-decomposition", str(dump)])
+        marked = tmp_path / "bom.dec"
+        marked.write_bytes(b"\xef\xbb\xbf" + dump.read_bytes())
+        assert invoke(
+            ["validate-decomposition", FIVE, "--decomposition", str(marked)]
+        ) == invoke(["validate-decomposition", FIVE, "--decomposition", str(dump)])
 
     def test_unknown_candidate_reports_its_line(self, tmp_path):
         dump = tmp_path / "typo.dec"

@@ -3,7 +3,8 @@ every absolute import names a standard-library module, every function,
 class and method the library defines is used outside the tests, no library
 module reads the process environment, the tail-order program stays
 inside the diverse solver, the single solver builds no path decomposition
-and no module but ``orders`` binds or reads an order's columns."""
+and no cocomparability graph, no module keeps a graph class next to the
+order, and no module but ``orders`` binds or reads an order's columns."""
 
 import ast
 import pathlib
@@ -224,6 +225,18 @@ def test_detects_a_tail_program_name():
 def test_single_solver_builds_no_decomposition():
     source = (SRC / "solver_single.py").read_text(encoding="utf-8")
     assert bound_names(source, DECOMPOSITION) == []
+
+
+def test_single_solver_builds_no_graph():
+    # the width pass reads the graph's rows off the order itself
+    source = (SRC / "solver_single.py").read_text(encoding="utf-8")
+    assert bound_names(source, {"cocomparability_graph"}) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_graph_class(path):
+    # the cocomparability graph is the order's incomparability rows
+    assert bound_names(path.read_text(encoding="utf-8"), {"Graph"}) == []
 
 
 def test_detects_a_decomposition_name():

@@ -2,6 +2,7 @@
 decision/maximization entry points."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -36,6 +37,7 @@ from kemeny.solver_diverse import (
     solve_diverse,
     solve_diverse_kra,
     solve_max_diversity,
+    tail_bound,
     tuple_successors,
 )
 from kemeny.solver_single import solve_single
@@ -190,6 +192,14 @@ class TestTripleSuccessors:
             )
             above_first += bool(order) and inst.base.rows[v] >> order[0] & 1
         assert above_first > 30
+
+    def test_tail_bound_counts_ordered_subsets_of_a_bag(self):
+        # at delta 0 the bound is exact: a bag of w + 1 vertices has
+        # sum_k (w + 1)! / k! ordered subsets, 5 for two vertices
+        for w in range(8):
+            ordered = sum(math.factorial(w + 1) // math.factorial(k) for k in range(w + 2))
+            assert tail_bound(0, w) == ordered
+        assert tail_bound(2, 1) == 16  # e * 3 * 2! = 16.3
 
 
 class TestInitialTriples:

@@ -1,6 +1,5 @@
 """The single-optimum solver (ideal lattice) and the tail-order register."""
 
-import math
 import random
 
 import pytest
@@ -21,7 +20,7 @@ from kemeny.instances import (
 )
 from kemeny.oracle import oracle_optimum
 from kemeny.orders import CostInstance, LinearOrder, PartialOrder, reduce_to_co
-from kemeny.solver_diverse import backward_tables, forward_tables, tail_bound
+from kemeny.solver_diverse import backward_tables, forward_tables
 from kemeny.solver_single import optimal_rankings, solve_single
 from kemeny.width import consistent_path_decomposition
 
@@ -166,14 +165,6 @@ class TestIdealEngine:
         monkeypatch.setattr(solver_single, "ideal_widths", lambda *args: {0: 0})
         with pytest.raises(InternalError, match="ideal count 4 exceeds its bound 3"):
             solve_single(inst)
-
-    def test_tail_bound_counts_ordered_subsets_of_a_bag(self):
-        # at delta 0 the bound is exact: a bag of w + 1 vertices has
-        # sum_k (w + 1)! / k! ordered subsets, 5 for two vertices
-        for w in range(8):
-            ordered = sum(math.factorial(w + 1) // math.factorial(k) for k in range(w + 2))
-            assert tail_bound(0, w) == ordered
-        assert tail_bound(2, 1) == 16  # e * 3 * 2! = 16.3
 
 
 class TestEveryOptimum:
