@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import InputError, check_deadline
 from .orders import CostInstance, LinearOrder
 from .solver_single import solve_single
 from .width import cocomparability_graph
@@ -51,6 +51,7 @@ def solve_pco(
     """
     if k < 0:
         raise InputError("budget must be non-negative")
+    check_deadline(deadline)
     rows = cocomparability_graph(inst.instance.base)
     edges = sum(row.bit_count() for row in rows) // 2
     if edges > k:

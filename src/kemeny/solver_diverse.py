@@ -39,7 +39,8 @@ unpruned program.
 The forward sweep and the lockstep check their state counts against the
 fixed-parameter bound ``tail_bound`` as they build them
 (``errors.check_bound``); both sweeps check the deadline once per key, and
-the lockstep once per state.
+the lockstep once per successor. The lockstep keeps only its frontier, each
+state linked to its least parent's entry for the backtrack.
 
 The modes are ``decide`` and ``max-diversity``. Asking for r distinct
 optima (``find_distinct_optima``) needs no lockstep: it lists the first r
@@ -51,7 +52,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import InputError, InternalError, check_bound, check_deadline
 from .orders import (
@@ -288,8 +289,8 @@ def tuple_successors(
     to_go: dict[TailKey, int],
     cost_bound: int,
     succ_cache: dict,
-) -> list[DiverseState]:
-    """All register-updated successor states across one transition.
+) -> Iterator[DiverseState]:
+    """Yield each register-updated successor state across one transition.
 
     Each solution advances by its key's ``moves``; every pair of solutions
     gains the XOR popcount of its two moves' ``below`` masks, and the
@@ -311,23 +312,22 @@ def tuple_successors(
                 if _slot_allowed(k, cost + step, to_go, cost_bound)
             ]
         if not opts:
-            return []
+            return
         options.append(opts)
     # One move per solution and none with a vertex below it (a forget, say):
     # no pair gains anything.
     if all(len(opts) == 1 and not opts[0][1] for opts in options):
-        return [DiverseState(tuple(opts[0][0] for opts in options), state.div, state.dist)]
+        yield DiverseState(tuple(opts[0][0] for opts in options), state.div, state.dist)
+        return
 
     pairs = _pairs(len(state.slots))
-    out = []
     for combo in itertools.product(*options):
         incs = [(combo[i][1] ^ combo[j][1]).bit_count() for i, j in pairs]
         new_dist = tuple(
             min(state.dist[k] + incs[k], s_cap) for k in range(len(pairs))
         )
         new_div = min(state.div + sum(incs), d_cap)
-        out.append(DiverseState(tuple(slot for slot, _ in combo), new_div, new_dist))
-    return out
+        yield DiverseState(tuple(slot for slot, _ in combo), new_div, new_dist)
 
 
 def _canonical(
@@ -347,17 +347,16 @@ def _canonical(
     return DiverseState(slots, state.div, dist), tuple(order)
 
 
-def _backtrack(
-    tables: list[dict], final: DiverseState, r: int
-) -> list[list[TailKey]]:
-    """Each final slot's chain of tail keys, from the root to ``final``."""
+def _backtrack(state: DiverseState, entry: tuple, r: int) -> list[list[TailKey]]:
+    """Each slot's chain of tail keys, from the root to the final ``state``,
+    following its frontier ``entry``'s links (parent, parent's entry,
+    perm) back to the root's (None, None, None)."""
     chains: list[list[TailKey]] = [[] for _ in range(r)]
     where = list(range(r))  # final slot j sits at index where[j] of state
-    state = final
-    for p in range(len(tables) - 1, -1, -1):
+    while True:
         for j in range(r):
             chains[j].append(state.slots[where[j]][0])
-        parent, perm = tables[p][state]
+        parent, entry, perm = entry
         if parent is None:
             break
         where = [perm[where[j]] for j in range(r)]
@@ -407,15 +406,14 @@ def solve_diverse(
     tuple_bound = slot_bound**r * (s_cap + 1) ** len(pair_index) * (d_cap + 1)
 
     root = DiverseState((((0, ()), 0),) * r, 0, (0,) * len(pair_index))
-    frontier: dict = {root: (None, None)}
-    tables = [frontier]
+    # Each state maps to its entry (parent, parent's entry, perm).
+    frontier: dict = {root: (None, None, None)}
     for p in range(len(dec.bags) - 1):
         succ_cache: dict = {}
         nxt: dict = {}
         # Each canonical state keeps its least parent, with the first perm
         # that parent generates, whatever order the frontier is walked in.
-        for state in frontier:
-            check_deadline(deadline)
+        for state, link in frontier.items():
             for raw in tuple_successors(
                 state,
                 moves=moves[p],
@@ -425,15 +423,15 @@ def solve_diverse(
                 cost_bound=cost_bound,
                 succ_cache=succ_cache,
             ):
+                check_deadline(deadline)
                 canon, perm = _canonical(raw, pair_index)
                 entry = nxt.get(canon)
                 if entry is None or state < entry[0]:
-                    nxt[canon] = (state, perm)
+                    nxt[canon] = (state, link, perm)
         # Every frontier slot has an allowed move (the one attaining its
         # key's cost to go), so the cache holds each distinct slot once.
         check_bound("triple", len(succ_cache), slot_bound)
         check_bound("tuple", len(nxt), tuple_bound)
-        tables.append(nxt)
         frontier = nxt
 
     # Every final slot has the empty tail (backward_tables finds no completion
@@ -463,7 +461,7 @@ def solve_diverse(
     # smallest state of the best diversity is the first one that meets it.
     chosen = min(f for f in meeting if f.div == best_div)
 
-    chains = _backtrack(tables, chosen, r)
+    chains = _backtrack(chosen, frontier[chosen], r)
     witnesses = tuple(
         reconstruct_extension(chain, instance.base) for chain in chains
     )

@@ -138,7 +138,7 @@ def nice_decomposition(order: PartialOrder, layout: Sequence[int]) -> "PathDecom
 class PathDecomposition:
     """A non-empty sequence of vertex bags (bitmasks); what a step
     introduces or forgets is read off two consecutive bags. The checks read
-    each vertex's bags as one mask of bag indices (``_bag_masks``)."""
+    each vertex's bags as one mask of bag indices."""
 
     n: int
     bags: tuple[int, ...]
@@ -151,18 +151,11 @@ class PathDecomposition:
     def width(self) -> int:
         return max(bag.bit_count() for bag in self.bags) - 1
 
-    def _bag_masks(self, n: int) -> list[int]:
-        """Per vertex of 0..n-1, the mask of the indices of its bags."""
-        masks = [0] * n
-        full = _full_mask(n)
-        for i, bag in enumerate(self.bags):
-            for v in _bits(bag & full):
-                masks[v] |= 1 << i
-        return masks
-
     def validate(self, order: PartialOrder) -> list[str]:
         """All decomposition axioms against the order's cocomparability
-        graph; empty list means valid."""
+        graph, then consistency with the order: no strict pair's larger
+        element leaves before the smaller enters, where an element in no bag
+        enters and leaves at -1. An empty list means valid."""
         if order.n != self.n:
             return [f"decomposition over {self.n} vertices, order has {order.n}"]
         adj = cocomparability_graph(order)
@@ -170,7 +163,10 @@ class PathDecomposition:
         problems = [
             "bag mentions vertices outside 0..n-1" for bag in self.bags if bag & ~full
         ]
-        masks = self._bag_masks(self.n)
+        masks = [0] * self.n  # per vertex, the mask of its bags' indices
+        for i, bag in enumerate(self.bags):
+            for v in _bits(bag & full):
+                masks[v] |= 1 << i
         if not all(masks):
             problems.append("bags do not cover every vertex")
         for u, mask in enumerate(masks):
@@ -181,13 +177,6 @@ class PathDecomposition:
             # adding its lowest bit clears a run of consecutive bits
             if (mask + (mask & -mask)) & mask:
                 problems.append(f"bags containing {v} are not consecutive")
-        return problems
-
-    def consistency_violations(self, order: PartialOrder) -> list[str]:
-        """Strict pairs whose larger element leaves before the smaller enters;
-        an element in no bag enters and leaves at -1."""
-        masks = self._bag_masks(order.n)
-        problems = []
         # a mask's bit length is its last bag + 1, its lowest bit's its first + 1
         for x, y in order.strict_pairs():
             if masks[y].bit_length() < (masks[x] & -masks[x]).bit_length():
@@ -217,7 +206,6 @@ class ConsistentPathDecomposition:
 
     def validate(self) -> list[str]:
         problems = self.decomposition.validate(self.order)
-        problems += self.decomposition.consistency_violations(self.order)
         if not self.decomposition.is_nice:
             problems.append("decomposition is not nice")
         return problems

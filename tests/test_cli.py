@@ -329,6 +329,12 @@ ORACLE_GOLDENS = [
         "witness-2: A<B<C<D<E\n"
         "witness-3: A<B<D<C<E\n"
      )),
+    # the two optima are at distance 1, so no pair reaches s = 3
+    (["oracle", FIFTY, "--task", "diverse", "--r", "2", "--s", "3", "--max"], 1,
+     "result: oracle-diverse\n" + FIFTY_HEAD + (
+        "optimum: 50\n"
+        "decision: no\n"
+     )),
 ]
 
 
@@ -407,6 +413,14 @@ class TestSubcommands:
         )
         assert code == 3 and "timeout" in err
         assert time.monotonic() - start < 1.5
+
+    def test_diverse_timeout_overshoot_is_one_successor(self):
+        # 16 solutions over C and D: one lockstep state has 2^16 successors,
+        # so the deadline is checked between successors, not between states
+        start = time.monotonic()
+        code, _, err = invoke(["diverse", FIFTY, "--r", "16", "--timeout", "0.5"])
+        assert code == 3 and "timeout" in err
+        assert time.monotonic() - start < 2
 
     def test_diverse_wide_window_case_answers(self, tmp_path):
         # 295 240 initial combinations at delta 2 without the exact cost

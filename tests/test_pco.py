@@ -1,12 +1,14 @@
 """Positive-cost completion: edge-count rejection and budget decisions."""
 
 import random
+import time
 
 import pytest
 
-from kemeny.errors import InputError
+from kemeny.errors import CapabilityError, InputError
+from kemeny.instances import fifty_fifty_profile
 from kemeny.oracle import oracle_optimum
-from kemeny.orders import CostInstance, PartialOrder
+from kemeny.orders import CostInstance, PartialOrder, reduce_to_co
 from kemeny.pco import PcoInstance, solve_pco
 
 from cost_instances import random_cost_instance
@@ -62,6 +64,12 @@ class TestPreprocess:
     def test_negative_budget_rejected(self):
         with pytest.raises(InputError):
             solve_pco(unit_antichain(2), -1)
+
+    def test_deadline_checked_before_the_edge_bound(self):
+        # budget 0 is below the one edge, but a passed deadline comes first
+        pco = PcoInstance(reduce_to_co(fifty_fifty_profile()))
+        with pytest.raises(CapabilityError):
+            solve_pco(pco, 0, deadline=time.monotonic() - 1)
 
 
 class TestSolve:

@@ -217,7 +217,7 @@ class TestInitialTriples:
         assert first_bag_states(inst, 0b11) == {((0b11, (0, 1)), 0)}
 
 
-class TestScatterednessIncrease:
+class TestBelowMasks:
     # a pair of solutions gains the XOR popcount of its moves' below masks
 
     def test_same_relative_position_adds_nothing(self):
@@ -269,10 +269,10 @@ def _successors(state, inst, dec, d_cap=0, s_cap=0, cost_bound=99):
     # the transition 1 -> 2 introduces vertex 1 next to the tail (0,)
     moves = forward_tables(inst, dec)
     to_go = backward_tables(moves)[2]
-    return tuple_successors(
+    return list(tuple_successors(
         state, moves=moves[1], d_cap=d_cap, s_cap=s_cap,
         to_go=to_go, cost_bound=cost_bound, succ_cache={},
-    )
+    ))
 
 
 class TestTupleSuccessors:
@@ -327,10 +327,10 @@ class TestTupleSuccessors:
         inst, dec = _two_vertex_setup()
         moves = forward_tables(inst, dec)
         slots = (((0b11, (0, 1)), 1), ((0b11, (1, 0)), 4))
-        got = tuple_successors(
+        got = list(tuple_successors(
             DiverseState(slots, 2, (1,)), moves=moves[2], d_cap=9, s_cap=9,
             to_go=backward_tables(moves)[3], cost_bound=99, succ_cache={},
-        )
+        ))
         assert got == [DiverseState((((0b10, (1,)), 1), ((0, ()), 4)), 2, (1,))]
 
     def test_single_moves_with_different_below_gain(self):
@@ -339,10 +339,10 @@ class TestTupleSuccessors:
         a, b = (0b011, (0, 1)), (0b011, (1, 0))
         a2, b2 = (0b111, (0, 1, 2)), (0b111, (1, 2, 0))
         moves = {a: [(a2, 0, 0b011)], b: [(b2, 0, 0b010)]}
-        got = tuple_successors(
+        got = list(tuple_successors(
             DiverseState(((a, 0), (b, 0)), 0, (0,)), moves=moves, d_cap=9,
             s_cap=9, to_go={a2: 0, b2: 0}, cost_bound=0, succ_cache={},
-        )
+        ))
         assert got == [DiverseState(((a2, 0), (b2, 0)), 1, (1,))]
 
     def test_missing_successor_raises(self):
@@ -350,21 +350,21 @@ class TestTupleSuccessors:
         moves = forward_tables(inst, dec)
         state = DiverseState((((0b01, (0,)), 0),), 0, ())
         with pytest.raises(InternalError):
-            tuple_successors(
+            list(tuple_successors(
                 state, moves=moves[1], d_cap=0, s_cap=0, to_go={},
                 cost_bound=99, succ_cache={},
-            )
+            ))
 
     def test_key_missing_from_moves_raises(self):
         inst, dec = _two_vertex_setup()
         moves = forward_tables(inst, dec)
         state = DiverseState((((0b10, (1,)), 0),), 0, ())
         with pytest.raises(InternalError, match="forward moves"):
-            tuple_successors(
+            list(tuple_successors(
                 state, moves=moves[1], d_cap=0, s_cap=0,
                 to_go=backward_tables(moves)[2],
                 cost_bound=99, succ_cache={},
-            )
+            ))
 
 
 class TestBackwardTables:
@@ -523,6 +523,23 @@ class TestMaxDiversity:
             result = solve_max_diversity(inst, r=2, delta=1)
             ora = oracle_diverse(inst, 2, 1, 0, 0, maximize=True)
             assert result.diversity == ora.diversity
+
+    def test_pairwise_floor_matches_oracle(self):
+        # s >= 1 drops every selection with a pair closer than s, and can
+        # leave none
+        rng = random.Random(34)
+        infeasible = 0
+        for _ in range(60):
+            n = rng.randint(2, 5)
+            r = rng.randint(2, 3 if n <= 4 else 2)
+            delta, s = rng.randint(0, 2), rng.randint(1, 4)
+            inst = random_cost_instance(n, rng, rng.random(), max_cost=3)
+            query = DiverseQuery(r=r, delta=delta, s=s, mode="max-diversity")
+            out = solve_diverse(inst, query)
+            ora = oracle_diverse(inst, r, delta, 0, s, maximize=True)
+            assert (out.feasible, out.diversity) == (ora.feasible, ora.diversity)
+            infeasible += not ora.feasible
+        assert 0 < infeasible < 60
 
 
 class TestDistinctOptima:

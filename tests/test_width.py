@@ -142,8 +142,7 @@ class TestNiceDecomposition:
             dec = nice_decomposition(order, layout)
             assert dec.is_nice
             assert dec.bags[0] == 0 and dec.bags[-1] == 0
-            assert dec.validate(order) == []
-            assert dec.consistency_violations(order) == []
+            assert dec.validate(order) == []  # consistency included
             assert dec.width == exact_pathwidth(g)
 
 
@@ -226,21 +225,24 @@ class TestConsistentDecomposition:
         # forget element 1 before introducing element 0 although 0 < 1
         order = chain(2)
         dec = PathDecomposition(2, (0b10, 0b01))
-        assert dec.consistency_violations(order)
-        assert not PathDecomposition(2, (0b01, 0b10)).consistency_violations(order)
+        assert dec.validate(order) == [
+            "element 1 is forgotten before smaller element 0 is introduced"
+        ]
+        assert PathDecomposition(2, (0b01, 0b10)).validate(order) == []
 
     def test_element_in_no_bag_enters_and_leaves_at_minus_one(self):
         # of 0 < 1 < 2, vertex 1 is in no bag: 1 leaves (-1) before 0 enters
         # (0), but 2 leaves (1) after 1 enters (-1), so only (0, 1) fails
         dec = PathDecomposition(3, (0b001, 0b100))
-        assert dec.consistency_violations(chain(3)) == [
-            "element 1 is forgotten before smaller element 0 is introduced"
+        assert dec.validate(chain(3)) == [
+            "bags do not cover every vertex",
+            "element 1 is forgotten before smaller element 0 is introduced",
         ]
 
 
 def problems_by_axioms(dec, g, order):
-    """``validate`` plus ``consistency_violations``, read naively off the
-    axioms: bag by bag, vertex by vertex and pair by pair."""
+    """``validate``, read naively off the axioms and the consistency rule:
+    bag by bag, vertex by vertex and pair by pair."""
     n, bags = dec.n, dec.bags
     problems = [
         "bag mentions vertices outside 0..n-1"
@@ -295,7 +297,7 @@ class TestDecompositionChecks:
                 bags.insert(rng.randrange(len(bags) + 1), 0)
             dec = PathDecomposition(n, tuple(bags))
             g = cocomparability_graph(order)
-            found = dec.validate(order) + dec.consistency_violations(order)
+            found = dec.validate(order)
             assert found == problems_by_axioms(dec, g, order)
             kinds.update(kind for kind in self.KINDS for problem in found if kind in problem)
             kinds.add("invalid" if found else "valid")
