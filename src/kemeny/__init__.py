@@ -1,7 +1,8 @@
-"""Kemeny rank aggregation over partially ordered votes: exact optima by
-dynamic programming over the ideals of the unanimity order, diverse
-solution sets by dynamic programming on order-consistent path
-decompositions, with brute-force oracles for desk-scale verification."""
+"""Kemeny rank aggregation over partially ordered votes: exact optima, and
+the first r of them in lexicographic order, by dynamic programming over
+the ideals of the unanimity order, diverse solution sets by dynamic
+programming on order-consistent path decompositions, with brute-force
+oracles for desk-scale verification."""
 
 from .errors import CapabilityError, InputError, InternalError, KemenyError
 from .orders import (
@@ -22,7 +23,6 @@ from .solver_diverse import (
     DiverseQuery,
     DiverseState,
     KraDiverseOutcome,
-    find_distinct_optima,
     solve_diverse,
     solve_diverse_kra,
     solve_max_diversity,
@@ -57,7 +57,6 @@ __all__ = [
     "cocomparability_graph",
     "consistent_path_decomposition",
     "diversity",
-    "find_distinct_optima",
     "kemeny_score",
     "kt_distance",
     "reduce_to_co",

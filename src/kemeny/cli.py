@@ -57,14 +57,8 @@ from .orders import (
     unanimity_order,
 )
 from .pco import PcoInstance, solve_pco
-from .solver_diverse import (
-    DiverseOutcome,
-    DiverseQuery,
-    find_distinct_optima,
-    solve_diverse_kra,
-    solve_max_diversity,
-)
-from .solver_single import solve_single
+from .solver_diverse import DiverseOutcome, DiverseQuery, solve_diverse_kra, solve_max_diversity
+from .solver_single import optimal_rankings, solve_single
 from .width import PathDecomposition, consistent_path_decomposition
 
 EXIT_YES = 0
@@ -297,31 +291,25 @@ def _selection(
     profile: Profile,
     outcome: DiverseOutcome,
     *,
-    spread: bool,
     checked: bool = False,
 ) -> Answer:
-    """The tail of a ``diverse``, ``optima`` or ``maxdiv`` document: the
-    optimum, the decision and, on YES, the witness lines. ``spread`` adds
-    the diversity and the solver's pairwise distances on YES and the failed
-    constraint on NO (``diverse`` and ``maxdiv``); ``checked`` says the
-    solver has already checked the witness scores."""
+    """The tail of a ``diverse`` or ``maxdiv`` document: the optimum, the
+    decision and, on NO, the failed constraint and its detail, or on YES
+    the diversity, the witness lines and the solver's pairwise distances;
+    ``checked`` says the solver has already checked the witness scores."""
     doc.add("optimum", outcome.optimum)
     if not outcome.feasible:
         doc.add("decision", "no")
-        if spread:
-            doc.add("failed-constraint", outcome.failed_constraint)
+        doc.add("failed-constraint", outcome.failed_constraint)
         doc.add("detail", outcome.detail)
         return EXIT_NO, doc
-    assert outcome.witnesses is not None
+    assert outcome.witnesses is not None and outcome.pairwise is not None
     doc.add("decision", "yes")
-    if spread:
-        doc.add("diversity", outcome.diversity)
+    doc.add("diversity", outcome.diversity)
     _witness_lines(doc, profile, outcome.witnesses, outcome.costs, checked=checked)
-    if spread:
-        assert outcome.pairwise is not None
-        pairs = itertools.combinations(range(1, len(outcome.witnesses) + 1), 2)
-        for (i, j), distance in zip(pairs, outcome.pairwise):
-            doc.add(f"distance-{i}-{j}", distance)
+    pairs = itertools.combinations(range(1, len(outcome.witnesses) + 1), 2)
+    for (i, j), distance in zip(pairs, outcome.pairwise):
+        doc.add(f"distance-{i}-{j}", distance)
     return EXIT_YES, doc
 
 
@@ -349,7 +337,7 @@ def _write(path: str, text: str) -> None:
 
 
 def _cmd_solve(args, profile: Profile, deadline: float | None) -> Answer:
-    instance = reduce_to_co(profile)
+    instance = reduce_to_co(profile, deadline)
     solution = solve_single(instance, deadline=deadline)
     names = profile.candidates.names
     if args.dump_decomposition:
@@ -374,26 +362,37 @@ def _cmd_diverse(args, profile: Profile, deadline: float | None) -> Answer:
     doc.add("d", args.d)
     doc.add("s", max(args.s, 1))
     # solve_diverse_kra has checked each witness cost against its Kemeny score
-    return _selection(doc, profile, result.outcome, spread=True, checked=True)
+    return _selection(doc, profile, result.outcome, checked=True)
 
 
 def _cmd_optima(args, profile: Profile, deadline: float | None) -> Answer:
-    outcome = find_distinct_optima(reduce_to_co(profile), args.r, deadline=deadline)
-    doc = _head("optima", profile, outcome.width)
+    instance = reduce_to_co(profile, deadline)
+    if args.r < 1:
+        raise InputError("need at least one solution")
+    opt, width, rankings = optimal_rankings(instance, deadline)
+    witnesses = list(itertools.islice(rankings, args.r))
+    doc = _head("optima", profile, width)
     doc.add("r", args.r)
-    return _selection(doc, profile, outcome, spread=False)
+    doc.add("optimum", opt)
+    if len(witnesses) < args.r:
+        doc.add("decision", "no")
+        doc.add("detail", f"fewer than {args.r} distinct optimal rankings")
+        return EXIT_NO, doc
+    doc.add("decision", "yes")
+    _witness_lines(doc, profile, witnesses, [opt] * args.r)
+    return EXIT_YES, doc
 
 
 def _cmd_maxdiv(args, profile: Profile, deadline: float | None) -> Answer:
-    outcome = solve_max_diversity(reduce_to_co(profile), args.r, args.delta, deadline=deadline)
+    outcome = solve_max_diversity(reduce_to_co(profile, deadline), args.r, args.delta, deadline)
     doc = _head("maxdiv", profile, outcome.width)
     doc.add("r", args.r)
     doc.add("delta", args.delta)
-    return _selection(doc, profile, outcome, spread=True)
+    return _selection(doc, profile, outcome)
 
 
 def _cmd_pco(args, profile: Profile, deadline: float | None) -> Answer:
-    inst = PcoInstance(reduce_to_co(profile))  # InputError unless costs are positive
+    inst = PcoInstance(reduce_to_co(profile, deadline))  # InputError unless costs are positive
     result = solve_pco(inst, args.k, deadline=deadline)
     doc = _head("pco", profile)
     doc.add("budget", args.k)
@@ -412,7 +411,7 @@ def _cmd_pco(args, profile: Profile, deadline: float | None) -> Answer:
 
 
 def _cmd_oracle(args, profile: Profile, deadline: float | None) -> Answer:
-    instance = reduce_to_co(profile)
+    instance = reduce_to_co(profile, deadline)
     doc = _head(f"oracle-{args.task}", profile)
     if args.task == "count":
         doc.add("extensions", count_extensions(instance.base, deadline))
@@ -457,7 +456,7 @@ def _cmd_validate_decomposition(args, profile: Profile, deadline: float | None) 
     if not bags:
         raise InputError("decomposition file has no bags")
     dec = PathDecomposition(profile.n, tuple(bags))
-    problems = dec.validate(unanimity_order(profile))
+    problems = dec.validate(unanimity_order(profile, deadline))
     doc = ResultDocument()
     doc.add("result", "validate-decomposition")
     doc.add("bags", len(bags))

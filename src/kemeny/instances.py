@@ -17,6 +17,9 @@ from .orders import (
     _bits,
 )
 
+# The share of full linear orders among the votes of ``random_profile``.
+LINEAR_SHARE = 0.3
+
 
 def candidate_labels(n: int) -> tuple[str, ...]:
     """A..Z for small n, c0..c{n-1} beyond."""
@@ -90,16 +93,15 @@ def random_profile(
     m: int,
     rng: random.Random,
     density: float = 0.5,
-    linear_share: float = 0.3,
 ) -> Profile:
     """Random partial-vote profile: each vote is a random partial order, a
-    share of them full linear orders."""
+    ``LINEAR_SHARE`` of them full linear orders."""
     if not 0 <= density <= 1:
         raise InputError(f"density must lie in [0, 1], got {density}")
     candidates = CandidateSet(candidate_labels(n))
     votes = []
     for _ in range(m):
-        if rng.random() < linear_share:
+        if rng.random() < LINEAR_SHARE:
             vote = random_linear_extension(PartialOrder.antichain(n), rng)
             votes.append((vote.as_partial_order(), 1))
         else:

@@ -45,7 +45,7 @@ from functools import cache, cached_property, reduce
 from operator import and_
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InputError
+from .errors import InputError, check_deadline
 
 # The tail-order dynamic programs index candidates into machine words; keep a
 # documented hard cap so wide instances fail loudly instead of crawling.
@@ -312,12 +312,19 @@ class Profile:
     def m(self) -> int:
         return sum(mult for _, mult in self.votes)
 
-    @cached_property
-    def _words(self) -> tuple[tuple[int, int], ...]:
-        """(packed rows, multiplicity) of each vote, packed on first use."""
-        if self.n > MAX_CANDIDATES:
-            raise InputError(f"at most {MAX_CANDIDATES} candidates supported")
-        return tuple((_pack(vote.rows), mult) for vote, mult in self.votes)
+    def _words(self, deadline: float | None = None) -> tuple[tuple[int, int], ...]:
+        """(packed rows, multiplicity) of each vote, packed on first use,
+        which checks the deadline once per vote."""
+        words = self.__dict__.get("_packed")
+        if words is None:
+            if self.n > MAX_CANDIDATES:
+                raise InputError(f"at most {MAX_CANDIDATES} candidates supported")
+            packed = []
+            for vote, mult in self.votes:
+                check_deadline(deadline)
+                packed.append((_pack(vote.rows), mult))
+            words = self.__dict__["_packed"] = tuple(packed)
+        return words
 
 
 @dataclass(frozen=True)
@@ -416,7 +423,7 @@ def kemeny_score(profile: Profile, ranking: LinearOrder) -> int:
     y, so each packed vote counts its distance with one popcount."""
     if ranking.n != profile.n:
         raise InputError("ranking over a different candidate set")
-    words = profile._words  # checks the candidate cap before any packing
+    words = profile._words()  # checks the candidate cap before any packing
     lacking = ~_pack(ranking.as_partial_order().rows)
     return sum(mult * (word & lacking).bit_count() for word, mult in words)
 
@@ -439,28 +446,30 @@ def diversity(rankings: Sequence[LinearOrder]) -> int:
     return total
 
 
-def unanimity_order(profile: Profile) -> PartialOrder:
+def unanimity_order(profile: Profile, deadline: float | None = None) -> PartialOrder:
     """Intersection of all votes: the pairs every voter agrees on, one AND
-    per packed vote."""
+    per packed vote; packing checks the deadline once per vote."""
     n = profile.n
-    rows = _unpack(reduce(and_, [word for word, _ in profile._words]), n)
+    rows = _unpack(reduce(and_, [word for word, _ in profile._words(deadline)]), n)
     # An intersection of partial orders is again a partial order.
     return PartialOrder._valid(n, tuple(rows))
 
 
-def reduce_to_co(profile: Profile) -> CostInstance:
+def reduce_to_co(profile: Profile, deadline: float | None = None) -> CostInstance:
     """Rank aggregation as ordering completion over the unanimity order.
 
     cost(x, y) counts the voters who place y before x, so the charged cost
     of any linear extension equals its Kemeny score against the profile.
+    The deadline is checked once per vote, while packing and while adding.
     """
     n, m = profile.n, profile.m
-    base = unanimity_order(profile)
+    base = unanimity_order(profile, deadline)
     # Plane k holds, at bit 64 * x + y, bit k of the number of voters with
     # x at most y: each word is added at the planes of its multiplicity's
     # binary digits, carrying up.
     planes = [0] * m.bit_length()
-    for word, mult in profile._words:
+    for word, mult in profile._words():
+        check_deadline(deadline)
         for digit in _bits(mult):
             k, carry = digit, word
             while carry:

@@ -43,8 +43,8 @@ the lockstep once per successor. The lockstep keeps only its frontier, each
 state linked to its least parent's entry for the backtrack.
 
 The modes are ``decide`` and ``max-diversity``. Asking for r distinct
-optima (``find_distinct_optima``) needs no lockstep: it lists the first r
-optima off the ideal lattice (``solver_single.optimal_rankings``).
+optima needs no lockstep: the ``optima`` command lists the first r optima
+off the ideal lattice (``solver_single.optimal_rankings``).
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ from .orders import (
     kt_distance,
     reduce_to_co,
 )
-from .solver_single import optimal_rankings
 from .width import PathDecomposition, consistent_path_decomposition
 
 
@@ -506,28 +505,6 @@ def solve_max_diversity(
     return outcome
 
 
-def find_distinct_optima(
-    instance: CostInstance,
-    r: int,
-    deadline: float | None = None,
-) -> DiverseOutcome:
-    """Are there at least r distinct optimal extensions? On YES the
-    witnesses are the r lexicographically smallest optima, read off the
-    ideal lattice rather than the lockstep."""
-    if r < 1:
-        raise InputError("need at least one solution")
-    opt, width, rankings = optimal_rankings(instance, deadline)
-    witnesses = tuple(itertools.islice(rankings, r))
-    if len(witnesses) < r:
-        return DiverseOutcome(
-            False, None, None, None, None, opt, width,
-            failed_constraint="scatteredness",
-            detail=f"fewer than {r} distinct optimal rankings",
-        )
-    pairwise = tuple(kt_distance(witnesses[i], witnesses[j]) for i, j in _pairs(r))
-    return DiverseOutcome(True, witnesses, (opt,) * r, sum(pairwise), pairwise, opt, width)
-
-
 @dataclass(frozen=True)
 class KraDiverseOutcome:
     outcome: DiverseOutcome
@@ -542,7 +519,7 @@ def solve_diverse_kra(
     """Diverse aggregation over a profile: reduce to completion over the
     unanimity order, solve, and recheck every witness score directly
     against the profile (the reduction keeps them equal)."""
-    instance = reduce_to_co(profile)
+    instance = reduce_to_co(profile, deadline)
     outcome = solve_diverse(instance, query, deadline=deadline)
     if not outcome.feasible or outcome.witnesses is None:
         return KraDiverseOutcome(outcome, None)

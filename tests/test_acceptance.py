@@ -100,11 +100,7 @@ def test_criterion_03_single_solver_oracle_equivalence():
     for trial in range(360):
         n = rng.randint(2, 7)
         m = rng.randint(1, 5)
-        profile = random_profile(
-            n, m, rng,
-            density=rng.choice([0.15, 0.3, 0.5, 0.7]),
-            linear_share=0.4,
-        )
+        profile = random_profile(n, m, rng, density=rng.choice([0.15, 0.3, 0.5, 0.7]))
         inst = reduce_to_co(profile)
         solution = solve_single(inst)
         opt, winners = oracle_optimum(inst)
@@ -133,9 +129,7 @@ def test_criterion_04_diverse_decision_oracle_equivalence():
     while checked < 200:
         n = rng.randint(3, 6)
         m = rng.randint(1, 4)
-        profile = random_profile(
-            n, m, rng, density=rng.choice([0.2, 0.4, 0.6]), linear_share=0.4
-        )
+        profile = random_profile(n, m, rng, density=rng.choice([0.2, 0.4, 0.6]))
         inst = reduce_to_co(profile)
         r = rng.choice([2, 3])
         delta = rng.randint(0, 2)

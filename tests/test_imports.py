@@ -4,13 +4,16 @@ class and method the library defines is used outside the tests, no library
 module reads the process environment, the tail-order program stays
 inside the diverse solver, the single solver builds no path decomposition
 and no cocomparability graph, no module keeps a graph class next to the
-order, and no module but ``orders`` binds or reads an order's columns."""
+order, no module but ``orders`` binds or reads an order's columns, and
+the package exports exactly the names it imports."""
 
 import ast
 import pathlib
 import sys
 
 import pytest
+
+import kemeny
 
 ROOT = pathlib.Path(__file__).parent.parent
 SRC = ROOT / "src" / "kemeny"
@@ -269,3 +272,17 @@ def test_detects_a_column_read():
         "cols = order.rows\n"
     )
     assert bound_names(source, COLUMNS) == [(1, "_cols"), (2, "_cols"), (3, "_cols")]
+
+
+def test_exports_are_the_imported_names():
+    # a name deleted from a module and its import cannot linger in __all__
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert sorted(kemeny.__all__) == sorted(imported)
+    for name in kemeny.__all__:
+        assert getattr(kemeny, name) is not None

@@ -2,8 +2,12 @@
 with its message, and a few degenerate inputs are answered rather than
 refused."""
 
+import io
+import pathlib
+
 import pytest
 
+from kemeny.cli import run
 from kemeny.errors import InputError
 from kemeny.instances import five_type_profile, generate_profile
 from kemeny.oracle import oracle_diverse
@@ -16,7 +20,7 @@ from kemeny.orders import (
     kemeny_score,
     reduce_to_co,
 )
-from kemeny.solver_diverse import DiverseQuery, find_distinct_optima
+from kemeny.solver_diverse import DiverseQuery
 from kemeny.width import ConsistentPathDecomposition, PathDecomposition
 
 TWO = CandidateSet(("A", "B"))
@@ -44,7 +48,6 @@ REFUSED = [
     (lambda: PathDecomposition(2, ()), "decomposition needs at least one bag"),
     (lambda: DiverseQuery(r=0), "need at least one solution"),
     (lambda: DiverseQuery(r=1, mode="x"), "unknown mode 'x'"),
-    (lambda: find_distinct_optima(FIVE, 0), "need at least one solution"),
     (lambda: generate_profile(PartialOrder.antichain(2), 0, 0, 1), "need at least one vote"),
     (lambda: generate_profile(PartialOrder.antichain(2), 1, -1, 1), "noise must be non-negative"),
     (lambda: oracle_diverse(FIVE, 0, 0, 0, 0), "need at least one solution"),
@@ -56,6 +59,13 @@ def test_each_refused_input_raises_its_message():
         with pytest.raises(InputError) as exc:
             call()
         assert str(exc.value) == message
+
+
+def test_optima_refuses_zero_rankings():
+    votes = pathlib.Path(__file__).parent / "data" / "five_type.votes"
+    out, err = io.StringIO(), io.StringIO()
+    assert run(["optima", str(votes), "--r", "0"], out, err) == 2
+    assert (out.getvalue(), err.getvalue()) == ("", "error: need at least one solution\n")
 
 
 def test_degenerate_inputs_are_answered():

@@ -1,11 +1,12 @@
 """Order types, Kendall-Tau machinery, unanimity, and the cost reduction."""
 
 import random
+import time
 
 import pytest
 
 from kemeny.cli import parse_votes
-from kemeny.errors import InputError
+from kemeny.errors import CapabilityError, InputError
 from kemeny.instances import (
     candidate_labels,
     fifty_fifty_profile,
@@ -554,6 +555,18 @@ class TestPackedWords:
             unanimity_order(profile)
         with pytest.raises(InputError, match="at most 64 candidates supported"):
             kemeny_score(profile, LinearOrder(tuple(range(n))))
+
+    def test_passed_deadline_aborts_packing_and_adding(self):
+        past = time.monotonic() - 1.0
+        profile = five_type_profile()
+        with pytest.raises(CapabilityError):
+            unanimity_order(profile, past)
+        with pytest.raises(CapabilityError):
+            reduce_to_co(profile, past)
+        # once the words are packed, adding them into the planes checks it
+        unanimity_order(profile)
+        with pytest.raises(CapabilityError):
+            reduce_to_co(profile, past)
 
 
 class TestCostInstanceCells:

@@ -31,7 +31,6 @@ from kemeny.solver_diverse import (
     _forget_successor,
     _introduce_successors,
     backward_tables,
-    find_distinct_optima,
     forward_tables,
     reconstruct_extension,
     solve_diverse,
@@ -540,29 +539,6 @@ class TestMaxDiversity:
             assert (out.feasible, out.diversity) == (ora.feasible, ora.diversity)
             infeasible += not ora.feasible
         assert 0 < infeasible < 60
-
-
-class TestDistinctOptima:
-    def test_fifty_fifty_two_yes_three_no(self):
-        inst = reduce_to_co(fifty_fifty_profile())
-        assert find_distinct_optima(inst, 2).feasible
-        assert not find_distinct_optima(inst, 3).feasible
-
-    def test_linear_base_has_one_extension(self):
-        base = PartialOrder.from_pairs(3, [(0, 1), (1, 2)])
-        cost = tuple(tuple(0 for _ in range(3)) for _ in range(3))
-        assert not find_distinct_optima(CostInstance(3, cost, base), 2).feasible
-
-    def test_matches_oracle_optimum_count(self):
-        rng = random.Random(34)
-        for _ in range(20):
-            inst = random_cost_instance(rng.randint(2, 5), rng, 0.5)
-            _, winners = oracle_optimum(inst)
-            for r in (2, 3):
-                out = find_distinct_optima(inst, r)
-                assert out.feasible == (len(winners) >= r)
-                if out.feasible:
-                    assert out.witnesses == winners[:r]
 
 
 class TestKraEntryPoint:

@@ -1,5 +1,6 @@
 """The single-optimum solver (ideal lattice) and the tail-order register."""
 
+import itertools
 import random
 
 import pytest
@@ -200,3 +201,28 @@ class TestEveryOptimum:
         inst = reduce_to_co(five_type_profile())
         assert solve_single(inst).cost == 10
         assert built == [(inst.base, None)]
+
+
+def first_optima(inst, r):
+    """What ``optima --r r`` prints: the first r rankings listed."""
+    return tuple(itertools.islice(optimal_rankings(inst)[2], r))
+
+
+class TestDistinctOptima:
+    def test_fifty_fifty_two_yes_three_no(self):
+        inst = reduce_to_co(fifty_fifty_profile())
+        assert len(first_optima(inst, 2)) == 2
+        assert len(first_optima(inst, 3)) == 2
+
+    def test_linear_base_has_one_extension(self):
+        base = PartialOrder.from_pairs(3, [(0, 1), (1, 2)])
+        cost = tuple(tuple(0 for _ in range(3)) for _ in range(3))
+        assert len(first_optima(CostInstance(3, cost, base), 2)) == 1
+
+    def test_matches_oracle_optimum_count(self):
+        rng = random.Random(34)
+        for _ in range(20):
+            inst = random_cost_instance(rng.randint(2, 5), rng, 0.5)
+            _, winners = oracle_optimum(inst)
+            for r in (2, 3):
+                assert first_optima(inst, r) == winners[:r]
