@@ -36,11 +36,18 @@ delta can never finish within it. A dropped state is never an ancestor of a
 final state, so the final states and the backtrack are those of the
 unpruned program.
 
+States that differ only in their registers share their slot tuple, and
+with it every combination of moves, the sort that makes each successor
+canonical and the pair increments. So each transition groups its frontier
+by slot tuple, makes each combination once, and applies it to the
+registers of every state in the group.
+
 The forward sweep and the lockstep check their state counts against the
 fixed-parameter bound ``tail_bound`` as they build them
 (``errors.check_bound``); both sweeps check the deadline once per key, and
-the lockstep once per successor. The lockstep keeps only its frontier, each
-state linked to its least parent's entry for the backtrack.
+the lockstep once per combination and once per successor state. The
+lockstep keeps only its frontier, each state linked to its least parent's
+entry for the backtrack.
 
 The modes are ``decide`` and ``max-diversity``. Asking for r distinct
 optima needs no lockstep: the ``optima`` command lists the first r optima
@@ -263,10 +270,6 @@ class DiverseOutcome:
     detail: str | None = None
 
 
-def _pairs(r: int) -> list[tuple[int, int]]:
-    return list(itertools.combinations(range(r), 2))
-
-
 def _slot_allowed(
     key: TailKey, cost: int, to_go: dict[TailKey, int], cost_bound: int
 ) -> bool:
@@ -280,26 +283,28 @@ def _slot_allowed(
 
 
 def tuple_successors(
-    state: DiverseState,
+    slots: tuple[Slot, ...],
     *,
     moves: Moves,
-    d_cap: int,
-    s_cap: int,
     to_go: dict[TailKey, int],
     cost_bound: int,
+    pair_index: dict[tuple[int, int], int],
     succ_cache: dict,
-) -> Iterator[DiverseState]:
-    """Yield each register-updated successor state across one transition.
+) -> Iterator[tuple]:
+    """Yield each combination of moves of the solution ``slots`` across one
+    transition once, already canonical: the sorted successor slots (states
+    are multisets of solutions), the slot map canonical -> original, the
+    total increment, and per canonical pair, lexicographic, the index in
+    ``pair_index`` of the original pair it came from and that pair's
+    increment, the XOR popcount of its two moves' ``below`` masks.
 
-    Each solution advances by its key's ``moves``; every pair of solutions
-    gains the XOR popcount of its two moves' ``below`` masks, and the
-    registers saturate at their caps. ``to_go`` is the cost-to-go register
-    after the transition; a solution that cannot finish within
-    ``cost_bound`` (``_slot_allowed``) kills the whole state. ``succ_cache``
-    memoises per-slot successors within one transition.
+    Each solution advances by its key's ``moves``. ``to_go`` is the
+    cost-to-go register after the transition; a solution that cannot finish
+    within ``cost_bound`` (``_slot_allowed``) leaves no combination at all.
+    ``succ_cache`` memoises per-slot successors within one transition.
     """
     options: list[list[tuple[Slot, int]]] = []
-    for slot in state.slots:
+    for slot in slots:
         opts = succ_cache.get(slot)
         if opts is None:
             key, cost = slot
@@ -313,37 +318,20 @@ def tuple_successors(
         if not opts:
             return
         options.append(opts)
-    # One move per solution and none with a vertex below it (a forget, say):
-    # no pair gains anything.
-    if all(len(opts) == 1 and not opts[0][1] for opts in options):
-        yield DiverseState(tuple(opts[0][0] for opts in options), state.div, state.dist)
-        return
-
-    pairs = _pairs(len(state.slots))
+    identity = range(len(slots))
     for combo in itertools.product(*options):
-        incs = [(combo[i][1] ^ combo[j][1]).bit_count() for i, j in pairs]
-        new_dist = tuple(
-            min(state.dist[k] + incs[k], s_cap) for k in range(len(pairs))
-        )
-        new_div = min(state.div + sum(incs), d_cap)
-        yield DiverseState(tuple(slot for slot, _ in combo), new_div, new_dist)
-
-
-def _canonical(
-    state: DiverseState, pair_index: dict[tuple[int, int], int]
-) -> tuple[DiverseState, tuple[int, ...]]:
-    """Sort the solution slots (states are multisets of solutions); returns
-    the representative and the slot map canonical -> original."""
-    r = len(state.slots)
-    order = sorted(range(r), key=lambda i: state.slots[i])
-    if order == list(range(r)):
-        return state, tuple(range(r))
-    slots = tuple(state.slots[i] for i in order)
-    dist = tuple(
-        state.dist[pair_index[tuple(sorted((order[i], order[j])))]]
-        for i, j in _pairs(r)
-    )
-    return DiverseState(slots, state.div, dist), tuple(order)
+        new = [slot for slot, _ in combo]
+        order = sorted(identity, key=new.__getitem__)
+        total = 0
+        pair_incs = []
+        for i, j in pair_index:
+            a, b = order[i], order[j]
+            if a > b:
+                a, b = b, a
+            inc = (combo[a][1] ^ combo[b][1]).bit_count()
+            total += inc
+            pair_incs.append((pair_index[a, b], inc))
+        yield tuple(map(new.__getitem__, order)), tuple(order), total, tuple(pair_incs)
 
 
 def _backtrack(state: DiverseState, entry: tuple, r: int) -> list[list[TailKey]]:
@@ -365,6 +353,65 @@ def _backtrack(state: DiverseState, entry: tuple, r: int) -> list[list[TailKey]]
     return chains
 
 
+def _lockstep(
+    moves: Sequence[Moves],
+    to_go: Sequence[dict[TailKey, int]],
+    r: int,
+    *,
+    cost_bound: int,
+    d_cap: int,
+    s_cap: int,
+    slot_bound: int,
+    deadline: float | None = None,
+) -> dict[DiverseState, tuple]:
+    """The final frontier of r programs advanced in lockstep from r empty
+    tails, each state mapped to its entry (parent, parent's entry, perm).
+    Each canonical state keeps its least parent, with the first perm that
+    parent generates in product order, whatever order the frontier is
+    walked in."""
+    pair_index = {pair: k for k, pair in enumerate(itertools.combinations(range(r), 2))}
+    # A state is r slots, a distance register in 0..s_cap per pair and the
+    # diversity register in 0..d_cap.
+    tuple_bound = slot_bound**r * (s_cap + 1) ** len(pair_index) * (d_cap + 1)
+    root = DiverseState((((0, ()), 0),) * r, 0, (0,) * len(pair_index))
+    frontier: dict[DiverseState, tuple] = {root: (None, None, None)}
+    for here, after in zip(moves, to_go[1:]):
+        groups: dict[tuple[Slot, ...], list] = {}
+        for member in frontier.items():
+            groups.setdefault(member[0].slots, []).append(member)
+        succ_cache: dict = {}
+        nxt: dict[DiverseState, tuple] = {}
+        for slots, members in groups.items():
+            for new_slots, perm, total, pair_incs in tuple_successors(
+                slots, moves=here, to_go=after, cost_bound=cost_bound,
+                pair_index=pair_index, succ_cache=succ_cache,
+            ):
+                check_deadline(deadline)
+                for state, link in members:
+                    check_deadline(deadline)
+                    old = state.dist
+                    dist = tuple([
+                        x if (x := old[k] + inc) < s_cap else s_cap for k, inc in pair_incs
+                    ])
+                    canon = DiverseState(new_slots, min(state.div + total, d_cap), dist)
+                    entry = nxt.get(canon)
+                    if entry is None or state < entry[0]:
+                        nxt[canon] = (state, link, perm)
+        # Every frontier slot has an allowed move (the one attaining its
+        # key's cost to go), so the cache holds each distinct slot once.
+        check_bound("triple", len(succ_cache), slot_bound)
+        check_bound("tuple", len(nxt), tuple_bound)
+        frontier = nxt
+    return frontier
+
+
+def diversity_cap(r: int, n: int) -> int:
+    """The most diversity r rankings of n candidates can have: a pair of
+    candidates ordered one way in k of them and the other way in r - k
+    adds k * (r - k) <= r^2 / 4 to the sum of their pairwise distances."""
+    return (r * r // 4) * (n * (n - 1) // 2)
+
+
 def solve_diverse(
     instance: CostInstance,
     query: DiverseQuery,
@@ -374,9 +421,9 @@ def solve_diverse(
     delta of the optimum, diversity at least d, and pairwise distances at
     least s; reconstruct a witness set when they do.
 
-    In max-diversity mode the diversity register cap is lifted to r * n^2
-    (an upper bound on any achievable diversity at this scale), so final
-    registers carry exact diversities and the best one is returned.
+    In max-diversity mode the diversity register is capped at
+    ``diversity_cap(r, n)``, which no selection exceeds, so final registers
+    carry exact diversities and the best one is returned.
     """
     decomposition = consistent_path_decomposition(instance.base, deadline=deadline)
     dec = decomposition.decomposition
@@ -386,9 +433,8 @@ def solve_diverse(
     opt = to_go[0][(0, ())]
 
     r = query.r
-    delta = query.delta
     if query.mode == "max-diversity":
-        d_cap = r * instance.n * instance.n
+        d_cap = diversity_cap(r, instance.n)
         s_req = query.s
         d_req = 0
     else:
@@ -396,42 +442,13 @@ def solve_diverse(
         s_req = max(query.s, 1)
         d_req = query.d
     s_cap = s_req
-    cost_bound = opt + delta
-    pair_index = {pair: k for k, pair in enumerate(_pairs(r))}
     # A kept slot's cost lies in the window, at most delta above the least
-    # cost of reaching its key; a state is r slots, a distance register in
-    # 0..s_cap per pair and the diversity register in 0..d_cap.
-    slot_bound = tail_bound(delta, width)
-    tuple_bound = slot_bound**r * (s_cap + 1) ** len(pair_index) * (d_cap + 1)
-
-    root = DiverseState((((0, ()), 0),) * r, 0, (0,) * len(pair_index))
-    # Each state maps to its entry (parent, parent's entry, perm).
-    frontier: dict = {root: (None, None, None)}
-    for p in range(len(dec.bags) - 1):
-        succ_cache: dict = {}
-        nxt: dict = {}
-        # Each canonical state keeps its least parent, with the first perm
-        # that parent generates, whatever order the frontier is walked in.
-        for state, link in frontier.items():
-            for raw in tuple_successors(
-                state,
-                moves=moves[p],
-                d_cap=d_cap,
-                s_cap=s_cap,
-                to_go=to_go[p + 1],
-                cost_bound=cost_bound,
-                succ_cache=succ_cache,
-            ):
-                check_deadline(deadline)
-                canon, perm = _canonical(raw, pair_index)
-                entry = nxt.get(canon)
-                if entry is None or state < entry[0]:
-                    nxt[canon] = (state, link, perm)
-        # Every frontier slot has an allowed move (the one attaining its
-        # key's cost to go), so the cache holds each distinct slot once.
-        check_bound("triple", len(succ_cache), slot_bound)
-        check_bound("tuple", len(nxt), tuple_bound)
-        frontier = nxt
+    # cost of reaching its key.
+    frontier = _lockstep(
+        moves, to_go, r,
+        cost_bound=opt + query.delta, d_cap=d_cap, s_cap=s_cap,
+        slot_bound=tail_bound(query.delta, width), deadline=deadline,
+    )
 
     # Every final slot has the empty tail (backward_tables finds no completion
     # for any other final key) and a cost in the window (_slot_allowed).
@@ -468,11 +485,14 @@ def solve_diverse(
     for w, c in zip(witnesses, costs):
         if instance.extension_cost(w) != c:
             raise InternalError("witness cost does not match its register")
-    exact = {(i, j): kt_distance(witnesses[i], witnesses[j]) for i, j in _pairs(r)}
+    exact = {
+        (i, j): kt_distance(witnesses[i], witnesses[j])
+        for i, j in itertools.combinations(range(r), 2)
+    }
     exact_div = sum(exact.values())
     if chosen.div != min(exact_div, d_cap):
         raise InternalError("diversity register disagrees with witnesses")
-    for k, pair in enumerate(_pairs(r)):
+    for k, pair in enumerate(exact):
         if chosen.dist[k] != min(exact[pair], s_cap):
             raise InternalError("distance register disagrees with witnesses")
 

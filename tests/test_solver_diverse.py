@@ -264,13 +264,17 @@ def _two_vertex_setup():
     return inst, dec
 
 
-def _successors(state, inst, dec, d_cap=0, s_cap=0, cost_bound=99):
+def _pair_index(r):
+    return {pair: k for k, pair in enumerate(itertools.combinations(range(r), 2))}
+
+
+def _successors(slots, inst, dec, cost_bound=99):
     # the transition 1 -> 2 introduces vertex 1 next to the tail (0,)
     moves = forward_tables(inst, dec)
     to_go = backward_tables(moves)[2]
     return list(tuple_successors(
-        state, moves=moves[1], d_cap=d_cap, s_cap=s_cap,
-        to_go=to_go, cost_bound=cost_bound, succ_cache={},
+        slots, moves=moves[1], to_go=to_go, cost_bound=cost_bound,
+        pair_index=_pair_index(len(slots)), succ_cache={},
     ))
 
 
@@ -278,59 +282,64 @@ class TestTupleSuccessors:
     def test_r1_matches_introduce_successors(self):
         inst, dec = _two_vertex_setup()
         key = (0b01, (0,))
-        got = _successors(DiverseState(((key, 0),), 0, ()), inst, dec)
+        got = _successors(((key, 0),), inst, dec)
         # from cost 0, each successor slot's cost is its move's step
         expected = [(k, step) for k, step, _ in _introduce_successors(key, 1, 0b11, inst)]
-        assert [s.slots[0] for s in got] == expected
-        assert all(s.div == 0 and s.dist == () for s in got)
+        assert [slots[0] for slots, _, _, _ in got] == expected
+        assert all(tuple(rest) == ((0,), 0, ()) for _, *rest in got)
 
     def test_r2_product_with_registers(self):
+        # vertex 1 before 0 (cost 4, nothing below it) or after (cost 1,
+        # 0 below it): each of the four combinations once, in product
+        # order, its slots sorted, its perm mapping them back and its
+        # register increments
         inst, dec = _two_vertex_setup()
         slot = ((0b01, (0,)), 0)
-        state = DiverseState((slot, slot), 0, (0,))
-        got = _successors(state, inst, dec, d_cap=9, s_cap=9)
-        assert len(got) == 4
-        by_tails = {
-            (s.slots[0][0][1], s.slots[1][0][1]): (s.div, s.dist) for s in got
-        }
-        assert by_tails[((0, 1), (0, 1))] == (0, (0,))
-        assert by_tails[((1, 0), (1, 0))] == (0, (0,))
-        assert by_tails[((0, 1), (1, 0))] == (1, (1,))
-        assert by_tails[((1, 0), (0, 1))] == (1, (1,))
+        before, after = ((0b11, (1, 0)), 4), ((0b11, (0, 1)), 1)
+        assert _successors((slot, slot), inst, dec) == [
+            ((before, before), (0, 1), 0, ((0, 0),)),
+            ((after, before), (1, 0), 1, ((0, 1),)),
+            ((after, before), (0, 1), 1, ((0, 1),)),
+            ((after, after), (0, 1), 0, ((0, 0),)),
+        ]
 
-    def test_register_caps_saturate(self):
-        inst, dec = _two_vertex_setup()
-        slot = ((0b01, (0,)), 0)
-        state = DiverseState((slot, slot), 3, (1,))
-        got = _successors(state, inst, dec, d_cap=3, s_cap=1)
-        for s in got:
-            assert s.div == 3  # already at the cap, stays there
-            assert s.dist[0] <= 1
+    def test_source_pairs_follow_the_perm(self):
+        # the third slot's successor sorts first: canonical pair (0, 1) is
+        # the original pair (0, 2), (0, 2) is (1, 2) and (1, 2) is (0, 1);
+        # only the moves of the first two slots share their below mask
+        a, b = (0b11, (0, 1)), (0b11, (1, 0))
+        x, y = (0b10, (0,)), (0b10, (1,))
+        got = list(tuple_successors(
+            ((a, 1), (a, 1), (b, 4)), moves={a: [(y, 0, 1)], b: [(x, 0, 0)]},
+            to_go={x: 0, y: 0}, cost_bound=99, pair_index=_pair_index(3),
+            succ_cache={},
+        ))
+        assert got == [(((x, 4), (y, 1), (y, 1)), (2, 0, 1), 2, ((1, 1), (2, 1), (0, 0)))]
 
     def test_cost_window_prunes_states(self):
         inst, dec = _two_vertex_setup()
-        state = DiverseState((((0b01, (0,)), 0),), 0, ())
-        got = _successors(state, inst, dec, cost_bound=1)
-        assert [s.slots[0][1] for s in got] == [1]
+        got = _successors((((0b01, (0,)), 0),), inst, dec, cost_bound=1)
+        assert [slots[0][1] for slots, _, _, _ in got] == [1]
 
     def test_window_prunes_from_expensive_start(self):
         # from cost 3 the successors cost 4 and 7 with nothing left to pay
         inst, dec = _two_vertex_setup()
-        state = DiverseState((((0b01, (0,)), 3),), 0, ())
-        assert _successors(state, inst, dec, cost_bound=3) == []
-        assert [s.slots[0][1] for s in _successors(state, inst, dec, cost_bound=4)] == [4]
-        assert len(_successors(state, inst, dec, cost_bound=7)) == 2
+        slots = (((0b01, (0,)), 3),)
+        assert _successors(slots, inst, dec, cost_bound=3) == []
+        assert [s[0][1] for s, _, _, _ in _successors(slots, inst, dec, cost_bound=4)] == [4]
+        assert len(_successors(slots, inst, dec, cost_bound=7)) == 2
 
     def test_forget_keeps_the_registers(self):
-        # the transition 2 -> 3 forgets vertex 0 from either tail
+        # the transition 2 -> 3 forgets vertex 0 from either tail: one
+        # combination, no increment, the two slots swapped by the sort
         inst, dec = _two_vertex_setup()
         moves = forward_tables(inst, dec)
         slots = (((0b11, (0, 1)), 1), ((0b11, (1, 0)), 4))
         got = list(tuple_successors(
-            DiverseState(slots, 2, (1,)), moves=moves[2], d_cap=9, s_cap=9,
-            to_go=backward_tables(moves)[3], cost_bound=99, succ_cache={},
+            slots, moves=moves[2], to_go=backward_tables(moves)[3],
+            cost_bound=99, pair_index=_pair_index(2), succ_cache={},
         ))
-        assert got == [DiverseState((((0b10, (1,)), 1), ((0, ()), 4)), 2, (1,))]
+        assert got == [((((0, ()), 4), ((0b10, (1,)), 1)), (1, 0), 0, ((0, 0),))]
 
     def test_single_moves_with_different_below_gain(self):
         # each solution has one move, but vertex 0 lands below the new vertex
@@ -339,31 +348,148 @@ class TestTupleSuccessors:
         a2, b2 = (0b111, (0, 1, 2)), (0b111, (1, 2, 0))
         moves = {a: [(a2, 0, 0b011)], b: [(b2, 0, 0b010)]}
         got = list(tuple_successors(
-            DiverseState(((a, 0), (b, 0)), 0, (0,)), moves=moves, d_cap=9,
-            s_cap=9, to_go={a2: 0, b2: 0}, cost_bound=0, succ_cache={},
+            ((a, 0), (b, 0)), moves=moves, to_go={a2: 0, b2: 0}, cost_bound=0,
+            pair_index=_pair_index(2), succ_cache={},
         ))
-        assert got == [DiverseState(((a2, 0), (b2, 0)), 1, (1,))]
+        assert got == [(((a2, 0), (b2, 0)), (0, 1), 1, ((0, 1),))]
 
     def test_missing_successor_raises(self):
         inst, dec = _two_vertex_setup()
         moves = forward_tables(inst, dec)
-        state = DiverseState((((0b01, (0,)), 0),), 0, ())
         with pytest.raises(InternalError):
             list(tuple_successors(
-                state, moves=moves[1], d_cap=0, s_cap=0, to_go={},
-                cost_bound=99, succ_cache={},
+                (((0b01, (0,)), 0),), moves=moves[1], to_go={},
+                cost_bound=99, pair_index={}, succ_cache={},
             ))
 
     def test_key_missing_from_moves_raises(self):
         inst, dec = _two_vertex_setup()
         moves = forward_tables(inst, dec)
-        state = DiverseState((((0b10, (1,)), 0),), 0, ())
         with pytest.raises(InternalError, match="forward moves"):
             list(tuple_successors(
-                state, moves=moves[1], d_cap=0, s_cap=0,
+                (((0b10, (1,)), 0),), moves=moves[1],
                 to_go=backward_tables(moves)[2],
-                cost_bound=99, succ_cache={},
+                cost_bound=99, pair_index={}, succ_cache={},
             ))
+
+
+def reference_lockstep(moves, to_go, r, cost_bound, d_cap, s_cap):
+    """The lockstep with each state expanded on its own: the raw product of
+    its slots' allowed moves, registers added pair by pair, then the slots
+    sorted and the distance registers permuted with them. Each canonical
+    state keeps its least parent and that parent's first perm."""
+    pairs = list(itertools.combinations(range(r), 2))
+    root = DiverseState((((0, ()), 0),) * r, 0, (0,) * len(pairs))
+    frontier = {root: (None, None, None)}
+    for here, after in zip(moves, to_go[1:]):
+        nxt = {}
+        for state, link in frontier.items():
+            options = [
+                [
+                    ((k, cost + step), below)
+                    for k, step, below in here[key]
+                    if cost + step + after[k] <= cost_bound
+                ]
+                for key, cost in state.slots
+            ]
+            for combo in itertools.product(*options):
+                slots = [slot for slot, _ in combo]
+                incs = [(combo[i][1] ^ combo[j][1]).bit_count() for i, j in pairs]
+                dist = [min(state.dist[k] + inc, s_cap) for k, inc in enumerate(incs)]
+                perm = tuple(sorted(range(r), key=lambda i: slots[i]))
+                canon = DiverseState(
+                    tuple(slots[i] for i in perm),
+                    min(state.div + sum(incs), d_cap),
+                    tuple(
+                        dist[pairs.index(tuple(sorted((perm[i], perm[j]))))]
+                        for i, j in pairs
+                    ),
+                )
+                entry = nxt.get(canon)
+                if entry is None or state < entry[0]:
+                    nxt[canon] = (state, link, perm)
+        frontier = nxt
+    return frontier
+
+
+class TestLockstep:
+    @staticmethod
+    def _both(inst, r, delta, d_cap, s_cap):
+        decomposition = consistent_path_decomposition(inst.base)
+        moves = forward_tables(inst, decomposition.decomposition)
+        to_go = backward_tables(moves)
+        cost_bound = to_go[0][(0, ())] + delta
+        got = solver_diverse._lockstep(
+            moves, to_go, r, cost_bound=cost_bound, d_cap=d_cap, s_cap=s_cap,
+            slot_bound=tail_bound(delta, decomposition.width),
+        )
+        return got, reference_lockstep(moves, to_go, r, cost_bound, d_cap, s_cap)
+
+    def test_matches_per_state_expansion_on_random_instances(self):
+        # same states, same (parent, parent's entry, perm) entries
+        rng = random.Random(38)
+        for trial in range(80):
+            n = rng.randint(2, 5)
+            r = rng.randint(1, 4)
+            inst = random_cost_instance(n, rng, rng.random() * 0.6, max_cost=2)
+            delta = rng.randint(0, 2 if r <= 2 else 1)
+            if trial % 2:
+                caps = (solver_diverse.diversity_cap(r, n), rng.randint(0, 2))
+            else:
+                caps = (rng.randint(0, 6), rng.randint(1, 3))
+            got, want = self._both(inst, r, delta, *caps)
+            assert got == want, (trial, n, r, delta, caps)
+
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_matches_per_state_expansion_on_fifty_fifty(self, r):
+        inst = reduce_to_co(fifty_fifty_profile())
+        for caps in ((r, 1), (solver_diverse.diversity_cap(r, 5), 0)):
+            got, want = self._both(inst, r, 0, *caps)
+            assert got == want
+        # k copies of one optimum and r - k of the other end in the same
+        # slots, told apart by their exact diversities k * (r - k)
+        assert sorted(f.div for f in got) == sorted({k * (r - k) for k in range(r + 1)})
+
+    def test_register_caps_saturate(self):
+        # two solutions of two free vertices differ by at most 1
+        inst, dec = _two_vertex_setup()
+        moves = forward_tables(inst, dec)
+        to_go = backward_tables(moves)
+        final = {}
+        for caps in ((9, 9), (0, 0)):
+            frontier = solver_diverse._lockstep(
+                moves, to_go, 2, cost_bound=99, d_cap=caps[0], s_cap=caps[1],
+                slot_bound=tail_bound(3, 1),
+            )
+            final[caps] = sorted((f.div, f.dist, tuple(c for _, c in f.slots)) for f in frontier)
+        assert final[9, 9] == [(0, (0,), (1, 1)), (0, (0,), (4, 4)), (1, (1,), (1, 4))]
+        assert final[0, 0] == [(0, (0,), (1, 1)), (0, (0,), (1, 4)), (0, (0,), (4, 4))]
+
+
+def _count_vectors(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _count_vectors(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def test_diversity_cap_is_the_brute_force_maximum():
+    # every multiset of r rankings of n <= 3 candidates, as counts per
+    # ranking: its diversity sums the distance of every pair of its members
+    for n in (1, 2, 3):
+        rankings = [LinearOrder(p) for p in itertools.permutations(range(n))]
+        weighted = [
+            (a, b, kt_distance(rankings[a], rankings[b]))
+            for a, b in itertools.combinations(range(len(rankings)), 2)
+        ]
+        for r in range(1, 21):
+            best = max(
+                sum(c[a] * c[b] * kt for a, b, kt in weighted)
+                for c in _count_vectors(r, len(rankings))
+            )
+            assert solver_diverse.diversity_cap(r, n) == best, (n, r)
 
 
 class TestBackwardTables:
