@@ -33,7 +33,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import IO, Sequence
+from typing import IO, Iterator, Sequence
 
 from .errors import CapabilityError, InputError, InternalError, check_deadline
 from .instances import (
@@ -79,22 +79,24 @@ _LABEL_BREAK_RE = re.compile(r"[\s<=]")
 _UNWRITABLE_RE = re.compile(r"[\s<=,#]|^pairs:")
 
 
-def _content_lines(text: str) -> list[tuple[int, str]]:
-    out = []
+def _content_lines(text: str, deadline: float | None) -> Iterator[tuple[int, str]]:
+    """(line number, content) of every line with content once its comment
+    is cut, lazily; the deadline is checked once per raw line."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        check_deadline(deadline)
         line = raw.split("#", 1)[0].strip()
         if line:
-            out.append((lineno, line))
-    return out
+            yield lineno, line
 
 
 def parse_votes(text: str, deadline: float | None = None) -> Profile:
     """Parse a vote file into a Profile, with line-precise diagnostics; the
-    deadline is checked once per vote line."""
-    lines = _content_lines(text)
-    if not lines:
+    deadline is checked once per raw line, comments and blank lines too."""
+    lines = _content_lines(text, deadline)
+    first = next(lines, None)
+    if first is None:
         raise InputError("empty vote file")
-    lineno, header = lines[0]
+    lineno, header = first
     if not header.startswith("candidates:"):
         raise InputError(f"line {lineno}: expected 'candidates:' header")
     names = [name.strip() for name in header[len("candidates:"):].split(",")]
@@ -114,8 +116,7 @@ def parse_votes(text: str, deadline: float | None = None) -> Profile:
         raise InputError(f"line {lineno}: {exc}") from None
     units = _units(candidates.n)
     votes = []
-    for lineno, line in lines[1:]:
-        check_deadline(deadline)
+    for lineno, line in lines:
         mult = 1
         match = _MULT_RE.match(line)
         if match:

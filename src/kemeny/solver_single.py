@@ -7,12 +7,17 @@ the bitmask of the vertices already placed; placing a minimal remaining
 vertex v pays cost[v][u] for every u still unplaced after it. The ideals
 are built once, in order of size, each mapped to its moves, taken from
 its parent's (``width.ideal_lattice``), and a backward pass over that
-mapping gives every ideal's exact cost to go. A move is tight when it
-keeps to that cost, and the optimal rankings are exactly the paths of
-tight moves from the empty ideal to the full one (De Loof, De Meyer and
-De Baets, Fundamenta Informaticae 2006). Walked depth first in ascending
-vertex index, they come in lexicographic order, a function of the input
-alone: ``solve`` and ``pco`` take the first, ``optima`` the first r.
+mapping gives every ideal's exact cost to go. The same pass packs, per
+ideal I, what every vertex would pay for the vertices outside I into one
+integer, a bit field per vertex as wide as the largest row sum of the cost
+matrix: I | u's integer plus the column of any move u. A move's step is
+then one shift and mask, however many pairs it pays for. A move is tight
+when it keeps to the cost to go, and the optimal rankings are exactly the
+paths of tight moves from the empty ideal to the full one (De Loof, De
+Meyer and De Baets, Fundamenta Informaticae 2006). Walked depth first in
+ascending vertex index, they come in lexicographic order, a function of
+the input alone: ``solve`` and ``pco`` take the first, ``optima`` the
+first r.
 
 The unanimity width w is read off the same lattice: it is the least vertex
 separation of the cocomparability graph over the ideals
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import InternalError, check_bound, check_deadline
-from .orders import CostInstance, LinearOrder, _bits
+from .orders import CostInstance, LinearOrder
 from .width import ideal_lattice, ideal_widths
 
 
@@ -55,19 +60,22 @@ def optimal_rankings(
     n = instance.n
     check_bound("ideal", len(moves) + 1, n * 2**width + 1)
     full = (1 << n) - 1
-    # (bit of u, cost[v][u]) over the incomparable u that v pays for when
-    # u is placed after it; pairs comparable in the base order never pay.
-    pays = [
-        [(1 << u, cost[u]) for u in _bits(base.incomparable_to(v)) if cost[u]]
-        for v, cost in enumerate(instance.cost)
-    ]
+    # owed[I] packs one field of `size` bits per vertex: field v, at bit
+    # shift[v], sums cost[v][x] over the x outside I. At a move v every x
+    # below v is inside I and every cost[v][x] above v is zeroed, so the
+    # field is v's step. No field exceeds its row sum, so none spills.
+    size = max(map(sum, instance.cost), default=0).bit_length()
+    field = (1 << size) - 1
+    shift = [size * v for v in range(n)]
+    bit = [1 << v for v in range(n)]
+    col = [sum([row[x] << s for row, s in zip(instance.cost, shift)]) for x in range(n)]
 
+    owed = {full: 0}
     to_go = {full: 0}
     for ideal, vs in reversed(moves.items()):
         check_deadline(deadline)
-        to_go[ideal] = min(
-            sum([c for bit, c in pays[v] if not ideal & bit]) + to_go[ideal | 1 << v] for v in vs
-        )
+        o = owed[ideal] = owed[ideal | bit[vs[0]]] + col[vs[0]]
+        to_go[ideal] = min([(o >> shift[v] & field) + to_go[ideal | bit[v]] for v in vs])
 
     def walk() -> Iterator[LinearOrder]:
         # Depth first over the tight moves, smallest vertex popped first;
@@ -83,9 +91,10 @@ def optimal_rankings(
                 yield ranking
                 continue
             left = to_go[ideal]
+            o = owed[ideal]
             for v in reversed(moves[ideal]):
-                nxt = ideal | 1 << v
-                if sum([c for bit, c in pays[v] if not ideal & bit]) + to_go[nxt] == left:
+                nxt = ideal | bit[v]
+                if (o >> shift[v] & field) + to_go[nxt] == left:
                     stack.append((nxt, prefix + (v,)))
 
     return to_go[0], width, walk()

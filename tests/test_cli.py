@@ -13,7 +13,7 @@ import time
 import pytest
 
 from kemeny.cli import parse_votes, run, serialize_profile, serialize_vote
-from kemeny.errors import InputError
+from kemeny.errors import CapabilityError, InputError
 from kemeny.instances import (
     candidate_labels,
     fifty_fifty_profile,
@@ -748,6 +748,20 @@ class TestSubcommands:
         code, out, err = invoke(["solve", str(votes), "--timeout", "0.05"])
         assert (code, out) == (3, "") and "timeout" in err
         assert time.monotonic() - start < 0.5
+
+    def test_comment_lines_check_the_deadline(self, monkeypatch):
+        # a header and 1 000 comment lines hold no vote, so a check per vote
+        # alone would reach the end of the file and report no votes
+        text = "candidates: A,B\n" + "# a comment\n" * 1000
+        with pytest.raises(InputError, match="header but no votes"):
+            parse_votes(text)
+        with pytest.raises(CapabilityError):
+            parse_votes(text, time.monotonic() - 1)
+        calls = []
+        monkeypatch.setattr("kemeny.cli.check_deadline", calls.append)
+        with pytest.raises(InputError, match="header but no votes"):
+            parse_votes(text, 1e9)
+        assert calls == [1e9] * 1001
 
     def test_solve_reaches_width_eleven(self, tmp_path):
         # two buckets of 12: 12! tail orders per position, 2 * 2^12 ideals

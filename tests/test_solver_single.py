@@ -2,12 +2,13 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
 from kemeny import solver_single, width
 from kemeny.cli import parse_votes
-from kemeny.errors import InternalError
+from kemeny.errors import CapabilityError, InternalError
 from kemeny.instances import (
     BucketSpec,
     candidate_labels,
@@ -187,6 +188,49 @@ class TestEveryOptimum:
             ties += len(winners) > 1
         assert ties >= 100
 
+    def test_wide_costs_keep_their_fields_apart(self):
+        # each ideal packs every vertex's unpaid cost into one integer, one
+        # field per vertex as wide as the largest row sum; costs near 2^58
+        # and rows summing to 2^k - 1 (a full field) or 2^k (one bit more)
+        # must still give the oracle's optimum and every minimizer
+        rng = random.Random(33)
+        for i in range(120):
+            n = rng.randint(2, 7)
+            base = random_partial_order(n, rng, rng.uniform(0.0, 0.5))
+            k = rng.randint(1, 59)
+            top = 2**k - (i % 2)  # odd i: no row reaches 2^k, so the field is full
+            cost = [[0] * n for _ in range(n)]
+            for v in range(n):
+                free = [x for x in range(n) if x != v and not base.lt(v, x)]
+                if not free:
+                    continue
+                total = rng.choice([top, top - 1, rng.randint(0, top)])
+                cuts = sorted(rng.randint(0, total) for _ in free[1:])
+                for x, lo, hi in zip(free, [0] + cuts, cuts + [total]):
+                    cost[v][x] = hi - lo
+            inst = CostInstance(n, tuple(map(tuple, cost)), base)
+            assert [sum(row) for row in inst.cost] == [sum(row) for row in cost]
+            opt, _, rankings = optimal_rankings(inst)
+            best, winners = oracle_optimum(inst)
+            assert opt == best
+            assert list(rankings) == sorted(winners, key=lambda w: w.perm)
+
+    def test_wide_tied_costs_list_every_minimizer(self):
+        # costs that are multiples of 2^56, so many rankings tie at the optimum
+        # and the walk's tight-move test compares wide fields
+        rng = random.Random(35)
+        ties = 0
+        for _ in range(60):
+            inst = random_cost_instance(rng.randint(2, 7), rng, rng.uniform(0.1, 0.5), 2)
+            wide = tuple(tuple(c << 56 for c in row) for row in inst.cost)
+            inst = CostInstance(inst.n, wide, inst.base)
+            opt, _, rankings = optimal_rankings(inst)
+            best, winners = oracle_optimum(inst)
+            assert opt == best
+            assert list(rankings) == sorted(winners, key=lambda w: w.perm)
+            ties += len(winners) > 1
+        assert ties >= 20
+
     def test_one_solve_builds_one_lattice(self, monkeypatch):
         # the cost pass and the width pass share one lattice, built by
         # width.ideal_lattice and by no second builder
@@ -226,3 +270,29 @@ class TestDistinctOptima:
             _, winners = oracle_optimum(inst)
             for r in (2, 3):
                 assert first_optima(inst, r) == winners[:r]
+
+
+class TestDeadline:
+    def test_cost_pass_checks_the_deadline_per_ideal(self, monkeypatch):
+        # the rankings are not drawn, so every check is the cost pass's
+        calls = []
+        monkeypatch.setattr(solver_single, "check_deadline", calls.append)
+        inst = random_cost_instance(8, random.Random(36), 0.2)
+        optimal_rankings(inst, deadline=1e9)
+        assert len(calls) >= len(width.ideal_lattice(inst.base))
+        assert set(calls) == {1e9}
+
+    def test_cost_pass_stops_at_a_passed_deadline(self, monkeypatch):
+        # the lattice and the width pass ignore the deadline here, so the
+        # abort comes from the cost pass
+        monkeypatch.setattr(
+            solver_single, "ideal_lattice", lambda order, _: width.ideal_lattice(order)
+        )
+        monkeypatch.setattr(
+            solver_single, "ideal_widths", lambda order, moves, _: width.ideal_widths(order, moves)
+        )
+        cost = tuple(tuple(int(x != y) for y in range(6)) for x in range(6))
+        inst = CostInstance(6, cost, PartialOrder.antichain(6))
+        assert optimal_rankings(inst)[0] == 15
+        with pytest.raises(CapabilityError):
+            optimal_rankings(inst, time.monotonic() - 1)
